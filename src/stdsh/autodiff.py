@@ -4,7 +4,7 @@ A Tensor wraps a numpy array; every op appends a record to a per-thread
 tape (Wengert list). backward() replays the tape once in reverse and
 accumulates gradients into every tracked tensor. The op set is the minimum
 needed by the attention encoder, the actor, and the critic: dense matmul,
-elementwise arithmetic, tanh/relu, reductions, concat/gather, clipping,
+elementwise arithmetic, exp/tanh, reductions, concat/gather, clipping,
 and masked (log-)softmax with max-subtraction stabilization.
 """
 
@@ -59,42 +59,11 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def zero_grad(self) -> None:
         self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; constants are wrapped on the fly
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
 
 
 def _as_tensor(x) -> Tensor:
@@ -226,19 +195,6 @@ def exp(a: Tensor) -> Tensor:
     return _record(out, backprop)
 
 
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
-        raise ValueError("log: non-positive input")
-    out = Tensor(np.log(a.data))
-    if not _tracked(a):
-        return out
-
-    def backprop(g):
-        _accumulate(a, g / a.data)
-
-    return _record(out, backprop)
-
-
 def tanh(a: Tensor) -> Tensor:
     out = Tensor(np.tanh(a.data))
     if not _tracked(a):
@@ -246,17 +202,6 @@ def tanh(a: Tensor) -> Tensor:
 
     def backprop(g):
         _accumulate(a, g * (1.0 - out.data * out.data))
-
-    return _record(out, backprop)
-
-
-def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0))
-    if not _tracked(a):
-        return out
-
-    def backprop(g):
-        _accumulate(a, g * (a.data > 0.0))
 
     return _record(out, backprop)
 
@@ -421,42 +366,6 @@ def masked_log_softmax(a: Tensor, mask, axis: int) -> Tensor:
         _accumulate(a, np.where(mask, g - p * tot, 0.0))
 
     return _record(out, backprop)
-
-
-def softmax(a: Tensor, axis: int = 1) -> Tensor:
-    return masked_softmax(a, np.ones(a.data.shape, dtype=bool), axis)
-
-
-_OPS = {
-    "matmul": matmul,
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "scale": scale,
-    "transpose": transpose,
-    "exp": exp,
-    "log": log,
-    "tanh": tanh,
-    "relu": relu,
-    "square": square,
-    "sum": reduce_sum,
-    "mean": reduce_mean,
-    "max": reduce_max,
-    "concat": concat,
-    "gather": gather,
-    "clip": clip,
-    "minimum": minimum,
-    "softmax": softmax,
-    "masked_softmax": masked_softmax,
-    "masked_log_softmax": masked_log_softmax,
-}
-
-
-def forward(op_name: str, *inputs, **kwargs) -> Tensor:
-    """Dispatch an op by name. Unknown names are rejected."""
-    if op_name not in _OPS:
-        raise ValueError(f"unknown op name: {op_name!r}")
-    return _OPS[op_name](*inputs, **kwargs)
 
 
 def backward(loss: Tensor) -> None:

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import N_ACTIONS
+from .env import N_ACTIONS, drive, encode_action
 from .sim.network import N_PHASES, permits
-from .sim.world import (ALL_RED_S, AMBER_S, MAX_GREEN_S, MIN_GREEN_S, SimWorld)
+from .sim.world import (ALL_RED_S, AMBER_S, MAX_GREEN_S, MIN_GREEN_S, SimWorld,
+                        load_scenario)
 
 LOST_TIME_S = N_PHASES * (AMBER_S + ALL_RED_S)          # 20
 MIN_CYCLE_S = N_PHASES * MIN_GREEN_S + LOST_TIME_S      # 52
@@ -101,12 +102,8 @@ def measure_flow_ratios(scenario, seed: int, warmup_s: int = 300) -> list[list[f
     phase's ratio is the worst lane flow it serves divided by the
     saturation flow.
     """
-    from .sim.world import load_scenario
     world = load_scenario(scenario, seed)
-    naive = FixedTimeController(world, [15] * N_PHASES)
-    for _ in range(warmup_s):
-        world.step()
-        naive.drive(world)
+    drive(world, warmup_s, FixedTimeController(world, [15] * N_PHASES))
     sat_flow = world.cfg.saturation_veh_s * warmup_s
     ratios = []
     for node in range(world.net.n):
@@ -136,7 +133,7 @@ def webster_plan(ratios) -> WebsterPlan:
 
 
 class FixedTimeController:
-    """Replays P1..P4 cyclically with the given greens at every trigger."""
+    """Replays P1..P4 cyclically with the given greens; a drive() decider."""
 
     def __init__(self, world: SimWorld, greens_or_plans):
         n = world.net.n
@@ -153,12 +150,10 @@ class FixedTimeController:
                 if not (MIN_GREEN_S <= g <= MAX_GREEN_S):
                     raise ValueError(f"green {g} outside [{MIN_GREEN_S},{MAX_GREEN_S}]")
 
-    def drive(self, world: SimWorld) -> None:
-        """Serve every raised trigger with the next phase in the cycle."""
-        for k, ctrl in enumerate(world.controllers):
-            if ctrl.trigger:
-                nxt = (ctrl.phase + 1) % N_PHASES
-                world.apply_signal(k, nxt, self.greens[k][nxt])
+    def __call__(self, world: SimWorld, i: int) -> int:
+        """The next phase in the cycle with its planned green."""
+        nxt = (world.controllers[i].phase + 1) % N_PHASES
+        return encode_action(nxt, self.greens[i][nxt])
 
 
 def fixed_time_fswf(scenario, seed: int, warmup_s: int = 300):

@@ -12,6 +12,10 @@ Actions index a 4 x 38 grid: a // 38 is the next phase, 8 + a % 38 its
 green seconds. The mask forbids exactly the 38 entries that repeat the
 running phase.
 
+Every controller, learned or not, runs through drive(): a
+(world, intersection) -> action callable consulted only when that
+intersection's green expires.
+
 Reward over one decision window of m seconds averages the intersection's
 own delayed-passenger count and the network count, weighted and negated.
 """
@@ -22,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypergraph import node_index
 from .metrics import MetricsLog
 from .sim.network import N_PHASES
 from .sim.world import MAX_GREEN_S, MIN_GREEN_S, SimWorld
@@ -99,6 +102,23 @@ def action_mask(current_phase: int) -> np.ndarray:
     return mask
 
 
+def drive(world: SimWorld, seconds: int, decide, after_step=None) -> None:
+    """Step `world` for `seconds`; each agent acts when its green expires.
+
+    Before every step, each raised trigger is served with the action
+    `decide(world, i)` returns for intersection i; `after_step(world)`, if
+    given, runs after every step. A trigger the last step raises is left
+    for the next call, so drive(w, a) then drive(w, b) is drive(w, a + b).
+    """
+    for _ in range(seconds):
+        for i, ctrl in enumerate(world.controllers):
+            if ctrl.trigger:
+                world.apply_signal(i, *decode_action(decide(world, i)))
+        world.step()
+        if after_step is not None:
+            after_step(world)
+
+
 # ------------------------------------------------------------------- reward
 
 @dataclass
@@ -170,7 +190,8 @@ def prepare_node_features(stacked: np.ndarray, n_lanes: int, heads: int) -> np.n
 
 class CorridorEnv:
     """World plus the bookkeeping the trainer needs: snapshots on a 5 s grid,
-    trigger queries, masked decodes, and per-window rewards."""
+    masks, and per-window rewards. Step it with drive(env.world, ...,
+    after_step=env.window.after_step)."""
 
     def __init__(self, config, seed: int, reward_cfg: RewardConfig | None = None,
                  window_depth: int = 5, window_cadence_s: int = 5):
@@ -190,19 +211,6 @@ class CorridorEnv:
 
     def mask_for(self, intersection: int) -> np.ndarray:
         return action_mask(self.world.controllers[intersection].phase)
-
-    def triggered(self) -> list[int]:
-        return [k for k, c in enumerate(self.world.controllers) if c.trigger]
-
-    def step_second(self) -> dict:
-        rec = self.world.step()
-        self.window.after_step(self.world)
-        return rec
-
-    def apply_action(self, intersection: int, action: int) -> tuple[int, int]:
-        phase, green = decode_action(action)
-        self.world.apply_signal(intersection, phase, green)
-        return phase, green
 
     def reward_between(self, intersection: int, start_t: int, stop_t: int) -> float:
         return compute_reward(self.world.log.window(start_t, stop_t),

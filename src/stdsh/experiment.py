@@ -19,10 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import env
 from .baselines import FixedTimeController, fixed_time_fswf, random_policy
-from .env import CorridorEnv, action_mask, decode_action
 from .metrics import anp, aql, awt, write_heatmap_csv, write_metrics_csv
 from .nets import act
+from .sim.world import load_scenario
 from .trainer import TrainState, load_checkpoint
 
 CONTROLLERS = ("stdsh", "mappo", "fswf", "random")
@@ -63,6 +64,7 @@ def run_experiment(scenario, controller: str, seed: int, horizon_s: int = 1800,
     """Run one evaluation cell; returns (summary row, MetricsLog)."""
     if controller not in CONTROLLERS:
         raise ValueError(f"controller must be one of {CONTROLLERS}, got {controller!r}")
+    world = load_scenario(scenario, seed)
     if controller in ("stdsh", "mappo"):
         if state is None:
             if checkpoint is None:
@@ -74,11 +76,14 @@ def run_experiment(scenario, controller: str, seed: int, horizon_s: int = 1800,
             raise ValueError("stdsh controller needs a hypergraph-on checkpoint")
         if controller == "mappo" and state.cfg.use_hypergraph:
             raise ValueError("mappo controller needs a hypergraph-off checkpoint")
-        log = _run_learned(scenario, state, seed, horizon_s)
+        decide = _greedy(state.policy)
     elif controller == "fswf":
-        log = _run_fswf(scenario, seed, horizon_s)
+        plans = fixed_time_fswf(scenario, seed)
+        decide = FixedTimeController(world, [p.greens for p in plans])
     else:
-        log = _run_random(scenario, seed, horizon_s)
+        decide = _uniform(np.random.default_rng(seed))
+    env.drive(world, horizon_s, decide)
+    log = world.log
     row = SummaryRow(
         scenario=_scenario_label(scenario), controller=controller, seed=seed,
         horizon_s=horizon_s, anp=anp(log, horizon_s), aql=aql(log),
@@ -93,48 +98,19 @@ def run_experiment(scenario, controller: str, seed: int, horizon_s: int = 1800,
     return row, log
 
 
-def _run_learned(scenario, state: TrainState, seed: int, horizon_s: int):
-    env = CorridorEnv(scenario, seed=seed,
-                      window_depth=state.cfg.window_depth,
-                      window_cadence_s=state.cfg.window_cadence_s)
-    rng = np.random.default_rng(seed)       # unused under greedy, kept for API
-    for i in env.triggered():
-        _apply_greedy(env, state, i, rng)
-    for _ in range(horizon_s):
-        env.step_second()
-        for i in env.triggered():
-            _apply_greedy(env, state, i, rng)
-    return env.world.log
+def _greedy(policy):
+    def decide(world, i: int) -> int:
+        # env.observe is looked up at call time, so a patched one (the
+        # benchmark tracer's span) sees every call
+        mask = env.action_mask(world.controllers[i].phase)
+        return act(policy, env.observe(world, i), mask, None, greedy=True)[0]
+    return decide
 
 
-def _apply_greedy(env: CorridorEnv, state: TrainState, i: int, rng) -> None:
-    a, _ = act(state.policy, env.observe(i), env.mask_for(i), rng, greedy=True)
-    env.apply_action(i, a)
-
-
-def _run_fswf(scenario, seed: int, horizon_s: int):
-    from .sim.world import load_scenario
-    plans = fixed_time_fswf(scenario, seed)
-    world = load_scenario(scenario, seed)
-    controller = FixedTimeController(world, [p.greens for p in plans])
-    for _ in range(horizon_s):
-        world.step()
-        controller.drive(world)
-    return world.log
-
-
-def _run_random(scenario, seed: int, horizon_s: int):
-    from .sim.world import load_scenario
-    world = load_scenario(scenario, seed)
-    rng = np.random.default_rng(seed)
-    for _ in range(horizon_s):
-        world.step()
-        for k, ctrl in enumerate(world.controllers):
-            if ctrl.trigger:
-                a = random_policy(action_mask(ctrl.phase), rng)
-                phase, green = decode_action(a)
-                world.apply_signal(k, phase, green)
-    return world.log
+def _uniform(rng):
+    def decide(world, i: int) -> int:
+        return random_policy(env.action_mask(world.controllers[i].phase), rng)
+    return decide
 
 
 def _append_summary(path: Path, row: SummaryRow) -> None:

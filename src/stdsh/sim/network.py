@@ -95,12 +95,6 @@ class Link:
     def speed_mps(self) -> float:
         return self.speed_kmh / 3.6
 
-    def reset_state(self) -> None:
-        for lane in self.lanes:
-            lane.queue.clear()
-            lane.credit = 0.0
-            lane.moving_count = 0
-
 
 class Network:
     """All links of an n-intersection corridor plus entry bookkeeping."""

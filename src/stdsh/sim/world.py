@@ -341,15 +341,6 @@ class SimWorld:
                 total += v.occupancy
         return total
 
-    def queued_road_vehicles(self, scope="network") -> int:
-        total = 0
-        for v in self.active:
-            if v.state != "queued" or v.mode == "tram":
-                continue
-            if scope == "network" or v.route[v.leg][0].node == scope:
-                total += 1
-        return total
-
     def lane_vehicles(self) -> dict:
         """Current vehicles grouped by lane key, one world pass."""
         groups: dict[tuple, list[Vehicle]] = {}

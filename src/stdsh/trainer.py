@@ -10,10 +10,9 @@ through the critic loss and through nothing else. With the hypergraph
 disabled the critic sees the mean of the current scaled observations.
 
 Ratios in the clipped surrogate are taken against log-probs recomputed in
-one batched forward at the start of the update, not the per-decision
-values recorded during collection: identical inputs through an identical
-batched graph make the first epoch's ratios exactly one when the batch
-fits in a single minibatch.
+one batched forward at the start of the update; collection keeps none.
+Identical inputs through an identical batched graph make the first
+epoch's ratios exactly one when the batch fits in a single minibatch.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import load_params, save_params
 from .encoder import EncoderParams, encode, init_encoder, load_encoder
-from .env import N_ACTIONS, CorridorEnv, feature_scales, obs_width
+from .env import N_ACTIONS, CorridorEnv, drive, feature_scales, obs_width
 from .hypergraph import build_st_hypergraph, spatial_only, temporal_only
 from .nets import (CriticNet, PolicyNet, act, entropy_of, masked_distribution)
 from .optim import Adam, clip_grad_norm
@@ -94,7 +93,6 @@ class TransitionBatch:
     obs: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     mask: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=bool))
     action: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    old_logp: np.ndarray = field(default_factory=lambda: np.zeros(0))
     reward: np.ndarray = field(default_factory=lambda: np.zeros(0))
     dt: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     ret: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -214,37 +212,26 @@ def collect_rollout(env: CorridorEnv, state: TrainState, seconds: int,
     rows: list[dict] = []
     pending: dict[int, dict] = {}
 
-    def decide(i: int) -> None:
-        obs = env.observe(i)
-        mask = env.mask_for(i)
-        a, logp = act(state.policy, obs, mask, state.rng, greedy=greedy)
-        env.apply_action(i, a)
-        pending[i] = {"agent": i, "t": env.world.t, "obs": obs, "mask": mask,
-                      "action": a, "old_logp": logp,
-                      "critic_input": critic_input()}
-
-    if seconds <= 0:
-        return TransitionBatch()
-    for i in env.triggered():
-        decide(i)
-    for k in range(seconds):
-        env.step_second()
-        if k == seconds - 1:
-            break                       # horizon: open decisions close below
-        for i in env.triggered():
-            if i in pending:
-                p = pending.pop(i)
-                p["reward"] = env.reward_between(i, p["t"], env.world.t)
-                p["dt"] = env.world.t - p["t"]
-                p["done"] = False
-                rows.append(p)
-            decide(i)
-    for i in sorted(pending):
-        p = pending[i]
+    def close(i: int, done: bool) -> None:
+        p = pending.pop(i)
         p["reward"] = env.reward_between(i, p["t"], env.world.t)
         p["dt"] = env.world.t - p["t"]
-        p["done"] = True
+        p["done"] = done
         rows.append(p)
+
+    def decide(world, i: int) -> int:
+        if i in pending:
+            close(i, done=False)
+        obs = env.observe(i)
+        mask = env.mask_for(i)
+        a, _ = act(state.policy, obs, mask, state.rng, greedy=greedy)
+        pending[i] = {"agent": i, "t": world.t, "obs": obs, "mask": mask,
+                      "action": a, "critic_input": critic_input()}
+        return a
+
+    drive(env.world, seconds, decide, after_step=env.window.after_step)
+    for i in sorted(pending):           # horizon: open decisions close here
+        close(i, done=True)
     return _build_batch(rows, cfg.gamma, cfg.time_discount)
 
 
@@ -258,7 +245,6 @@ def _build_batch(rows: list[dict], gamma: float,
         obs=np.stack([r["obs"] for r in rows]),
         mask=np.stack([r["mask"] for r in rows]),
         action=np.array([r["action"] for r in rows], dtype=int),
-        old_logp=np.array([r["old_logp"] for r in rows]),
         reward=np.array([r["reward"] for r in rows]),
         dt=np.array([r["dt"] for r in rows], dtype=int),
         done=np.array([r["done"] for r in rows], dtype=bool),
@@ -538,10 +524,8 @@ def run_bandit(seed: int, max_updates: int = 500, batch_size: int = 64,
     converged_at = None
     first_update_stats = None
     for update in range(max_updates):
-        acts = np.zeros(batch_size, dtype=int)
-        lps = np.zeros(batch_size)
-        for b in range(batch_size):
-            acts[b], lps[b] = act(state.policy, obs, mask, state.rng)
+        acts = np.array([act(state.policy, obs, mask, state.rng)[0]
+                         for _ in range(batch_size)])
         rewards = (acts == 0).astype(float)
         batch = TransitionBatch(
             agent=np.zeros(batch_size, dtype=int),
@@ -549,7 +533,6 @@ def run_bandit(seed: int, max_updates: int = 500, batch_size: int = 64,
             obs=np.tile(obs, (batch_size, 1)),
             mask=np.tile(mask, (batch_size, 1)),
             action=acts,
-            old_logp=lps,
             reward=rewards,
             ret=rewards.copy(),              # one-step episodes
             done=np.ones(batch_size, dtype=bool),

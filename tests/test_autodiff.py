@@ -24,11 +24,6 @@ def test_add_zero_tensors():
     assert np.array_equal(out.data, np.zeros((4, 4)))
 
 
-def test_row_softmax_symmetry():
-    out = ad.softmax(Tensor(np.array([[0.0, 0.0]])), axis=1)
-    assert np.allclose(out.data, [[0.5, 0.5]], atol=0)
-
-
 def test_backward_square():
     x = Tensor(np.array(3.0), requires_grad=True)
     loss = ad.mul(x, x)
@@ -61,16 +56,6 @@ def test_backward_rejects_nonscalar():
     y = ad.mul(x, x)
     with pytest.raises(ValueError):
         ad.backward(y)
-
-
-def test_unknown_op_rejected():
-    with pytest.raises(ValueError):
-        ad.forward("convolve", Tensor(np.ones(3)))
-
-
-def test_forward_dispatch():
-    out = ad.forward("tanh", Tensor(np.array([0.0])))
-    assert out.data[0] == 0.0
 
 
 def test_masked_softmax_sums_and_zeros():
@@ -116,7 +101,6 @@ def _primitive_cases(rng):
         ("scale", lambda t: ad.reduce_sum(ad.scale(t, -2.5))),
         ("exp", lambda t: ad.reduce_sum(ad.exp(t))),
         ("tanh", lambda t: ad.reduce_sum(ad.tanh(t))),
-        ("relu", lambda t: ad.reduce_sum(ad.relu(t))),
         ("square", lambda t: ad.reduce_sum(ad.square(t))),
         ("mean", lambda t: ad.reduce_mean(t)),
         ("max0", lambda t: ad.reduce_sum(ad.reduce_max(t, axis=0))),

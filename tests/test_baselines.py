@@ -7,7 +7,7 @@ from stdsh.baselines import (FixedTimeController, LOST_TIME_S, MAX_CYCLE_S,
                              MIN_CYCLE_S, fixed_time_fswf, green_split,
                              measure_flow_ratios, random_policy, webster_cycle,
                              webster_plan)
-from stdsh.env import N_ACTIONS, action_mask
+from stdsh.env import N_ACTIONS, action_mask, decode_action, drive
 from stdsh.sim import load_scenario, resolve_config
 
 QUIET = "[demand]\ncar_rate_veh_h = 0\nbus_headway_s = 0\ntram_headway_s = 0\n"
@@ -113,27 +113,31 @@ def test_random_policy_single_choice_and_rejections():
 
 def test_fixed_time_controller_cycles_phases():
     world = load_scenario(resolve_config(QUIET), seed=0)
-    ctrl = FixedTimeController(world, [8, 9, 10, 11])
+    greens = [8, 9, 10, 11]
+    ctrl = FixedTimeController(world, greens)
     seen = []
-    for _ in range(200):
-        world.step()
+
+    def record(world):
         sc = world.controllers[0]
         if sc.trigger:
             seen.append(sc.phase)
-        ctrl.drive(world)
+            nxt = (sc.phase + 1) % 4
+            assert decode_action(ctrl(world, 0)) == (nxt, greens[nxt])
+
+    drive(world, 200, ctrl, after_step=record)
     # initial phase 0 expires, then the plan serves 1, 2, 3, 0, ...
     assert seen[:5] == [0, 1, 2, 3, 0]
 
 
 def test_fixed_time_controller_is_periodic_without_demand():
     world = load_scenario(resolve_config(QUIET), seed=0)
-    ctrl = FixedTimeController(world, [8, 8, 8, 8])
     stamps = []
-    for _ in range(400):
-        world.step()
+
+    def record(world):
         if world.controllers[0].trigger:
             stamps.append((world.t, world.controllers[0].phase))
-        ctrl.drive(world)
+
+    drive(world, 400, FixedTimeController(world, [8, 8, 8, 8]), after_step=record)
     diffs = {stamps[k + 1][0] - stamps[k][0] for k in range(1, len(stamps) - 1)}
     assert diffs == {13}          # 8 s green + 5 s clearance
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stdsh.env import (N_ACTIONS, CorridorEnv, FeatureWindow, RewardConfig,
-                       action_mask, compute_reward, decode_action,
+                       action_mask, compute_reward, decode_action, drive,
                        encode_action, feature_scales, obs_width, observe,
                        prepare_node_features)
 from stdsh.hypergraph import node_index
@@ -256,19 +256,86 @@ def test_prepare_node_features_scales_and_pads():
 
 def test_corridor_env_wiring():
     env = CorridorEnv(1, seed=8)
+    world = env.world
     assert env.n_agents == 6
-    assert env.triggered() == []
+
+    def triggered():
+        return [k for k, c in enumerate(world.controllers) if c.trigger]
+
+    assert triggered() == []
     for _ in range(10):
-        env.step_second()
-    assert env.triggered() == [0, 1, 2, 3, 4, 5]
+        world.step()
+        env.window.after_step(world)
+    assert triggered() == [0, 1, 2, 3, 4, 5]
     assert (~env.mask_for(0)).sum() == 38
-    phase, green = env.apply_action(0, 38)              # first P2 action
+    phase, green = decode_action(38)                    # first P2 action
     assert (phase, green) == (1, 8)
-    assert env.triggered() == [1, 2, 3, 4, 5]
+    world.apply_signal(0, phase, green)
+    assert triggered() == [1, 2, 3, 4, 5]
     # during the transition the mask still reflects the old phase
-    env.step_second()
-    assert env.world.controllers[0].stage == "amber"
+    world.step()
+    env.window.after_step(world)
+    assert world.controllers[0].stage == "amber"
     assert not env.mask_for(0)[:38].any()
     r = env.reward_between(0, 0, 10)
     assert r == compute_reward(env.world.log.window(0, 10), 0, env.reward_cfg)
     assert env.node_features(4).shape == (30, 148)
+
+
+# --------------------------------------------------------------------- drive
+
+T0 = QUIET + "[signal]\ninitial_green_s = 0\n"       # triggers raised at t=0
+
+
+def next_phase(world, i):
+    return encode_action((world.controllers[i].phase + 1) % 4, 8)
+
+
+def test_drive_serves_the_t0_trigger_first_and_nothing_after_the_last_step():
+    world = load_scenario(T0, seed=0)
+    calls = []
+
+    def decide(world, i):
+        calls.append((world.t, i))
+        return next_phase(world, i)
+
+    # one decision takes 3 s amber + 2 s all-red + 8 s green: the next
+    # triggers rise with the 13th step, the last one of this call
+    drive(world, 13, decide)
+    assert calls == [(0, i) for i in range(6)]
+    assert world.t == 13
+    assert all(c.trigger for c in world.controllers)   # left for the next call
+    drive(world, 1, decide)
+    assert calls[6:] == [(13, i) for i in range(6)]
+
+
+def test_drive_in_pieces_equals_one_call():
+    logs = []
+    for pieces in ((400,), (1, 150, 0, 249)):
+        world = load_scenario(1, seed=4)
+        calls = []
+
+        def decide(world, i):
+            calls.append((world.t, i))
+            return next_phase(world, i)
+
+        for seconds in pieces:
+            drive(world, seconds, decide)
+        logs.append((calls, world.log.net_delayed, world.log.int_queued))
+    assert logs[0] == logs[1]
+    assert len(logs[0][0]) > 6
+
+
+def test_drive_calls_after_step_once_per_second_before_serving():
+    world = load_scenario(QUIET, seed=0)
+    events = []
+
+    def decide(world, i):
+        events.append(("decide", world.t))
+        return next_phase(world, i)
+
+    drive(world, 11, decide, after_step=lambda w: events.append(("after", w.t)))
+    # the initial 10 s green expires with step 10; its triggers are served
+    # after that step's hook and before step 11
+    assert events == ([("after", t) for t in range(1, 11)]
+                      + [("decide", 10)] * 6 + [("after", 11)])

@@ -6,6 +6,7 @@ import pytest
 from stdsh.env import CorridorEnv, feature_scales, obs_width
 from stdsh.experiment import (CONTROLLERS, SUMMARY_HEADER, SummaryRow, report,
                               run_experiment)
+from stdsh.sim import SimWorld
 from stdsh.trainer import TrainConfig, TrainState, save_checkpoint
 
 HORIZON = 300
@@ -76,6 +77,30 @@ def test_checkpoint_file_drives_cell(tmp_path):
     via_state, _ = run_experiment(1, "stdsh", seed=1, horizon_s=HORIZON,
                                   state=state)
     assert via_file.anp == via_state.anp
+
+
+@pytest.mark.parametrize("controller", ("fswf", "random", "stdsh", "mappo"))
+def test_every_cell_serves_the_t0_trigger_and_none_past_the_horizon(
+        controller, monkeypatch):
+    # with no initial green every controller is consulted before the first
+    # step; nothing is decided after the last one. The fswf warm-up world
+    # runs 300 s too, so the same holds for it.
+    served = {}
+    apply_signal = SimWorld.apply_signal
+
+    def record(world, i, phase, green):
+        served.setdefault(world, []).append((world.t, i))
+        apply_signal(world, i, phase, green)
+
+    monkeypatch.setattr(SimWorld, "apply_signal", record)
+    state = (small_state(controller == "stdsh")
+             if controller in ("stdsh", "mappo") else None)
+    run_experiment("[signal]\ninitial_green_s = 0\n", controller, seed=0,
+                   horizon_s=300, state=state)
+    assert len(served) == (2 if controller == "fswf" else 1)
+    for calls in served.values():
+        assert calls[:6] == [(0, i) for i in range(6)]
+        assert max(t for t, _ in calls) < 300
 
 
 def test_report_aggregates_seed_means(tmp_path):

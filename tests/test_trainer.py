@@ -26,7 +26,7 @@ def synthetic_batch(state, B=24, width=10, seed=0):
     reward = rng.normal(size=B)
     batch = TransitionBatch(
         agent=np.zeros(B, dtype=int), t=np.arange(B), obs=obs, mask=mask,
-        action=action, old_logp=np.zeros(B), reward=reward,
+        action=action, reward=reward,
         ret=np.array(returns(reward, state.cfg.gamma)),
         done=np.zeros(B, dtype=bool), critic_input=obs.copy())
     return batch
@@ -198,7 +198,7 @@ def test_critic_loss_half_mse_example():
     batch = TransitionBatch(
         agent=np.zeros(1, dtype=int), t=np.zeros(1, dtype=int),
         obs=np.ones((1, 4)), mask=np.ones((1, 152), dtype=bool),
-        action=np.zeros(1, dtype=int), old_logp=np.zeros(1),
+        action=np.zeros(1, dtype=int),
         reward=np.array([2.0]), ret=np.array([2.0]),
         done=np.ones(1, dtype=bool), critic_input=np.ones((1, 4)))
     stats = critic_update(state, batch)
