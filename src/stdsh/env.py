@@ -5,8 +5,9 @@ Observations are lane-level: 16 reals per approaching lane, four metrics
 broken down as total/bus/tram/car, concatenated over the intersection's
 lanes in network order, then a 4-wide one-hot of the phase currently (or
 last) shown green. Empty mode slots report the lane's free-flow speed so
-an empty lane never reads as congested. observe() returns raw units; the
-matching per-slot scale vector is applied only inside the networks.
+an empty lane never reads as congested. observe(world) returns every
+intersection's row at once, (n, 16*L + 4), in raw units; the matching
+per-slot scale vector is applied only inside the networks.
 
 Actions index a 4 x 38 grid: a // 38 is the next phase, 8 + a % 38 its
 green seconds. The mask forbids exactly the 38 entries that repeat the
@@ -34,40 +35,43 @@ MODES = ("bus", "tram", "car")
 FEATURES_PER_LANE = 16
 GREENS_PER_PHASE = MAX_GREEN_S - MIN_GREEN_S + 1     # 38
 N_ACTIONS = N_PHASES * GREENS_PER_PHASE              # 152
+_MODE_SLOT = {mode: k for k, mode in enumerate(MODES, 1)}   # slot 0: total
 
 
 def obs_width(n_lanes: int) -> int:
     return FEATURES_PER_LANE * n_lanes + N_PHASES
 
 
-def observe(world: SimWorld, intersection: int) -> np.ndarray:
-    """Raw observation vector for one intersection, width 16*L + 4."""
-    if not (0 <= intersection < world.net.n):
-        raise ValueError(f"unknown intersection {intersection}")
-    lanes = world.net.lanes_of(intersection)
-    groups = world.lane_vehicles()
-    out = np.zeros(obs_width(len(lanes)))
-    pos = 0
-    for lane in lanes:
-        present = groups.get(lane.key, [])
-        queued = set(id(v) for v in lane.queue)
-        freeflow = lane.link.speed_kmh
-        for metric in ("veh", "pax", "queue", "speed"):
-            for mode in (None,) + MODES:             # None = all modes
-                sel = [v for v in present if mode is None or v.mode == mode]
-                if metric == "veh":
-                    val = float(len(sel))
-                elif metric == "pax":
-                    val = float(sum(v.occupancy for v in sel))
-                elif metric == "queue":
-                    val = float(sum(1 for v in sel if id(v) in queued))
-                else:
-                    val = (sum(v.speed_kmh for v in sel) / len(sel)
-                           if sel else freeflow)
-                out[pos] = val
-                pos += 1
-    out[pos + world.controllers[intersection].phase] = 1.0
-    return out
+def observe(world: SimWorld) -> np.ndarray:
+    """Raw observations of every intersection, one row each: (n, 16*L + 4).
+
+    One pass over the active vehicles. Every slot, a lane's total or one
+    mode's share of it, accumulates in `world.active` order, so it equals a
+    per-lane running sum bit for bit. A vehicle is in its lane's queue
+    exactly while its state is "queued".
+    """
+    lanes = world.net.all_lanes()
+    slot = {lane: k for k, lane in enumerate(lanes)}
+    vs = world.active
+    lane_ix = np.array([slot[v.lane] for v in vs], dtype=np.intp)
+    mode_ix = np.array([_MODE_SLOT[v.mode] for v in vs], dtype=np.intp)
+    # each vehicle counts once in its lane's total slot, once in its mode slot
+    cell = np.concatenate([4 * lane_ix, 4 * lane_ix + mode_ix])
+
+    def tally(per_vehicle=None):
+        w = None if per_vehicle is None else np.tile(per_vehicle, 2)
+        return np.bincount(cell, w, 4 * len(lanes)).reshape(len(lanes), 4)
+
+    veh = tally()
+    pax = tally(np.array([v.occupancy for v in vs], dtype=float))
+    queue = tally(np.array([v.state == "queued" for v in vs], dtype=float))
+    speed_sum = tally(np.array([v.speed_kmh for v in vs], dtype=float))
+    freeflow = np.array([[lane.link.speed_kmh] for lane in lanes])
+    speed = np.where(veh > 0, speed_sum / np.maximum(veh, 1), freeflow)
+    n = world.net.n
+    per_lane = np.concatenate([veh, pax, queue, speed], axis=1).reshape(n, -1)
+    phase = np.eye(N_PHASES)[[c.phase for c in world.controllers]]
+    return np.concatenate([per_lane, phase], axis=1)
 
 
 def feature_scales(n_lanes: int) -> np.ndarray:
@@ -125,13 +129,10 @@ def drive(world: SimWorld, seconds: int, decide, after_step=None) -> None:
 class RewardConfig:
     w1: float = 0.5          # weight on the agent's own intersection
     w2: float = 0.5          # weight on the whole network
-    theta_v_kmh: float = 5.0  # delay threshold baked into the log rows
 
     def __post_init__(self):
         if self.w1 < 0 or self.w2 < 0:
             raise ValueError("reward weights must be >= 0")
-        if self.theta_v_kmh <= 0:
-            raise ValueError("speed threshold must be > 0")
 
 
 def compute_reward(window: MetricsLog, intersection: int, cfg: RewardConfig) -> float:
@@ -162,18 +163,14 @@ class FeatureWindow:
             raise ValueError("window depth and cadence must be >= 1")
         self.depth = depth
         self.cadence_s = cadence_s
-        first = self._snapshot(world)
+        first = observe(world)
         self.buf = [first.copy() for _ in range(depth)]
-
-    @staticmethod
-    def _snapshot(world: SimWorld) -> np.ndarray:
-        return np.stack([observe(world, i) for i in range(world.net.n)])
 
     def after_step(self, world: SimWorld) -> None:
         """Call once after every world.step(); samples on the cadence grid."""
         if world.t % self.cadence_s == 0:
             self.buf.pop(0)
-            self.buf.append(self._snapshot(world))
+            self.buf.append(observe(world))
 
     def stacked(self) -> np.ndarray:
         return np.concatenate(self.buf, axis=0)
@@ -189,25 +186,21 @@ def prepare_node_features(stacked: np.ndarray, n_lanes: int, heads: int) -> np.n
 
 
 class CorridorEnv:
-    """World plus the bookkeeping the trainer needs: snapshots on a 5 s grid,
-    masks, and per-window rewards. Step it with drive(env.world, ...,
-    after_step=env.window.after_step)."""
+    """World plus the bookkeeping the trainer needs: masks, per-window
+    rewards and, for the hypergraph critic, snapshots on a 5 s grid taken
+    by drive(env.world, ..., after_step=env.window.after_step)."""
 
-    def __init__(self, config, seed: int, reward_cfg: RewardConfig | None = None,
-                 window_depth: int = 5, window_cadence_s: int = 5):
+    def __init__(self, config, seed: int, window_depth: int = 5,
+                 window_cadence_s: int = 5):
         from .sim.world import load_scenario
         self.world = load_scenario(config, seed)
-        self.reward_cfg = reward_cfg or RewardConfig(
-            theta_v_kmh=self.world.cfg.speed_threshold_kmh)
+        self.reward_cfg = RewardConfig()
         self.window = FeatureWindow(self.world, window_depth, window_cadence_s)
         self.n_lanes = len(self.world.net.lanes_of(0))
 
     @property
     def n_agents(self) -> int:
         return self.world.net.n
-
-    def observe(self, intersection: int) -> np.ndarray:
-        return observe(self.world, intersection)
 
     def mask_for(self, intersection: int) -> np.ndarray:
         return action_mask(self.world.controllers[intersection].phase)

@@ -64,6 +64,8 @@ def run_experiment(scenario, controller: str, seed: int, horizon_s: int = 1800,
     """Run one evaluation cell; returns (summary row, MetricsLog)."""
     if controller not in CONTROLLERS:
         raise ValueError(f"controller must be one of {CONTROLLERS}, got {controller!r}")
+    if horizon_s <= 0:
+        raise ValueError(f"horizon must be > 0 seconds, got {horizon_s}")
     world = load_scenario(scenario, seed)
     if controller in ("stdsh", "mappo"):
         if state is None:
@@ -76,6 +78,12 @@ def run_experiment(scenario, controller: str, seed: int, horizon_s: int = 1800,
             raise ValueError("stdsh controller needs a hypergraph-on checkpoint")
         if controller == "mappo" and state.cfg.use_hypergraph:
             raise ValueError("mappo controller needs a hypergraph-off checkpoint")
+        # the greedy actor is per intersection, so only the row width must fit
+        width = env.obs_width(len(world.net.lanes_of(0)))
+        if state.policy.in_width != width:
+            raise ValueError(
+                f"checkpoint observation width {state.policy.in_width} does not "
+                f"fit scenario observation width {width}")
         decide = _greedy(state.policy)
     elif controller == "fswf":
         plans = fixed_time_fswf(scenario, seed)
@@ -103,7 +111,7 @@ def _greedy(policy):
         # env.observe is looked up at call time, so a patched one (the
         # benchmark tracer's span) sees every call
         mask = env.action_mask(world.controllers[i].phase)
-        return act(policy, env.observe(world, i), mask, None, greedy=True)[0]
+        return act(policy, env.observe(world)[i], mask, None, greedy=True)[0]
     return decide
 
 

@@ -341,14 +341,6 @@ class SimWorld:
                 total += v.occupancy
         return total
 
-    def lane_vehicles(self) -> dict:
-        """Current vehicles grouped by lane key, one world pass."""
-        groups: dict[tuple, list[Vehicle]] = {}
-        for v in self.active:
-            if v.lane is not None:
-                groups.setdefault(v.lane.key, []).append(v)
-        return groups
-
 
 def load_scenario(config, seed: int) -> SimWorld:
     """Build a deterministic world from a scenario id, config path, or text."""

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from . import env as envmod
 from .autodiff import Tensor
 from .checkpoint import load_params, save_params
 from .encoder import EncoderParams, encode, init_encoder, load_encoder
@@ -32,6 +33,7 @@ from .env import N_ACTIONS, CorridorEnv, drive, feature_scales, obs_width
 from .hypergraph import build_st_hypergraph, spatial_only, temporal_only
 from .nets import (CriticNet, PolicyNet, act, entropy_of, masked_distribution)
 from .optim import Adam, clip_grad_norm
+from .sim.world import load_scenario
 
 
 @dataclass
@@ -202,13 +204,6 @@ def collect_rollout(env: CorridorEnv, state: TrainState, seconds: int,
                     greedy: bool = False) -> TransitionBatch:
     """Trigger-gated on-policy collection over `seconds` of world time."""
     cfg = state.cfg
-
-    def critic_input():
-        if cfg.use_hypergraph:
-            return env.node_features(cfg.heads)
-        rows = np.stack([env.observe(i) for i in range(env.n_agents)])
-        return (rows * feature_scales(env.n_lanes)).mean(axis=0)
-
     rows: list[dict] = []
     pending: dict[int, dict] = {}
 
@@ -222,14 +217,22 @@ def collect_rollout(env: CorridorEnv, state: TrainState, seconds: int,
     def decide(world, i: int) -> int:
         if i in pending:
             close(i, done=False)
-        obs = env.observe(i)
+        # envmod.observe is looked up at call time, so a patched one (the
+        # benchmark tracer's span) sees every call
+        obs = envmod.observe(world)                  # every agent's row
         mask = env.mask_for(i)
-        a, _ = act(state.policy, obs, mask, state.rng, greedy=greedy)
-        pending[i] = {"agent": i, "t": world.t, "obs": obs, "mask": mask,
-                      "action": a, "critic_input": critic_input()}
+        a, _ = act(state.policy, obs[i], mask, state.rng, greedy=greedy)
+        if cfg.use_hypergraph:
+            critic_input = env.node_features(cfg.heads)
+        else:
+            critic_input = (obs * feature_scales(env.n_lanes)).mean(axis=0)
+        pending[i] = {"agent": i, "t": world.t, "obs": obs[i], "mask": mask,
+                      "action": a, "critic_input": critic_input}
         return a
 
-    drive(env.world, seconds, decide, after_step=env.window.after_step)
+    # only the hypergraph critic reads the snapshot window
+    after_step = env.window.after_step if cfg.use_hypergraph else None
+    drive(env.world, seconds, decide, after_step=after_step)
     for i in sorted(pending):           # horizon: open decisions close here
         close(i, done=True)
     return _build_batch(rows, cfg.gamma, cfg.time_discount)
@@ -382,11 +385,10 @@ def world_seed(base_seed: int, episode: int) -> int:
 
 
 def make_train_state(cfg: TrainConfig, scenario, seed: int) -> TrainState:
-    probe = CorridorEnv(scenario, seed=0, window_depth=cfg.window_depth,
-                        window_cadence_s=cfg.window_cadence_s)
-    width = obs_width(probe.n_lanes)
-    return TrainState(cfg, width, probe.n_agents, seed,
-                      input_scale=feature_scales(probe.n_lanes))
+    net = load_scenario(scenario, seed=0).net
+    n_lanes = len(net.lanes_of(0))
+    return TrainState(cfg, obs_width(n_lanes), net.n, seed,
+                      input_scale=feature_scales(n_lanes))
 
 
 def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig,

@@ -26,6 +26,14 @@ def test_bad_scenario_returns_error_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_zero_horizon_returns_error_code(tmp_path, capsys):
+    rc = main(["eval", "--scenario", "1", "--controller", "fswf",
+               "--horizon", "0", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "horizon" in capsys.readouterr().err
+    assert not (tmp_path / "summary.csv").exists()
+
+
 def test_eval_fswf_prints_summary(tmp_path, capsys):
     rc = main(["eval", "--scenario", "1", "--controller", "fswf",
                "--seed", "0", "--horizon", "300", "--out", str(tmp_path)])

@@ -35,6 +35,40 @@ def test_controller_and_checkpoint_validation(tmp_path):
         run_experiment(1, "mappo", seed=0, state=small_state(True))
 
 
+@pytest.mark.parametrize("controller", ["random", "fswf"])
+@pytest.mark.parametrize("horizon_s", [0, -5])
+def test_bad_horizon_is_rejected_before_any_simulation(monkeypatch, controller,
+                                                       horizon_s):
+    steps = []
+    monkeypatch.setattr(SimWorld, "step", lambda world: steps.append(world.t))
+    with pytest.raises(ValueError, match=f"horizon.*{horizon_s}"):
+        run_experiment(1, controller, seed=0, horizon_s=horizon_s)
+    assert steps == []
+
+
+NO_TRAM = "[network]\ntram_enabled = false\n"
+
+
+@pytest.mark.parametrize("use_hypergraph", [True, False])
+def test_checkpoint_width_must_fit_the_scenario(use_hypergraph):
+    controller = "stdsh" if use_hypergraph else "mappo"
+    with pytest.raises(ValueError, match="width 148 .*width 132"):
+        run_experiment(NO_TRAM, controller, seed=0, horizon_s=HORIZON,
+                       state=small_state(use_hypergraph))
+
+
+FOUR = "[network]\nintersections = 4\ntram_stop_intersections = 1,3\n"
+
+
+@pytest.mark.parametrize("use_hypergraph", [True, False])
+def test_checkpoint_runs_on_another_intersection_count(use_hypergraph):
+    # the greedy actor is per intersection and the critic never runs here
+    controller = "stdsh" if use_hypergraph else "mappo"
+    row, _ = run_experiment(FOUR, controller, seed=0, horizon_s=HORIZON,
+                            state=small_state(use_hypergraph))
+    assert np.isfinite(row.anp)
+
+
 def test_random_cell_writes_summary_and_metrics(tmp_path):
     row, log = run_experiment(1, "random", seed=7, horizon_s=HORIZON,
                               out_dir=tmp_path)

@@ -1,10 +1,14 @@
 """Simulator contract tests: timing, kinematics, discharge, conservation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from stdsh.sim import (ConfigError, SimWorld, load_scenario, parse_config,
-                       permits, resolve_config)
+                       permits, resolve_config, scenario_config_text)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 QUIET = "[demand]\ncar_rate_veh_h = 0\nbus_headway_s = 0\ntram_headway_s = 0\n"
 
@@ -366,6 +370,12 @@ def test_resolve_config_forms(tmp_path):
     assert resolve_config(str(p)).car_rate_veh_h == 0.0
     with pytest.raises(ConfigError):
         resolve_config(9)
+
+
+@pytest.mark.parametrize("scenario_id", [1, 2, 3, 4, 5])
+def test_shipped_config_file_matches_builtin(scenario_id):
+    shipped = (CONFIGS / f"scenario{scenario_id}.cfg").read_bytes()
+    assert shipped == scenario_config_text(scenario_id).encode()
 
 
 def test_phase_permission_table():

@@ -247,6 +247,17 @@ def test_rollout_decision_spacing_and_mask_compliance():
     assert finals == set(range(env.n_agents))
 
 
+def test_flat_critic_rollout_takes_no_snapshots():
+    cfg = small_cfg()
+    env = CorridorEnv(1, seed=0)
+    state = TrainState(cfg, in_width=obs_width(env.n_lanes), n_agents=env.n_agents,
+                       seed=0)
+    before = list(env.window.buf)
+    assert len(collect_rollout(env, state, 60)) > 0
+    assert len(env.window.buf) == len(before)
+    assert all(a is b for a, b in zip(env.window.buf, before))
+
+
 def test_rollout_returns_are_per_agent_suffix_sums():
     cfg = small_cfg(gamma=0.9)
     env = CorridorEnv(1, seed=1)
