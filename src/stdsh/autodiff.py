@@ -46,6 +46,21 @@ def clear_tape() -> None:
     del _tape()[:]
 
 
+@contextmanager
+def tape_scope():
+    """Records made inside the block never outlive it.
+
+    A forward pass that raises, or an update that returns before its
+    backward, leaves no records behind for the next backward() to replay.
+    """
+    tape = _tape()
+    start = len(tape)
+    try:
+        yield
+    finally:
+        del tape[start:]
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "track")
 
@@ -98,6 +113,27 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def _tracked(*ts: Tensor) -> bool:
     return _grad_enabled() and any(t.track for t in ts)
+
+
+def custom_op(data, inputs, grads) -> Tensor:
+    """An op whose forward ran outside this module, put on the tape.
+
+    Args:
+        data: the op's output array, already computed.
+        inputs: the Tensors the output depends on.
+        grads: g -> one gradient per input (None where the output does not
+            depend on it), given g = d loss / d output.
+    """
+    out = Tensor(data)
+    if not _tracked(*inputs):
+        return out
+
+    def backprop(g):
+        for t, gt in zip(inputs, grads(g)):
+            if gt is not None:
+                _accumulate(t, gt)
+
+    return _record(out, backprop)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

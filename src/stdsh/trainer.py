@@ -28,9 +28,8 @@ from . import autodiff as ad
 from . import env as envmod
 from .autodiff import Tensor
 from .checkpoint import load_params, save_params
-from .encoder import EncoderParams, encode, init_encoder, load_encoder
+from .encoder import encode_window, init_encoder, load_encoder
 from .env import N_ACTIONS, CorridorEnv, drive, feature_scales, obs_width
-from .hypergraph import build_st_hypergraph, spatial_only, temporal_only
 from .nets import (CriticNet, PolicyNet, act, entropy_of, masked_distribution)
 from .optim import Adam, clip_grad_norm
 from .sim.world import load_scenario
@@ -166,19 +165,11 @@ class TrainState:
         self.policy = PolicyNet(in_width, N_ACTIONS, self.rng,
                                 hidden=cfg.hidden, input_scale=input_scale)
         if cfg.use_hypergraph:
-            hg = build_st_hypergraph(n_agents, cfg.window_depth)
-            if not cfg.use_spatial:
-                self.H = temporal_only(hg)
-            elif not cfg.use_temporal:
-                self.H = spatial_only(hg)
-            else:
-                self.H = hg.H
             pad = (-in_width) % cfg.heads
             self.encoder = init_encoder(in_width + pad, cfg.heads, cfg.d_model,
                                         tau=cfg.attn_tau, rng=self.rng)
             critic_in = cfg.d_model
         else:
-            self.H = None
             self.encoder = None
             critic_in = in_width
         self.critic = CriticNet(critic_in, self.rng, hidden=cfg.hidden)
@@ -190,10 +181,13 @@ class TrainState:
 
     def critic_values(self, batch: TransitionBatch, rows) -> Tensor:
         """(len(rows), 1) value Tensor; encoder stays on the tape."""
-        if self.cfg.use_hypergraph:
-            gs = [encode(batch.critic_input[b], self.H, self.encoder,
-                         uniform=not self.cfg.use_dsha)[1] for b in rows]
-            g = gs[0] if len(gs) == 1 else ad.concat(gs, axis=0)
+        cfg = self.cfg
+        if cfg.use_hypergraph:
+            g = encode_window(batch.critic_input[rows], self.n_agents,
+                              cfg.window_depth, self.encoder,
+                              spatial=cfg.use_spatial,
+                              temporal=cfg.use_temporal,
+                              uniform=not cfg.use_dsha)
             return self.critic.forward(g)
         return self.critic.forward_np(batch.critic_input[rows])
 
@@ -206,6 +200,10 @@ def collect_rollout(env: CorridorEnv, state: TrainState, seconds: int,
     cfg = state.cfg
     rows: list[dict] = []
     pending: dict[int, dict] = {}
+    # a signal applied within a second only stages amber, so every agent
+    # deciding in one second sees the same observations: one entry, keyed
+    # by the second
+    seen: dict[int, tuple] = {}
 
     def close(i: int, done: bool) -> None:
         p = pending.pop(i)
@@ -217,15 +215,19 @@ def collect_rollout(env: CorridorEnv, state: TrainState, seconds: int,
     def decide(world, i: int) -> int:
         if i in pending:
             close(i, done=False)
-        # envmod.observe is looked up at call time, so a patched one (the
-        # benchmark tracer's span) sees every call
-        obs = envmod.observe(world)                  # every agent's row
+        if world.t not in seen:
+            # envmod.observe is looked up at call time, so a patched one
+            # (the benchmark tracer's span) sees every call
+            obs = envmod.observe(world)              # every agent's row
+            if cfg.use_hypergraph:
+                critic_input = env.node_features(cfg.heads)
+            else:
+                critic_input = (obs * feature_scales(env.n_lanes)).mean(axis=0)
+            seen.clear()
+            seen[world.t] = obs, critic_input
+        obs, critic_input = seen[world.t]
         mask = env.mask_for(i)
         a, _ = act(state.policy, obs[i], mask, state.rng, greedy=greedy)
-        if cfg.use_hypergraph:
-            critic_input = env.node_features(cfg.heads)
-        else:
-            critic_input = (obs * feature_scales(env.n_lanes)).mean(axis=0)
         pending[i] = {"agent": i, "t": world.t, "obs": obs[i], "mask": mask,
                       "action": a, "critic_input": critic_input}
         return a
@@ -295,31 +297,31 @@ def ppo_update(state: TrainState, batch: TransitionBatch,
         state.rng.shuffle(idx)
         for s in range(0, B, cfg.minibatch_size):
             rows = idx[s:s + cfg.minibatch_size]
-            logits = policy.forward(batch.obs[rows])
-            logp, probs = masked_distribution(logits, batch.mask[rows])
-            lp_a = ad.gather(logp, np.arange(len(rows)), batch.action[rows])
-            ratio = ad.exp(ad.sub(lp_a, Tensor(old[rows])))
-            if epoch == 0:
-                stats["ratio_min"] = min(stats["ratio_min"], ratio.data.min())
-                stats["ratio_max"] = max(stats["ratio_max"], ratio.data.max())
-            a_rows = Tensor(adv[rows])
-            clipped = ad.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
-            surr = ad.minimum(ad.mul(ratio, a_rows), ad.mul(clipped, a_rows))
-            surrogate = ad.reduce_mean(surr)
-            if stats["surrogate_first"] is None:
-                stats["surrogate_first"] = float(surrogate.data)
-            ent = ad.reduce_mean(entropy_of(logp, probs))
-            loss = ad.sub(ad.scale(surrogate, -1.0),
-                          ad.scale(ent, entropy_coef))
-            if not np.isfinite(loss.data):
-                ad.clear_tape()
-                stats["aborted"] = True
-                return stats
-            ent_sum += float(ent.data)
-            loss_sum += float(loss.data)
-            steps += 1
-            state.opt_actor.zero_grad()
-            ad.backward(loss)
+            with ad.tape_scope():
+                logits = policy.forward(batch.obs[rows])
+                logp, probs = masked_distribution(logits, batch.mask[rows])
+                lp_a = ad.gather(logp, np.arange(len(rows)), batch.action[rows])
+                ratio = ad.exp(ad.sub(lp_a, Tensor(old[rows])))
+                if epoch == 0:
+                    stats["ratio_min"] = min(stats["ratio_min"], ratio.data.min())
+                    stats["ratio_max"] = max(stats["ratio_max"], ratio.data.max())
+                a_rows = Tensor(adv[rows])
+                clipped = ad.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
+                surr = ad.minimum(ad.mul(ratio, a_rows), ad.mul(clipped, a_rows))
+                surrogate = ad.reduce_mean(surr)
+                if stats["surrogate_first"] is None:
+                    stats["surrogate_first"] = float(surrogate.data)
+                ent = ad.reduce_mean(entropy_of(logp, probs))
+                loss = ad.sub(ad.scale(surrogate, -1.0),
+                              ad.scale(ent, entropy_coef))
+                if not np.isfinite(loss.data):
+                    stats["aborted"] = True
+                    return stats
+                ent_sum += float(ent.data)
+                loss_sum += float(loss.data)
+                steps += 1
+                state.opt_actor.zero_grad()
+                ad.backward(loss)
             stats["grad_norm"] = clip_grad_norm(policy.params(), cfg.grad_clip)
             state.opt_actor.step()
     stats["entropy"] = ent_sum / steps
@@ -344,17 +346,18 @@ def critic_update(state: TrainState, batch: TransitionBatch) -> dict:
         state.rng.shuffle(idx)
         for s in range(0, B, cfg.minibatch_size):
             rows = idx[s:s + cfg.minibatch_size]
-            v = state.critic_values(batch, rows)
-            target = Tensor(batch.ret[rows][:, None] * cfg.return_scale)
-            loss = ad.scale(ad.reduce_mean(ad.square(ad.sub(v, target))), 0.5)
-            if not np.isfinite(loss.data):
-                ad.clear_tape()
-                stats["aborted"] = True
-                return stats
-            loss_sum += float(loss.data)
-            steps += 1
-            state.opt_critic.zero_grad()
-            ad.backward(loss)
+            with ad.tape_scope():
+                v = state.critic_values(batch, rows)
+                target = Tensor(batch.ret[rows][:, None] * cfg.return_scale)
+                loss = ad.scale(ad.reduce_mean(ad.square(ad.sub(v, target))),
+                                0.5)
+                if not np.isfinite(loss.data):
+                    stats["aborted"] = True
+                    return stats
+                loss_sum += float(loss.data)
+                steps += 1
+                state.opt_critic.zero_grad()
+                ad.backward(loss)
             stats["grad_norm"] = clip_grad_norm(params, cfg.grad_clip)
             state.opt_critic.step()
     stats["critic_loss"] = loss_sum / steps
@@ -405,7 +408,7 @@ def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig,
     with open(log_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["update", "mean_reward", "actor_loss", "critic_loss",
-                    "entropy", "grad_norm"])
+                    "entropy", "grad_norm", "aborted"])
         for ep in range(episodes):
             env = CorridorEnv(scenario, seed=world_seed(seed, ep),
                               window_depth=cfg.window_depth,
@@ -430,7 +433,8 @@ def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig,
                    "aborted": astats["aborted"] or cstats["aborted"]}
             history.append(row)
             w.writerow([row["update"], row["mean_reward"], row["actor_loss"],
-                        row["critic_loss"], row["entropy"], row["grad_norm"]])
+                        row["critic_loss"], row["entropy"], row["grad_norm"],
+                        int(row["aborted"])])
     save_checkpoint(state, ckpt_path)
     return {"checkpoint": ckpt_path, "log": log_path, "history": history,
             "wall_s": time.perf_counter() - t0, "state": state}

@@ -172,3 +172,22 @@ def test_minimum_tie_routes_to_first():
     b = Tensor(np.array([1.0]), requires_grad=True)
     ad.backward(ad.reduce_sum(ad.minimum(a, b)))
     assert a.grad[0] == 1.0 and b.grad[0] == 0.0
+
+
+def test_tape_scope_drops_the_records_of_a_failed_forward():
+    x = Tensor(np.array([0.5, -1.5]), requires_grad=True)
+
+    def loss():
+        return ad.reduce_sum(ad.square(ad.mul(x, x)))
+
+    ad.clear_tape()
+    ad.backward(loss())
+    clean = x.grad.copy()
+    x.zero_grad()
+    with pytest.raises(ValueError):
+        with ad.tape_scope():
+            y = ad.mul(x, x)
+            ad.add(y, Tensor(np.ones(3)))     # shape error after one record
+    assert len(ad._tape()) == 0
+    ad.backward(loss())
+    assert np.array_equal(x.grad, clean)

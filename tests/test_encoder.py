@@ -8,12 +8,13 @@ from stdsh.autodiff import Tensor
 from stdsh.encoder import (
     EncoderParams,
     encode,
+    encode_window,
     hyperedge_embed,
     init_encoder,
     inter_attention,
     intra_attention,
 )
-from stdsh.hypergraph import build_st_hypergraph
+from stdsh.hypergraph import build_st_hypergraph, spatial_only, temporal_only
 
 
 def manual_encode(X, H, p):
@@ -270,3 +271,121 @@ def test_init_rejects_indivisible_width():
         init_encoder(5, 2, 4)
     with pytest.raises(ValueError):
         init_encoder(4, 2, 4, tau=0.0)
+
+
+# ------------------------------------------------ fused window encoder
+
+# (spatial, temporal, uniform): the full critic and its three ablations
+WINDOW_CONFIGS = {"full": (True, True, False), "no_dsha": (True, True, True),
+                  "no_spatial": (False, True, False),
+                  "no_temporal": (True, False, False)}
+
+
+def _window_incidence(n, t, spatial, temporal):
+    hg = build_st_hypergraph(n, t)
+    if not spatial:
+        return temporal_only(hg)
+    if not temporal:
+        return spatial_only(hg)
+    return hg.H
+
+
+def _grads(p):
+    """enc.* gradients; an untouched tensor counts as a zero gradient."""
+    return {name: np.zeros_like(q.data) if q.grad is None else q.grad.copy()
+            for name, q in p.tensors().items()}
+
+
+@pytest.mark.parametrize("n,t", [(6, 5), (3, 4)])
+@pytest.mark.parametrize("config", WINDOW_CONFIGS)
+def test_encode_window_matches_per_row_encode(config, n, t):
+    spatial, temporal, uniform = WINDOW_CONFIGS[config]
+    rng = np.random.default_rng(40 + n)
+    p = init_encoder(8, 4, 6, tau=0.7, rng=rng)
+    X = rng.normal(size=(5, n * t, 8))
+    v = Tensor(rng.normal(size=(6, 1)))
+    H = _window_incidence(n, t, spatial, temporal)
+
+    ad.clear_tape()
+    rows = [encode(x, H, p, uniform=uniform)[1] for x in X]
+    oracle = ad.concat(rows, axis=0)
+    ad.backward(ad.reduce_sum(ad.matmul(oracle, v)))
+    want = _grads(p)
+    for q in p.tensors().values():
+        q.zero_grad()
+
+    g = encode_window(X, n, t, p, spatial=spatial, temporal=temporal,
+                      uniform=uniform)
+    assert g.shape == (5, 6)
+    assert np.max(np.abs(g.data - oracle.data)) <= 1e-12
+    ad.backward(ad.reduce_sum(ad.matmul(g, v)))
+    got = _grads(p)
+    for name in want:
+        assert np.max(np.abs(got[name] - want[name])) <= 1e-12, name
+
+
+@pytest.mark.parametrize("config", WINDOW_CONFIGS)
+def test_encode_window_gradients_finite_difference(config):
+    spatial, temporal, uniform = WINDOW_CONFIGS[config]
+    rng = np.random.default_rng(13)
+    p = init_encoder(4, 2, 3, rng=rng)
+    X = rng.normal(size=(2, 6, 4))
+    v = Tensor(rng.normal(size=(3, 1)))
+
+    def loss(_t):
+        g = encode_window(X, 2, 3, p, spatial=spatial, temporal=temporal,
+                          uniform=uniform)
+        return ad.reduce_sum(ad.matmul(g, v))
+
+    for name, param in p.tensors().items():
+        err = ad.finite_diff_check(loss, param, eps=1e-5)
+        assert err <= 1e-6, f"{name}: fd error {err}"
+
+
+def test_encode_window_records_nothing_without_grad():
+    rng = np.random.default_rng(5)
+    p = init_encoder(4, 2, 3, rng=rng)
+    ad.clear_tape()
+    with ad.no_grad():
+        g = encode_window(rng.normal(size=(3, 6, 4)), 3, 2, p)
+    assert len(ad._tape()) == 0
+    assert not g.track
+
+
+def test_encode_window_tie_routes_gradient_to_first_node():
+    # Wo = 0 makes every node's output exactly bo: each coordinate of g is an
+    # N-way tie, and d loss/d Wo must come from node 0's head outputs alone
+    rng = np.random.default_rng(6)
+    n, t, d = 3, 2, 4
+    p = init_encoder(d, 2, d, rng=rng)
+    X = rng.normal(size=(2, n * t, d))
+    bo = p.bo.data.copy()
+    p.Wo.data = np.eye(d)
+    p.bo.data = np.zeros((1, d))
+    heads = np.stack([encode(x, build_st_hypergraph(n, t).H, p)[0].data
+                      for x in X])                     # (B, N, d) per node
+    assert np.ptp(heads, axis=1).min() > 0          # nodes differ
+    p.Wo.data = np.zeros((d, d))
+    p.bo.data = bo
+    g = encode_window(X, n, t, p)
+    assert np.array_equal(g.data, np.repeat(bo, 2, axis=0))
+    up = rng.normal(size=(2, d))
+    ad.backward(ad.reduce_sum(ad.mul(g, Tensor(up))))
+    assert np.allclose(p.Wo.grad, heads[:, 0, :].T @ up, atol=1e-14)
+    assert np.array_equal(p.bo.grad, up.sum(axis=0, keepdims=True))
+
+
+@pytest.mark.parametrize("shape", [(2, 5, 4), (2, 6, 6), (6, 4)])
+def test_encode_window_rejects_a_batch_off_the_grid(shape):
+    p = init_encoder(4, 2, 3)
+    with pytest.raises(ValueError) as err:
+        encode_window(np.zeros(shape), 3, 2, p)
+    assert str(shape) in str(err.value)
+    assert "(B, 6, 4)" in str(err.value)
+
+
+def test_encode_window_needs_a_hyperedge_family():
+    p = init_encoder(4, 2, 3)
+    with pytest.raises(ValueError):
+        encode_window(np.zeros((1, 6, 4)), 3, 2, p, spatial=False,
+                      temporal=False)

@@ -1,14 +1,19 @@
 """Returns, advantages, PPO/critic updates, rollouts, checkpoints, bandit."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from stdsh import autodiff as ad
+from stdsh import env as envmod
+from stdsh import trainer
 from stdsh.env import CorridorEnv, action_mask, decode_action, obs_width
 from stdsh.trainer import (TrainConfig, TrainState, TransitionBatch,
                            advantages, collect_rollout, critic_update,
                            evaluate_values, load_checkpoint, ppo_update,
-                           returns, run_bandit, save_checkpoint, world_seed)
+                           returns, run_bandit, save_checkpoint, train_run,
+                           world_seed)
 
 
 def small_cfg(**kw):
@@ -258,6 +263,42 @@ def test_flat_critic_rollout_takes_no_snapshots():
     assert all(a is b for a, b in zip(env.window.buf, before))
 
 
+@pytest.mark.parametrize("use_hypergraph", [True, False],
+                         ids=["hg on", "hg off"])
+def test_rollout_observes_once_per_decided_second(monkeypatch,
+                                                  use_hypergraph):
+    cfg = small_cfg(use_hypergraph=use_hypergraph, d_model=8, heads=4)
+    env = CorridorEnv(1, seed=0)
+    state = TrainState(cfg, in_width=obs_width(env.n_lanes),
+                       n_agents=env.n_agents, seed=0)
+    calls = {"observe": 0, "node_features": 0}
+    snapshot = env.window.after_step
+    observe = envmod.observe
+    node_features = env.node_features
+
+    def counted_observe(world):
+        calls["observe"] += 1
+        return observe(world)
+
+    def counted_node_features(heads):
+        calls["node_features"] += 1
+        return node_features(heads)
+
+    def uncounted_snapshot(world):
+        before = calls["observe"]
+        snapshot(world)
+        calls["observe"] = before
+
+    monkeypatch.setattr(envmod, "observe", counted_observe)
+    monkeypatch.setattr(env, "node_features", counted_node_features)
+    monkeypatch.setattr(env.window, "after_step", uncounted_snapshot)
+    batch = collect_rollout(env, state, 900)
+    seconds = len(np.unique(batch.t))
+    assert len(batch) > seconds            # some seconds hold two decisions
+    assert calls["observe"] == seconds
+    assert calls["node_features"] == (seconds if use_hypergraph else 0)
+
+
 def test_rollout_returns_are_per_agent_suffix_sums():
     cfg = small_cfg(gamma=0.9)
     env = CorridorEnv(1, seed=1)
@@ -284,6 +325,39 @@ def test_rollout_time_discount_uses_window_lengths():
             assert batch.dt[k] == 5 + green
         expect = returns(batch.reward[idx], 0.995, dts=batch.dt[idx])
         assert np.allclose(batch.ret[idx], expect, atol=1e-9)
+
+
+def test_training_log_records_an_aborted_update(tmp_path, monkeypatch):
+    rollout = trainer.collect_rollout
+
+    def rollout_with_nan_return(env, state, seconds, greedy=False):
+        batch = rollout(env, state, seconds, greedy)
+        batch.ret[0] = np.nan
+        return batch
+
+    cfg = small_cfg(horizon_s=60)
+    train_run(1, 0, 1, cfg, tmp_path / "clean")
+    monkeypatch.setattr(trainer, "collect_rollout", rollout_with_nan_return)
+    out = train_run(1, 0, 1, cfg, tmp_path / "nan")
+    assert out["history"][0]["aborted"]
+    for run, flag in (("clean", "0"), ("nan", "1")):
+        with open(tmp_path / run / "training_log.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1 and rows[0]["aborted"] == flag
+
+
+def test_aborted_updates_leave_no_tape_records():
+    cfg = small_cfg(minibatch_size=8)
+    state = TrainState(cfg, in_width=10, n_agents=1, seed=0)
+    batch = synthetic_batch(state)
+    batch.ret[12] = np.nan
+    ad.clear_tape()
+    assert critic_update(state, batch)["aborted"]
+    assert len(ad._tape()) == 0
+    adv = np.ones(len(batch))
+    adv[12] = np.nan
+    assert ppo_update(state, batch, adv)["aborted"]
+    assert len(ad._tape()) == 0
 
 
 # -------------------------------------------------------------- checkpoints
