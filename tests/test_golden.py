@@ -5,7 +5,11 @@ summary.csv row: scenarios 1-5 x {fswf, random} x seeds {100, 101}, plus
 stdsh and mappo on scenarios 1 and 3 (seed 100) replaying the committed
 acceptance checkpoints. One 600 s rollout on scenario 1 is pinned array
 by array, with the hypergraph critic on and off. The recorded log-probs
-are not pinned: the updates recompute them.
+are not pinned: the updates recompute them. One free-running scenario-3
+world (no controller, so the initial greens never end and queues grow far
+longer than in any controlled cell) is pinned second by second: every
+step() record, the metrics log, the completed trips, the lane entry
+counts, the discharge events and observe() at three instants.
 
 A refactor that changes none of these files or arrays leaves every
 digest in place. A change that is meant to alter the outputs regenerates
@@ -20,8 +24,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stdsh.env import CorridorEnv
+from stdsh.env import CorridorEnv, observe
 from stdsh.experiment import run_experiment
+from stdsh.sim import load_scenario
 from stdsh.trainer import (collect_rollout, corridor_train_config,
                            make_train_state, world_seed)
 
@@ -33,6 +38,9 @@ CHECKPOINTS = {"stdsh": ARTIFACTS / "stdsh_full" / "model.ckpt",
 CELLS = ([(s, c, seed) for s in (1, 2, 3, 4, 5) for c in ("fswf", "random")
           for seed in (100, 101)]
          + [(s, c, 100) for s in (1, 3) for c in ("stdsh", "mappo")])
+FREE_WORLD = {"scenario": 3, "seed": 10003, "seconds": 1800,
+              "observe_at": (600, 1200, 1800)}
+LOG_FIELDS = ("seconds", "net_delayed", "net_queued", "int_delayed", "int_queued")
 BATCH_FIELDS = ("agent", "t", "obs", "mask", "action", "reward", "dt", "ret",
                 "done", "critic_input")
 
@@ -186,6 +194,22 @@ GOLDEN_ROLLOUT = {
     },
 }
 
+GOLDEN_FREE_WORLD = {
+    "records": "bef9dcbac941caa21c98fe2e9b8580f29ba9583e2cc56034adb9256dd62b1769",
+    "log.seconds": "48fae24ba29a0567f3e289a901fc7b54c80342286be5bb4914c83b4cac7a930a",
+    "log.net_delayed": "a995aed22d8d8e3b603b0c74b9c305119a365231001aeb40ca93d350b0ccc0b5",
+    "log.net_queued": "91b46b91ec8320b5501ef9f14133d1b900a762e37d8f4c3831fdc6aac7c5e17e",
+    "log.int_delayed": "782f182905b268a575cdf0033436f00fc969d3e64cfafee3b08afd715322d611",
+    "log.int_queued": "340c3867a607d54f4b82f5a79ccfb0ccf90f4168902976478f3494978a5f87fa",
+    "completed": "4dc8ce6bbf1e3d004f4aa3f74cc7407957477de18338cfe12617171e835c57ce",
+    "lane_entry_counts": "e323bd3c71432b6b63cec34906e6409f37188ad0900e9a263ec318c47011b6f0",
+    "discharge_events": "185881d8c589d4c3cb70459b08bc2224f890f1071621393c7ed2576db2925563",
+    "observe_600": "1978fa3ff049691f72d8e6e6ce52ab4573fe0ca5c2ceea49110d7ce020d73734",
+    "observe_1200": "a81466ef047b2fa48010dd91ab379f77949314137e0580caedb4b8f74a9024bb",
+    "observe_1800": "e613565b7a682ab25d42991e085aedcaa5c817c2e3b3f78559f3ff3fcd8882f2",
+    "active": 1649,
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -216,6 +240,39 @@ def rollout_digests(use_hypergraph: bool) -> dict:
     return out
 
 
+def _array_sha(arr) -> str:
+    arr = np.ascontiguousarray(arr)
+    return _sha(f"{arr.dtype.str}{arr.shape}".encode() + arr.tobytes())
+
+
+def free_world_digests() -> dict:
+    """Digests of an uncontrolled world; every value is read back as plain
+    ints, strings or float64 arrays, so the digests do not depend on how
+    the simulator stores its state."""
+    world = load_scenario(FREE_WORLD["scenario"], FREE_WORLD["seed"])
+    records, obs = [], {}
+    for _ in range(FREE_WORLD["seconds"]):
+        rec = world.step()
+        records.append(tuple((key, int(value)) for key, value in rec.items()))
+        if world.t in FREE_WORLD["observe_at"]:
+            obs[f"observe_{world.t}"] = _array_sha(
+                np.asarray(observe(world), dtype=np.float64))
+    log = world.log
+    out = {"records": _sha(repr(records).encode())}
+    for name in LOG_FIELDS:
+        out[f"log.{name}"] = _array_sha(np.asarray(getattr(log, name), dtype=np.int64))
+    trips = [(c.mode, int(c.waiting_s), int(c.spawn_t), int(c.exit_t))
+             for c in log.completed]
+    entries = sorted((key, int(count)) for key, count in world.lane_entry_counts.items())
+    events = [(int(t), int(i), str(stage)) for t, i, stage in world.discharge_events]
+    out["completed"] = _sha(repr(trips).encode())
+    out["lane_entry_counts"] = _sha(repr(entries).encode())
+    out["discharge_events"] = _sha(repr(events).encode())
+    out.update(obs)
+    out["active"] = len(world.active)
+    return out
+
+
 def _cell_id(cell) -> str:
     return "{}-{}-{}".format(*cell)
 
@@ -229,6 +286,10 @@ def test_cell_outputs_match_golden(cell, tmp_path):
 def test_rollout_arrays_match_golden(use_hypergraph):
     key = "hg_on" if use_hypergraph else "hg_off"
     assert rollout_digests(use_hypergraph) == GOLDEN_ROLLOUT[key]
+
+
+def test_free_running_world_matches_golden():
+    assert free_world_digests() == GOLDEN_FREE_WORLD
 
 
 if __name__ == "__main__":
@@ -248,3 +309,7 @@ if __name__ == "__main__":
                 print(f'        "{part}": "{digest}",')
             print("    },")
         print("}\n")
+    print("GOLDEN_FREE_WORLD = {")
+    for part, digest in free_world_digests().items():
+        print(f'    "{part}": {digest!r},')
+    print("}")
