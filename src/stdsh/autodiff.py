@@ -362,7 +362,7 @@ def _masked_softmax_np(x: np.ndarray, mask: np.ndarray, axis: int):
     e = np.where(mask, np.exp(x - m), 0.0)
     s = e.sum(axis=axis, keepdims=True)
     p = np.divide(e, s, out=np.zeros_like(e), where=s > 0)
-    return p, s
+    return p, s, m
 
 
 def masked_softmax(a: Tensor, mask, axis: int) -> Tensor:
@@ -372,7 +372,7 @@ def masked_softmax(a: Tensor, mask, axis: int) -> Tensor:
     Masked positions are exactly 0 in the output and receive zero gradient.
     """
     mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.data.shape)
-    p, _ = _masked_softmax_np(a.data, mask, axis)
+    p = _masked_softmax_np(a.data, mask, axis)[0]
     out = Tensor(p)
     if not _tracked(a):
         return out
@@ -384,15 +384,19 @@ def masked_softmax(a: Tensor, mask, axis: int) -> Tensor:
     return _record(out, backprop)
 
 
+def masked_log_softmax_np(x: np.ndarray, mask: np.ndarray, axis: int):
+    """(log-probs, probs) of the masked softmax on plain arrays; masked
+    positions are 0.0 in both (not -inf)."""
+    p, s, m = _masked_softmax_np(x, mask, axis)
+    logp = np.where(mask & (s > 0), x - m - np.log(np.where(s > 0, s, 1.0)), 0.0)
+    return logp, p
+
+
 def masked_log_softmax(a: Tensor, mask, axis: int) -> Tensor:
     """Log of the masked softmax; masked positions are 0.0 (not -inf) so they
     can be multiplied by zero probabilities without producing nan."""
     mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.data.shape)
-    p, s = _masked_softmax_np(a.data, mask, axis)
-    shifted = np.where(mask, a.data, -np.inf)
-    m = shifted.max(axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    logp = np.where(mask & (s > 0), a.data - m - np.log(np.where(s > 0, s, 1.0)), 0.0)
+    logp, p = masked_log_softmax_np(a.data, mask, axis)
     out = Tensor(logp)
     if not _tracked(a):
         return out

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import N_ACTIONS, drive, encode_action
-from .sim.network import N_PHASES, permits
+from .sim.network import N_PHASES
 from .sim.world import (ALL_RED_S, AMBER_S, MAX_GREEN_S, MIN_GREEN_S, SimWorld,
                         load_scenario)
 
@@ -105,19 +105,9 @@ def measure_flow_ratios(scenario, seed: int, warmup_s: int = 300) -> list[list[f
     world = load_scenario(scenario, seed)
     drive(world, warmup_s, FixedTimeController(world, [15] * N_PHASES))
     sat_flow = world.cfg.saturation_veh_s * warmup_s
-    ratios = []
-    for node in range(world.net.n):
-        per_phase = []
-        for phase in range(N_PHASES):
-            worst = 0.0
-            for lane in world.net.lanes_of(node):
-                if not any(permits(phase, lane.link.arm, mv) for mv in lane.allowed):
-                    continue
-                flow = world.lane_entry_counts[lane.key]
-                worst = max(worst, flow / sat_flow)
-            per_phase.append(worst)
-        ratios.append(per_phase)
-    return ratios
+    lanes = world.net.all_lanes()
+    return [[max((world.lane_entry_counts[lanes[s].key] / sat_flow for s, _ in served),
+                 default=0.0) for served in per_phase] for per_phase in world.served]
 
 
 @dataclass

@@ -29,13 +29,11 @@ import numpy as np
 
 from .metrics import MetricsLog
 from .sim.network import N_PHASES
-from .sim.world import MAX_GREEN_S, MIN_GREEN_S, SimWorld
+from .sim.world import MAX_GREEN_S, MIN_GREEN_S, MODES, QUEUED, SimWorld
 
-MODES = ("bus", "tram", "car")
 FEATURES_PER_LANE = 16
 GREENS_PER_PHASE = MAX_GREEN_S - MIN_GREEN_S + 1     # 38
 N_ACTIONS = N_PHASES * GREENS_PER_PHASE              # 152
-_MODE_SLOT = {mode: k for k, mode in enumerate(MODES, 1)}   # slot 0: total
 
 
 def obs_width(n_lanes: int) -> int:
@@ -45,28 +43,26 @@ def obs_width(n_lanes: int) -> int:
 def observe(world: SimWorld) -> np.ndarray:
     """Raw observations of every intersection, one row each: (n, 16*L + 4).
 
-    One pass over the active vehicles. Every slot, a lane's total or one
-    mode's share of it, accumulates in `world.active` order, so it equals a
-    per-lane running sum bit for bit. A vehicle is in its lane's queue
-    exactly while its state is "queued".
+    Each slot, a lane's total or one mode's share of it (mode code k in
+    slot k), is a bincount over `world.active`, which accumulates in
+    ascending id order, so it equals a per-lane running sum bit for bit.
     """
-    lanes = world.net.all_lanes()
-    slot = {lane: k for k, lane in enumerate(lanes)}
-    vs = world.active
-    lane_ix = np.array([slot[v.lane] for v in vs], dtype=np.intp)
-    mode_ix = np.array([_MODE_SLOT[v.mode] for v in vs], dtype=np.intp)
+    ids = world.active
+    slot = world.slot[ids]
+    n_lanes = len(world.lane_node)
     # each vehicle counts once in its lane's total slot, once in its mode slot
-    cell = np.concatenate([4 * lane_ix, 4 * lane_ix + mode_ix])
+    cell = np.concatenate([4 * slot, 4 * slot + world.mode[ids]])
 
     def tally(per_vehicle=None):
-        w = None if per_vehicle is None else np.tile(per_vehicle, 2)
-        return np.bincount(cell, w, 4 * len(lanes)).reshape(len(lanes), 4)
+        w = None if per_vehicle is None else np.concatenate([per_vehicle, per_vehicle])
+        return np.bincount(cell, w, 4 * n_lanes).reshape(n_lanes, 4)
 
     veh = tally()
-    pax = tally(np.array([v.occupancy for v in vs], dtype=float))
-    queue = tally(np.array([v.state == "queued" for v in vs], dtype=float))
-    speed_sum = tally(np.array([v.speed_kmh for v in vs], dtype=float))
-    freeflow = np.array([[lane.link.speed_kmh] for lane in lanes])
+    pax = tally(world.occupancy[ids].astype(float))
+    state = world.state[ids]
+    queue = tally((state == QUEUED).astype(float))
+    speed_sum = tally(world.speed_kmh(state, slot))
+    freeflow = world.lane_speed_kmh[:, None]
     speed = np.where(veh > 0, speed_sum / np.maximum(veh, 1), freeflow)
     n = world.net.n
     per_lane = np.concatenate([veh, pax, queue, speed], axis=1).reshape(n, -1)
@@ -142,8 +138,8 @@ def compute_reward(window: MetricsLog, intersection: int, cfg: RewardConfig) -> 
         raise ValueError("reward window is empty")
     if not (0 <= intersection < window.n):
         raise ValueError(f"unknown intersection {intersection}")
-    local = sum(row[intersection] for row in window.int_delayed)
-    network = sum(window.net_delayed)
+    local = int(window.int_delayed[:, intersection].sum())
+    network = int(window.net_delayed.sum())
     return -(cfg.w1 * local + cfg.w2 * network) / float(m)
 
 

@@ -14,7 +14,9 @@ summary metrics are pure functions of a log:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass
@@ -25,36 +27,51 @@ class CompletedTrip:
     exit_t: int
 
 
-@dataclass
 class MetricsLog:
-    n: int
-    seconds: list = field(default_factory=list)
-    net_delayed: list = field(default_factory=list)
-    int_delayed: list = field(default_factory=list)   # one [n] row per second
-    net_queued: list = field(default_factory=list)
-    int_queued: list = field(default_factory=list)
-    completed: list = field(default_factory=list)
+    """Integer table, one row per second, with the columns of the metrics
+    CSV: t, network delayed, network queued, then delayed and queued per
+    intersection. `table` is the filled part of a buffer grown by doubling;
+    the named fields are its columns and `window` is a run of its rows,
+    all views."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self._rows = self.table = np.zeros((0, 3 + 2 * n), dtype=np.int64)
+        self.completed: list[CompletedTrip] = []
+
+    seconds = property(lambda self: self.table[:, 0])
+    net_delayed = property(lambda self: self.table[:, 1])
+    net_queued = property(lambda self: self.table[:, 2])
+    int_delayed = property(lambda self: self.table[:, 3:3 + self.n])
+    int_queued = property(lambda self: self.table[:, 3 + self.n:])
 
     def append(self, t: int, int_delayed, int_queued) -> None:
-        self.seconds.append(t)
-        self.int_delayed.append(list(int_delayed))
-        self.int_queued.append(list(int_queued))
-        self.net_delayed.append(sum(int_delayed))
-        self.net_queued.append(sum(int_queued))
+        k = len(self.table)
+        if k and t <= self.table[-1, 0]:
+            raise ValueError(f"seconds must increase: {t} after {self.table[-1, 0]}")
+        if k == len(self._rows):     # a window's buffer is its parent's: copy
+            self._rows = np.concatenate([self.table, np.zeros((max(64, k), 3 + 2 * self.n),
+                                                              dtype=np.int64)])
+        self.table = self._rows[:k + 1]
+        row = self.table[k]
+        row[0] = t
+        row[3:3 + self.n] = int_delayed
+        row[3 + self.n:] = int_queued
+        row[1] = row[3:3 + self.n].sum()
+        row[2] = row[3 + self.n:].sum()
 
     def complete(self, mode: str, waiting_s: int, spawn_t: int, exit_t: int) -> None:
         self.completed.append(CompletedTrip(mode, waiting_s, spawn_t, exit_t))
 
     def window(self, start: int, stop: int) -> "MetricsLog":
         """Seconds with start <= t < stop; completion records are not sliced."""
+        lo, hi = np.searchsorted(self.seconds, (start, stop))
         out = MetricsLog(n=self.n)
-        for k, t in enumerate(self.seconds):
-            if start <= t < stop:
-                out.append(t, self.int_delayed[k], self.int_queued[k])
+        out._rows = out.table = self.table[lo:max(lo, hi)]
         return out
 
     def __len__(self) -> int:
-        return len(self.seconds)
+        return len(self.table)
 
 
 def anp(log: MetricsLog, horizon: int) -> float:
@@ -63,14 +80,14 @@ def anp(log: MetricsLog, horizon: int) -> float:
         raise ValueError("anp: empty log")
     if horizon < 1:
         raise ValueError(f"anp: horizon must be >= 1, got {horizon}")
-    return sum(log.net_delayed) / float(horizon)
+    return int(log.net_delayed.sum()) / float(horizon)
 
 
 def aql(log: MetricsLog) -> float:
     """Time-average queued road vehicles (trams never enter the counts)."""
     if len(log) == 0:
         raise ValueError("aql: empty log")
-    return sum(log.net_queued) / float(len(log))
+    return int(log.net_queued.sum()) / float(len(log))
 
 
 def awt(log: MetricsLog, mode: str) -> float | None:
@@ -89,20 +106,15 @@ def write_metrics_csv(log: MetricsLog, path) -> None:
         head += [f"delayed_i{k + 1}" for k in range(log.n)]
         head += [f"queue_i{k + 1}" for k in range(log.n)]
         w.writerow(head)
-        for k, t in enumerate(log.seconds):
-            row = [t, log.net_delayed[k], log.net_queued[k]]
-            row += list(log.int_delayed[k])
-            row += list(log.int_queued[k])
-            w.writerow(row)
+        w.writerows(log.table.tolist())
 
 
 def write_heatmap_csv(log: MetricsLog, path) -> None:
     """Long-format per-second series: t,metric,i1..i{n},network."""
+    n = log.n
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["t", "metric"] + [f"i{k + 1}" for k in range(log.n)] + ["network"])
-        for k, t in enumerate(log.seconds):
-            w.writerow([t, "delayed_passengers"] + list(log.int_delayed[k])
-                       + [log.net_delayed[k]])
-            w.writerow([t, "queue_veh"] + list(log.int_queued[k])
-                       + [log.net_queued[k]])
+        w.writerow(["t", "metric"] + [f"i{k + 1}" for k in range(n)] + ["network"])
+        for t, delayed, queued, *per in log.table.tolist():
+            w.writerow([t, "delayed_passengers"] + per[:n] + [delayed])
+            w.writerow([t, "queue_veh"] + per[n:] + [queued])

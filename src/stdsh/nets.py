@@ -53,6 +53,12 @@ class PolicyNet:
         h = ad.tanh(ad.add(ad.matmul(Tensor(x), self.W1), self.b1))
         return ad.add(ad.matmul(h, self.W2), self.b2)
 
+    def logits(self, obs_rows: np.ndarray) -> np.ndarray:
+        """forward() on plain arrays, no tape: the same ops in the same order."""
+        x = np.atleast_2d(np.asarray(obs_rows, dtype=float)) * self.input_scale
+        h = np.tanh(x @ self.W1.data + self.b1.data)
+        return h @ self.W2.data + self.b2.data
+
 
 class CriticNet:
     """Centralized value head: embedding (or pooled observation) -> scalar."""
@@ -100,12 +106,9 @@ def act(policy: PolicyNet, obs: np.ndarray, mask: np.ndarray, rng,
         raise ValueError(f"mask must have shape ({policy.n_actions},)")
     if not mask.any():
         raise ValueError("every action is masked")
-    with ad.no_grad():
-        logits = policy.forward(obs)
-        logp, probs = masked_distribution(logits, mask)
-    p = probs.data[0]
+    logp, p = ad.masked_log_softmax_np(policy.logits(obs), mask[None, :], 1)
     if greedy:
-        action = int(np.argmax(p))
+        action = int(np.argmax(p[0]))
     else:
-        action = int(rng.choice(policy.n_actions, p=p))
-    return action, float(logp.data[0, action])
+        action = int(rng.choice(policy.n_actions, p=p[0]))
+    return action, float(logp[0, action])

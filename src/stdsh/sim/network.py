@@ -15,7 +15,9 @@ Phases:
 
 from __future__ import annotations
 
-from collections import deque
+import math
+
+from .scenario import ScenarioConfig
 
 ARMS = ("N", "E", "S", "W")
 MOVEMENTS = ("left", "through", "right")
@@ -52,25 +54,21 @@ def exit_arm(arm: str, movement: str) -> str:
 
 
 class Lane:
-    """One incoming lane: a vertical queue plus a saturation-credit meter."""
+    """One incoming lane. Its queue, moving count and saturation-credit
+    meter belong to the world, indexed by `slot`: the lane's position in
+    Network.all_lanes()."""
 
-    __slots__ = ("link", "index", "allowed", "queue", "credit", "moving_count")
+    __slots__ = ("link", "index", "allowed", "slot")
 
     def __init__(self, link: "Link", index: int, allowed):
         self.link = link
         self.index = index
         self.allowed = frozenset(allowed)
-        self.queue = deque()
-        self.credit = 0.0
-        self.moving_count = 0
+        self.slot = -1
 
     @property
     def key(self):
         return (self.link.node, self.link.arm, self.link.kind, self.index)
-
-    def occupancy_load(self) -> int:
-        # vehicles currently committed to this lane, queued or still rolling
-        return len(self.queue) + self.moving_count
 
 
 class Link:
@@ -88,43 +86,38 @@ class Link:
         self.length = float(length)
         self.speed_kmh = float(speed_kmh)
         self.lanes: list[Lane] = []
-        self.stop_pos: float | None = None   # tram stop position, meters
-        self.stop_dwell: int = 0
-
-    @property
-    def speed_mps(self) -> float:
-        return self.speed_kmh / 3.6
+        self.stop_pos = math.inf    # tram stop position, meters; inf: none
+        self.stop_dwell = 0
 
 
 class Network:
     """All links of an n-intersection corridor plus entry bookkeeping."""
 
-    def __init__(self, n: int, link_length: float, side_length: float,
-                 freeflow_kmh: float, tram_kmh: float, tram_enabled: bool,
-                 tram_stop_nodes, tram_dwell: int):
+    def __init__(self, cfg: ScenarioConfig):
+        n = cfg.intersections
         if n < 1:
             raise ValueError(f"need at least one intersection, got {n}")
         self.n = n
-        self.tram_enabled = bool(tram_enabled)
+        self.tram_enabled = bool(cfg.tram_enabled)
         self.links: dict[str, Link] = {}
         self._approach: dict[tuple, Link] = {}
 
         for k in range(n):
             for arm in ARMS:
-                length = link_length if arm in _EW else side_length
-                link = Link(f"L{k}{arm}", k, arm, "road", length, freeflow_kmh)
+                length = cfg.link_length_m if arm in _EW else cfg.side_link_length_m
+                link = Link(f"L{k}{arm}", k, arm, "road", length, cfg.freeflow_kmh)
                 link.lanes = [
                     Lane(link, 0, ("left", "through")),
                     Lane(link, 1, ("through", "right")),
                 ]
                 self.links[link.id] = link
                 self._approach[(k, arm, "road")] = link
-            if tram_enabled:
-                tlink = Link(f"T{k}", k, "W", "tram", link_length, tram_kmh)
+            if self.tram_enabled:
+                tlink = Link(f"T{k}", k, "W", "tram", cfg.link_length_m, cfg.tram_freeflow_kmh)
                 tlink.lanes = [Lane(tlink, 0, ("through",))]
-                if k in tram_stop_nodes:
+                if k in cfg.tram_stop_intersections and cfg.tram_stop_dwell_s > 0:
                     tlink.stop_pos = tlink.length / 2.0
-                    tlink.stop_dwell = int(tram_dwell)
+                    tlink.stop_dwell = int(cfg.tram_stop_dwell_s)
                 self.links[tlink.id] = tlink
                 self._approach[(k, "W", "tram")] = tlink
 
@@ -134,6 +127,8 @@ class Network:
         for k in range(n):
             self.entries.append((f"N{k}", self._approach[(k, "N", "road")]))
             self.entries.append((f"S{k}", self._approach[(k, "S", "road")]))
+        for slot, lane in enumerate(self.all_lanes()):
+            lane.slot = slot
 
     def approach(self, node: int, arm: str, kind: str = "road") -> Link:
         return self._approach[(node, arm, kind)]

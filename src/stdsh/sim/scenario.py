@@ -14,7 +14,8 @@ config file, or raw config text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 
@@ -92,52 +93,37 @@ class ScenarioConfig:
         if self.scenario_id == 2:
             frac = min(1.0, t / float(max(1, self.ramp_duration_s)))
             base = base + (self.ramp_to_veh_h - base) * frac
-        own = entry_id in (f"N{self.skew_intersection}", f"S{self.skew_intersection}")
-        if self.scenario_id == 4 and not own:
-            base *= self.skew_multiplier    # everything heading for the hotspot
-        if self.scenario_id == 5 and own:
-            base *= self.skew_multiplier    # the hotspot emptying out
+        if self.scenario_id in (4, 5):
+            own = entry_id in (f"N{self.skew_intersection}", f"S{self.skew_intersection}")
+            # 4: everything heading for the hotspot; 5: the hotspot emptying out
+            if own == (self.scenario_id == 5):
+                base *= self.skew_multiplier
         return base
 
 
-_SCHEMA = {
-    "network": {
-        "intersections": ("intersections", int),
-        "link_length_m": ("link_length_m", float),
-        "side_link_length_m": ("side_link_length_m", float),
-        "freeflow_kmh": ("freeflow_kmh", float),
-        "tram_freeflow_kmh": ("tram_freeflow_kmh", float),
-        "saturation_veh_s": ("saturation_veh_s", float),
-        "tram_enabled": ("tram_enabled", bool),
-        "tram_stop_intersections": ("tram_stop_intersections", "int_list"),
-        "tram_stop_dwell_s": ("tram_stop_dwell_s", int),
-    },
-    "demand": {
-        "car_rate_veh_h": ("car_rate_veh_h", float),
-        "bus_headway_s": ("bus_headway_s", int),
-        "bus_first_departure_s": ("bus_first_departure_s", int),
-        "tram_headway_s": ("tram_headway_s", int),
-        "tram_first_departure_s": ("tram_first_departure_s", int),
-        "turn_left": ("turn_left", float),
-        "turn_through": ("turn_through", float),
-        "turn_right": ("turn_right", float),
-        "car_occupancy_poisson_mean": ("car_occupancy_poisson_mean", float),
-        "bus_occupancy": ("bus_occupancy", int),
-        "tram_occupancy": ("tram_occupancy", int),
-    },
-    "signal": {
-        "initial_phase": ("initial_phase", "phase"),
-        "initial_green_s": ("initial_green_s", int),
-    },
-    "scenario": {
-        "id": ("scenario_id", int),
-        "ramp_to_veh_h": ("ramp_to_veh_h", float),
-        "ramp_duration_s": ("ramp_duration_s", int),
-        "skew_multiplier": ("skew_multiplier", float),
-        "skew_intersection": ("skew_intersection", int),
-        "speed_threshold_kmh": ("speed_threshold_kmh", float),
-    },
+# config keys per section; a key names its ScenarioConfig field (but
+# [scenario] id is scenario_id), and the field's default fixes the parser
+_SECTIONS = {
+    "network": "intersections link_length_m side_link_length_m freeflow_kmh "
+               "tram_freeflow_kmh saturation_veh_s tram_enabled "
+               "tram_stop_intersections tram_stop_dwell_s",
+    "demand": "car_rate_veh_h bus_headway_s bus_first_departure_s tram_headway_s "
+              "tram_first_departure_s turn_left turn_through turn_right "
+              "car_occupancy_poisson_mean bus_occupancy tram_occupancy",
+    "signal": "initial_phase initial_green_s",
+    "scenario": "id ramp_to_veh_h ramp_duration_s skew_multiplier skew_intersection "
+                "speed_threshold_kmh",
 }
+_KINDS = {"tram_stop_intersections": "int_list", "initial_phase": "phase"}
+
+
+def _schema_entry(key: str) -> tuple:
+    attr = "scenario_id" if key == "id" else key
+    return attr, _KINDS.get(attr, type(getattr(ScenarioConfig, attr)))
+
+
+_SCHEMA = {section: {key: _schema_entry(key) for key in keys.split()}
+           for section, keys in _SECTIONS.items()}
 
 
 def _convert(kind, value: str, line: int, key: str):
@@ -183,14 +169,20 @@ def _validate(cfg: ScenarioConfig) -> None:
     def bad(field_name, why):
         raise ConfigError(f"field {field_name!r}: {why}")
 
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            bad(f.name, f"must be finite, got {value}")
     if cfg.intersections < 1:
         bad("intersections", "must be >= 1")
     for name in ("link_length_m", "side_link_length_m", "freeflow_kmh",
                  "tram_freeflow_kmh", "saturation_veh_s", "speed_threshold_kmh"):
         if getattr(cfg, name) <= 0:
             bad(name, "must be > 0")
-    if cfg.car_rate_veh_h < 0 or cfg.ramp_to_veh_h < 0:
-        bad("car_rate_veh_h", "rates must be >= 0")
+    for name in ("car_rate_veh_h", "ramp_to_veh_h", "skew_multiplier",
+                 "car_occupancy_poisson_mean"):
+        if getattr(cfg, name) < 0:
+            bad(name, "must be >= 0")
     for name in ("bus_headway_s", "tram_headway_s", "tram_stop_dwell_s",
                  "initial_green_s", "bus_first_departure_s", "tram_first_departure_s"):
         if getattr(cfg, name) < 0:
@@ -198,10 +190,9 @@ def _validate(cfg: ScenarioConfig) -> None:
     turn_sum = cfg.turn_left + cfg.turn_through + cfg.turn_right
     if min(cfg.turn_left, cfg.turn_through, cfg.turn_right) < 0 or abs(turn_sum - 1.0) > 1e-9:
         bad("turn_left/turn_through/turn_right", f"must be >= 0 and sum to 1, got {turn_sum}")
-    if cfg.car_occupancy_poisson_mean < 0:
-        bad("car_occupancy_poisson_mean", "must be >= 0")
-    if cfg.bus_occupancy < 1 or cfg.tram_occupancy < 1:
-        bad("bus_occupancy", "occupancies must be >= 1")
+    for name in ("bus_occupancy", "tram_occupancy"):
+        if getattr(cfg, name) < 1:
+            bad(name, "must be >= 1")
     if not (1 <= cfg.scenario_id <= 5):
         bad("id", f"scenario must be in 1..5, got {cfg.scenario_id}")
     if not (0 <= cfg.initial_phase <= 3):

@@ -14,14 +14,29 @@ discharges outside green.
 A green that expires raises the controller trigger and then simply keeps
 running until a new decision is applied, so step() is total: a world with
 no controlling agent is still well defined.
+
+State is laid out as arrays. A vehicle is an id, its spawn order, into
+per-vehicle arrays grown by doubling: `slot` (its lane's index in
+net.all_lanes(), which also fixes its link), `mode` (1 + index in MODES),
+`state` (MOVING, QUEUED, DWELLING, EXITED), `pos` in meters along the
+link, `leg` (index into `routes[v]`, its list of (Link, movement) legs),
+`occupancy`, `waiting` seconds, `dwell` seconds left and `spawn_t`.
+`active` is the ascending array of live ids. Per lane slot the world
+keeps a deque of queued ids (head first), a count of vehicles still
+rolling toward the stop line and a credit meter, plus constant arrays of
+node, speed, length and tram stop. Movement, the metrics row and
+observations are array expressions over `active`; spawning and discharge
+stay scalar, in the order that fixes the random draws and lane choices.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from ..metrics import MetricsLog
-from .network import ARMS, Network, exit_arm, permits
+from .network import N_PHASES, Network, exit_arm, permits
 from .scenario import ScenarioConfig, resolve_config
 
 AMBER_S = 3
@@ -29,30 +44,12 @@ ALL_RED_S = 2
 MIN_GREEN_S = 8
 MAX_GREEN_S = 45
 
-
-class Vehicle:
-    __slots__ = ("vid", "mode", "occupancy", "route", "leg", "state", "pos",
-                 "lane", "spawn_t", "waiting", "dwell_left", "dwelled")
-
-    def __init__(self, vid: int, mode: str, occupancy: int, route, spawn_t: int):
-        self.vid = vid
-        self.mode = mode
-        self.occupancy = int(occupancy)
-        self.route = route            # list of (Link, movement)
-        self.leg = 0
-        self.state = "moving"
-        self.pos = 0.0
-        self.lane = None
-        self.spawn_t = spawn_t
-        self.waiting = 0
-        self.dwell_left = 0
-        self.dwelled = False
-
-    @property
-    def speed_kmh(self) -> float:
-        if self.state == "moving":
-            return self.route[self.leg][0].speed_kmh
-        return 0.0
+MODES = ("bus", "tram", "car")
+TRAM = MODES.index("tram") + 1
+MOVING, QUEUED, DWELLING, EXITED = range(4)
+_VEHICLE_ARRAYS = (("slot", np.intp), ("mode", np.int8), ("state", np.int8),
+                   ("pos", float), ("leg", np.intp), ("occupancy", np.int64),
+                   ("waiting", np.int64), ("dwell", np.int64), ("spawn_t", np.int64))
 
 
 class SignalController:
@@ -111,28 +108,33 @@ class SimWorld:
         self.cfg = cfg
         self.seed = int(seed)
         self.rng = np.random.default_rng(seed)
-        self.net = Network(
-            n=cfg.intersections,
-            link_length=cfg.link_length_m,
-            side_length=cfg.side_link_length_m,
-            freeflow_kmh=cfg.freeflow_kmh,
-            tram_kmh=cfg.tram_freeflow_kmh,
-            tram_enabled=cfg.tram_enabled,
-            tram_stop_nodes=set(cfg.tram_stop_intersections),
-            tram_dwell=cfg.tram_stop_dwell_s,
-        )
-        self.controllers = [
-            SignalController(k, cfg.initial_phase, cfg.initial_green_s)
-            for k in range(cfg.intersections)
-        ]
+        self.net = Network(cfg)
+        self.controllers = [SignalController(k, cfg.initial_phase, cfg.initial_green_s)
+                            for k in range(cfg.intersections)]
         self.t = 0
-        self.active: list[Vehicle] = []
         self.spawned_total = 0
         self.exited_total = 0
         self.log = MetricsLog(n=cfg.intersections)
         self.discharge_events: list[tuple[int, int, str]] = []
-        self.lane_entry_counts = {lane.key: 0 for lane in self.net.all_lanes()}
-        self._next_vid = 0
+        self._node_lanes = [self.net.lanes_of(k) for k in range(self.net.n)]
+        # per intersection and phase: (slot, movements it lets go) of each
+        # lane that carries a movement the phase permits, kerb lane first
+        self.served = [[[(lane.slot, goes) for lane in lanes
+                          if (goes := frozenset(mv for mv in lane.allowed
+                                                if permits(phase, lane.link.arm, mv)))]
+                         for phase in range(N_PHASES)] for lanes in self._node_lanes]
+        lanes = self.net.all_lanes()
+        self.lane_entry_counts = {lane.key: 0 for lane in lanes}
+        for name in ("node", "speed_kmh", "length", "stop_pos", "stop_dwell"):
+            setattr(self, f"lane_{name}", np.array([getattr(l.link, name) for l in lanes]))
+        self.lane_speed_mps = self.lane_speed_kmh / 3.6
+        self.queues = [deque() for _ in lanes]
+        self.moving = [0] * len(lanes)
+        self.credit = [0.0] * len(lanes)
+        self.routes: list[list] = []
+        for name, dtype in _VEHICLE_ARRAYS:
+            setattr(self, name, np.zeros(64, dtype=dtype))
+        self.active = np.zeros(0, dtype=np.intp)
 
     # ------------------------------------------------------------- spawning
 
@@ -144,150 +146,163 @@ class SimWorld:
             return "through"
         return "right"
 
-    def _car_route(self, entry_link):
-        route = []
-        link = entry_link
+    def _route(self, entry_link, kind: str = "road", movement: str | None = None):
+        """(link, movement) legs until the vehicle leaves the network; a car
+        draws each leg's movement, transit goes `movement` throughout."""
+        route, link = [], entry_link
         while link is not None:
-            mv = self._draw_movement()
+            mv = movement or self._draw_movement()
             route.append((link, mv))
-            link = self.net.next_link(link.node, exit_arm(link.arm, mv), "road")
+            link = self.net.next_link(link.node, exit_arm(link.arm, mv), kind)
         return route
 
-    def _through_route(self, entry_link, kind: str):
-        route = []
-        link = entry_link
-        while link is not None:
-            route.append((link, "through"))
-            link = self.net.next_link(link.node, exit_arm(link.arm, "through"), kind)
-        return route
+    def _assign_lane(self, v: int, link, movement: str) -> None:
+        # least committed lane (queued or still rolling), kerb lane on ties
+        best, best_load = None, 0
+        for lane in link.lanes:
+            load = len(self.queues[lane.slot]) + self.moving[lane.slot]
+            if movement in lane.allowed and (best is None or load < best_load):
+                best, best_load = lane, load
+        self.slot[v] = best.slot
+        self.moving[best.slot] += 1
+        self.lane_entry_counts[best.key] += 1
 
-    def _assign_lane(self, v: Vehicle, link, movement: str) -> None:
-        candidates = [lane for lane in link.lanes if movement in lane.allowed]
-        lane = min(candidates, key=lambda l: (l.occupancy_load(), l.index))
-        v.lane = lane
-        lane.moving_count += 1
-        self.lane_entry_counts[lane.key] += 1
-
-    def _spawn_vehicle(self, mode: str, occupancy: int, route) -> Vehicle:
-        v = Vehicle(self._next_vid, mode, occupancy, route, self.t)
-        self._next_vid += 1
+    def _spawn_vehicle(self, mode: str, occupancy: int, route) -> int:
+        """Add a vehicle at the start of its first leg; returns its id."""
+        v = len(self.routes)
+        if v == len(self.pos):
+            for name, _ in _VEHICLE_ARRAYS:
+                old = getattr(self, name)
+                setattr(self, name, np.concatenate([old, np.zeros_like(old)]))
+        self.routes.append(route)
+        self.mode[v] = MODES.index(mode) + 1
+        self.occupancy[v] = occupancy
+        self.spawn_t[v] = self.t
         link, mv = route[0]
         self._assign_lane(v, link, mv)
-        self.active.append(v)
+        self.active = np.append(self.active, v)
         self.spawned_total += 1
         return v
+
+    def _due(self, first_s: int, headway_s: int) -> bool:
+        return headway_s > 0 and self.t >= first_s and (self.t - first_s) % headway_s == 0
 
     def _spawn_arrivals(self) -> int:
         cfg = self.cfg
         count = 0
         for entry_id, link in self.net.entries:
-            p = cfg.rate_veh_h(entry_id, self.t) / 3600.0
-            if self.rng.random() < p:
+            if self.rng.random() < cfg.rate_veh_h(entry_id, self.t) / 3600.0:
                 occ = 1 + int(self.rng.poisson(cfg.car_occupancy_poisson_mean))
-                self._spawn_vehicle("car", occ, self._car_route(link))
+                self._spawn_vehicle("car", occ, self._route(link))
                 count += 1
-        if cfg.bus_headway_s > 0 and self.t >= cfg.bus_first_departure_s \
-                and (self.t - cfg.bus_first_departure_s) % cfg.bus_headway_s == 0:
-            west = self.net.approach(0, "W")
-            east = self.net.approach(self.net.n - 1, "E")
-            for entry in (west, east):
+        if self._due(cfg.bus_first_departure_s, cfg.bus_headway_s):
+            for entry in (self.net.approach(0, "W"), self.net.approach(self.net.n - 1, "E")):
                 self._spawn_vehicle("bus", cfg.bus_occupancy,
-                                    self._through_route(entry, "road"))
+                                    self._route(entry, "road", "through"))
                 count += 1
-        if self.net.tram_enabled and cfg.tram_headway_s > 0 \
-                and self.t >= cfg.tram_first_departure_s \
-                and (self.t - cfg.tram_first_departure_s) % cfg.tram_headway_s == 0:
-            self._spawn_vehicle("tram", cfg.tram_occupancy,
-                                self._through_route(self.net.approach(0, "W", "tram"),
-                                                    "tram"))
+        if self.net.tram_enabled and self._due(cfg.tram_first_departure_s, cfg.tram_headway_s):
+            entry = self.net.approach(0, "W", "tram")
+            self._spawn_vehicle("tram", cfg.tram_occupancy, self._route(entry, "tram", "through"))
             count += 1
         return count
 
     # ------------------------------------------------------------- dynamics
 
     def _move_vehicles(self) -> None:
-        for v in self.active:
-            if v.state == "dwelling":
-                v.dwell_left -= 1
-                if v.dwell_left <= 0:
-                    v.state = "moving"
-                continue
-            if v.state != "moving":
-                continue
-            link = v.route[v.leg][0]
-            newpos = v.pos + link.speed_mps
-            if (v.mode == "tram" and link.stop_pos is not None and link.stop_dwell > 0
-                    and not v.dwelled and newpos >= link.stop_pos):
-                v.pos = link.stop_pos
-                v.state = "dwelling"
-                v.dwell_left = link.stop_dwell
-                v.dwelled = True
-                continue
-            if newpos >= link.length:
-                v.pos = link.length
-                v.state = "queued"
-                v.lane.moving_count -= 1
-                v.lane.queue.append(v)
-            else:
-                v.pos = newpos
+        ids = self.active
+        state = self.state[ids]
+        dwelling = ids[state == DWELLING]
+        if len(dwelling):
+            self.dwell[dwelling] -= 1
+            self.state[dwelling[self.dwell[dwelling] <= 0]] = MOVING
+        moving = ids[state == MOVING]
+        slot = self.slot[moving]
+        pos = self.pos[moving]
+        newpos = pos + self.lane_speed_mps[slot]
+        # only tram links have a stop (inf elsewhere); a tram is short of it
+        # until it dwells there and sits exactly on it afterwards, so it
+        # serves each stop once
+        stop = self.lane_stop_pos[slot]
+        stops = (pos < stop) & (newpos >= stop)
+        if stops.any():
+            newpos[stops] = stop[stops]
+            dwellers = moving[stops]
+            self.state[dwellers] = DWELLING
+            self.dwell[dwellers] = self.lane_stop_dwell[slot[stops]]
+        length = self.lane_length[slot]
+        arrives = newpos >= length
+        self.pos[moving] = np.minimum(newpos, length)
+        if arrives.any():
+            arrived = moving[arrives]
+            self.state[arrived] = QUEUED
+            for v, s in zip(arrived.tolist(), slot[arrives].tolist()):
+                self.moving[s] -= 1
+                self.queues[s].append(v)
 
-    def _head_permitted(self, lane, phase: int) -> bool:
-        head = lane.queue[0]
-        return permits(phase, lane.link.arm, head.route[head.leg][1])
+    def _heading(self, v: int) -> str:
+        return self.routes[v][self.leg[v]][1]
 
     def _discharge(self) -> int:
         sat = self.cfg.saturation_veh_s
+        credit = self.credit
         released = 0
         for ctrl in self.controllers:
-            lanes = self.net.lanes_of(ctrl.intersection)
             if ctrl.stage != "green":
-                for lane in lanes:
-                    lane.credit = 0.0
+                for lane in self._node_lanes[ctrl.intersection]:
+                    credit[lane.slot] = 0.0
                 continue
-            for lane in lanes:
-                if lane.queue and self._head_permitted(lane, ctrl.phase):
-                    lane.credit += sat
-                    while (lane.credit >= 1.0 and lane.queue
-                           and self._head_permitted(lane, ctrl.phase)):
-                        lane.credit -= 1.0
-                        v = lane.queue.popleft()
-                        self.discharge_events.append(
-                            (self.t, ctrl.intersection, ctrl.stage))
-                        self._advance_leg(v)
-                        released += 1
-                else:
-                    lane.credit = 0.0
+            # a lane the phase cannot serve holds no credit: amber zeroed
+            # it, and a head that may not go adds none
+            for s, goes in self.served[ctrl.intersection][ctrl.phase]:
+                queue = self.queues[s]
+                if not (queue and self._heading(queue[0]) in goes):
+                    credit[s] = 0.0
+                    continue
+                credit[s] += sat
+                while credit[s] >= 1.0:
+                    credit[s] -= 1.0
+                    v = queue.popleft()
+                    self.discharge_events.append((self.t, ctrl.intersection, ctrl.stage))
+                    self._advance_leg(v)
+                    released += 1
+                    if not (queue and self._heading(queue[0]) in goes):
+                        break
         return released
 
-    def _advance_leg(self, v: Vehicle) -> None:
-        v.leg += 1
-        if v.leg >= len(v.route):
-            v.state = "exited"
-            v.lane = None
+    def _advance_leg(self, v: int) -> None:
+        self.leg[v] += 1
+        route = self.routes[v]
+        if self.leg[v] >= len(route):
+            self.state[v] = EXITED
             self.exited_total += 1
-            self.log.complete(v.mode, v.waiting, v.spawn_t, self.t)
+            self.log.complete(MODES[self.mode[v] - 1], int(self.waiting[v]),
+                              int(self.spawn_t[v]), self.t)
             return
-        link, mv = v.route[v.leg]
-        v.pos = 0.0
-        v.state = "moving"
-        v.dwelled = False
+        link, mv = route[self.leg[v]]
+        self.pos[v] = 0.0
+        self.state[v] = MOVING
         self._assign_lane(v, link, mv)
 
+    def speed_kmh(self, state: np.ndarray, slot: np.ndarray) -> np.ndarray:
+        """Speeds of vehicles in `state` on lanes `slot`: the link's free-flow
+        speed while moving, else 0."""
+        return np.where(state == MOVING, self.lane_speed_kmh[slot], 0.0)
+
+    def _delayed(self, state: np.ndarray, slot: np.ndarray) -> np.ndarray:
+        """Sub-threshold vehicles; a dwelling tram is scheduled service, not
+        delay."""
+        return ((state != DWELLING)
+                & (self.speed_kmh(state, slot) < self.cfg.speed_threshold_kmh))
+
     def _record_metrics(self) -> None:
-        thr = self.cfg.speed_threshold_kmh
-        n = self.net.n
-        delayed = [0] * n
-        queued = [0] * n
-        for v in self.active:
-            if v.state == "dwelling":
-                continue  # scheduled stop service, not signal delay
-            if v.speed_kmh < thr:
-                node = v.route[v.leg][0].node
-                delayed[node] += v.occupancy
-                v.waiting += 1
-                if v.state == "queued" and v.mode != "tram":
-                    queued[node] += 1
-        self.log.append(self.t, delayed, queued)
+        ids, n = self.active, self.net.n
+        state, slot = self.state[ids], self.slot[ids]
+        slow = self._delayed(state, slot)
+        self.waiting[ids] += slow
+        node = self.lane_node[slot]
+        road_queued = slow & (state == QUEUED) & (self.mode[ids] != TRAM)
+        self.log.append(self.t, np.bincount(node, slow * self.occupancy[ids], n),
+                        np.bincount(node, road_queued, n))
 
     # ------------------------------------------------------------- public API
 
@@ -297,7 +312,7 @@ class SimWorld:
         self._move_vehicles()
         released = self._discharge()
         if released:
-            self.active = [v for v in self.active if v.state != "exited"]
+            self.active = self.active[self.state[self.active] != EXITED]
         for ctrl in self.controllers:
             ctrl.advance()
         self._record_metrics()
@@ -309,7 +324,7 @@ class SimWorld:
             "t": self.t,
             "spawned": spawned,
             "discharged": released,
-            "delayed": self.log.net_delayed[-1],
+            "delayed": int(self.log.net_delayed[-1]),
         }
         self.t += 1
         return record
@@ -326,20 +341,14 @@ class SimWorld:
     def delayed_passengers(self, scope="network") -> int:
         """Occupancy total of sub-threshold vehicles, network-wide or at one
         intersection (dwelling trams excluded: scheduled service)."""
-        if scope == "network":
-            wanted = None
-        else:
-            if not (isinstance(scope, (int, np.integer)) and 0 <= scope < self.net.n):
-                raise ValueError(f"unknown intersection {scope!r}")
-            wanted = int(scope)
-        thr = self.cfg.speed_threshold_kmh
-        total = 0
-        for v in self.active:
-            if v.state == "dwelling" or v.speed_kmh >= thr:
-                continue
-            if wanted is None or v.route[v.leg][0].node == wanted:
-                total += v.occupancy
-        return total
+        network = isinstance(scope, str) and scope == "network"
+        if not (network or isinstance(scope, (int, np.integer)) and 0 <= scope < self.net.n):
+            raise ValueError(f"unknown intersection {scope!r}")
+        ids = self.active
+        slow = self._delayed(self.state[ids], self.slot[ids])
+        if not network:
+            slow &= self.lane_node[self.slot[ids]] == scope
+        return int(self.occupancy[ids[slow]].sum())
 
 
 def load_scenario(config, seed: int) -> SimWorld:

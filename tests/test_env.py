@@ -11,6 +11,7 @@ from stdsh.env import (MODES, N_ACTIONS, CorridorEnv, FeatureWindow,
 from stdsh.hypergraph import node_index
 from stdsh.metrics import MetricsLog
 from stdsh.sim import load_scenario
+from stdsh.sim.world import DWELLING, MOVING, QUEUED
 
 QUIET = "[demand]\ncar_rate_veh_h = 0\nbus_headway_s = 0\ntram_headway_s = 0\n"
 QUIET_NOTRAM = QUIET + "[network]\ntram_enabled = false\n"
@@ -103,11 +104,12 @@ def test_queued_bus_slots():
     world = load_scenario(QUIET_NOTRAM, seed=0)
     link = world.net.approach(0, "N")         # obs lane 0 is the N kerb lane
     bus = world._spawn_vehicle("bus", 40, [(link, "through")])
-    assert bus.lane.index == 0
-    bus.pos = link.length
-    bus.state = "queued"
-    bus.lane.moving_count -= 1
-    bus.lane.queue.append(bus)
+    lane = link.lanes[0]
+    assert world.slot[bus] == lane.slot
+    world.pos[bus] = link.length
+    world.state[bus] = QUEUED
+    world.moving[lane.slot] -= 1
+    world.queues[lane.slot].append(bus)
     obs = observe(world)[0]
     veh = obs[0:4]
     pax = obs[4:8]
@@ -129,7 +131,7 @@ def test_moving_car_counts_but_not_queued():
     world = load_scenario(QUIET_NOTRAM, seed=0)
     link = world.net.approach(0, "E")
     car = world._spawn_vehicle("car", 2, [(link, "through")])
-    lane_i = world.net.lanes_of(0).index(car.lane)
+    lane_i = [lane.slot for lane in world.net.lanes_of(0)].index(world.slot[car])
     obs = observe(world)[0]
     base = 16 * lane_i
     assert obs[base + 0] == 1.0 and obs[base + 3] == 1.0    # veh total / car
@@ -150,26 +152,29 @@ def test_observation_matches_across_identical_worlds():
 
 def recount(world):
     """Reference for observe(): filter each lane's vehicles once per metric
-    x mode, read queue membership from lane.queue, sum speeds left to right."""
+    x mode, read queue membership from the lane's deque, take speeds from
+    each vehicle's route leg and sum them left to right."""
     rows = []
     for i in range(world.net.n):
         row = []
         for lane in world.net.lanes_of(i):
-            present = [v for v in world.active if v.lane is lane]
-            queued = set(id(v) for v in lane.queue)
+            present = [v for v in world.active.tolist() if world.slot[v] == lane.slot]
+            queued = set(world.queues[lane.slot])
             for metric in ("veh", "pax", "queue", "speed"):
                 for mode in (None,) + MODES:
-                    sel = [v for v in present if mode is None or v.mode == mode]
+                    sel = [v for v in present
+                           if mode is None or MODES[world.mode[v] - 1] == mode]
                     if metric == "veh":
                         row.append(float(len(sel)))
                     elif metric == "pax":
-                        row.append(float(sum(v.occupancy for v in sel)))
+                        row.append(float(sum(int(world.occupancy[v]) for v in sel)))
                     elif metric == "queue":
-                        row.append(float(sum(id(v) in queued for v in sel)))
+                        row.append(float(sum(v in queued for v in sel)))
                     elif sel:
                         acc = 0.0
                         for v in sel:
-                            acc += v.speed_kmh
+                            link = world.routes[v][world.leg[v]][0]
+                            acc += link.speed_kmh if world.state[v] == MOVING else 0.0
                         row.append(acc / len(sel))
                     else:
                         row.append(lane.link.speed_kmh)
@@ -188,8 +193,9 @@ def test_observe_equals_per_lane_recount(scenario):
         if world.t % 3 == 0:
             assert observe(world).tolist() == recount(world)
             for v in world.active:
-                seen["dwelling tram"] += v.state == "dwelling"
-                seen["queued bus"] += v.mode == "bus" and v.state == "queued"
+                seen["dwelling tram"] += world.state[v] == DWELLING
+                seen["queued bus"] += (MODES[world.mode[v] - 1] == "bus"
+                                       and world.state[v] == QUEUED)
 
     check(world)
     drive(world, 900, lambda w, i: random_policy(
@@ -381,7 +387,7 @@ def test_drive_in_pieces_equals_one_call():
 
         for seconds in pieces:
             drive(world, seconds, decide)
-        logs.append((calls, world.log.net_delayed, world.log.int_queued))
+        logs.append((calls, world.log.net_delayed.tolist(), world.log.int_queued.tolist()))
     assert logs[0] == logs[1]
     assert len(logs[0][0]) > 6
 

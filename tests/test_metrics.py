@@ -2,11 +2,13 @@
 
 import csv
 
+import numpy as np
 import pytest
 
 from stdsh.metrics import (CompletedTrip, MetricsLog, anp, aql, awt,
                            write_heatmap_csv, write_metrics_csv)
 from stdsh.sim import load_scenario
+from stdsh.sim.world import QUEUED
 
 
 def make_log(delayed_rows, queued_rows):
@@ -58,35 +60,49 @@ def test_queued_tram_is_delayed_but_never_queued():
     world = load_scenario(text, seed=0)
     link = world.net.approach(0, "W", "tram")
     tram = world._spawn_vehicle("tram", 150, [(link, "through")])
-    tram.pos = link.length
-    tram.state = "queued"
-    tram.lane.moving_count -= 1
-    tram.lane.queue.append(tram)
+    world.pos[tram] = link.length
+    world.state[tram] = QUEUED
+    world.moving[world.slot[tram]] -= 1
+    world.queues[world.slot[tram]].append(tram)
     world.step()
-    assert world.log.net_delayed == [150]
-    assert world.log.net_queued == [0]
+    assert world.log.net_delayed.tolist() == [150]
+    assert world.log.net_queued.tolist() == [0]
     assert aql(world.log) == 0.0
 
 
 def test_window_slices_seconds():
     log = make_log([[1], [2], [3], [4]], [[0], [1], [2], [3]])
     win = log.window(1, 3)
-    assert win.seconds == [1, 2]
-    assert win.net_delayed == [2, 3]
-    assert win.net_queued == [1, 2]
+    assert win.seconds.tolist() == [1, 2]
+    assert win.net_delayed.tolist() == [2, 3]
+    assert win.net_queued.tolist() == [1, 2]
     assert len(win) == 2
     assert len(log.window(10, 20)) == 0
+
+
+def test_window_is_a_view_and_copies_before_it_grows():
+    log = make_log([[1], [2], [3], [4]], [[0], [1], [2], [3]])
+    win = log.window(1, 3)
+    assert np.shares_memory(win.table, log.table)
+    win.append(9, [7], [5])
+    assert win.seconds.tolist() == [1, 2, 9]
+    assert win.net_delayed.tolist() == [2, 3, 7]
+    assert log.seconds.tolist() == [0, 1, 2, 3]
+    assert log.net_delayed.tolist() == [1, 2, 3, 4]
+    assert len(log.window(3, 1)) == 0
+    with pytest.raises(ValueError, match="increase"):
+        log.append(3, [0], [0])
 
 
 def test_oracle_recount_from_sim():
     world = load_scenario(1, seed=2)
     world.run(300)
     log = world.log
-    assert anp(log, 300) == pytest.approx(sum(log.net_delayed) / 300.0)
-    per_second = [sum(row) for row in log.int_delayed]
-    assert per_second == log.net_delayed
-    per_second_q = [sum(row) for row in log.int_queued]
-    assert per_second_q == log.net_queued
+    assert anp(log, 300) == pytest.approx(sum(log.net_delayed.tolist()) / 300.0)
+    per_second = [sum(row) for row in log.int_delayed.tolist()]
+    assert per_second == log.net_delayed.tolist()
+    per_second_q = [sum(row) for row in log.int_queued.tolist()]
+    assert per_second_q == log.net_queued.tolist()
 
 
 def test_metrics_csv_schema(tmp_path):

@@ -72,6 +72,26 @@ def test_sampling_frequencies_match_probabilities():
     assert tv < 0.03
 
 
+def test_act_matches_the_tape_forward():
+    # act() skips the tape; its logits, log-probs, probs and draws must equal
+    # the taped forward's bit for bit, greedy picks included
+    policy = fresh_policy(seed=3, input_scale=np.linspace(0.05, 1.0, 20))
+    rng = np.random.default_rng(11)
+    for k in range(200):
+        obs = rng.normal(scale=30.0, size=20)
+        mask = action_mask(k % 4)
+        with ad.no_grad():
+            logits = policy.forward(obs)
+            logp, probs = masked_distribution(logits, mask)
+        assert policy.logits(obs).tolist() == logits.data.tolist()
+        want = int(np.random.default_rng(k).choice(N_ACTIONS, p=probs.data[0]))
+        assert act(policy, obs, mask, np.random.default_rng(k)) == \
+            (want, float(logp.data[0, want]))
+        best = int(np.argmax(probs.data[0]))
+        assert act(policy, obs, mask, None, greedy=True) == \
+            (best, float(logp.data[0, best]))
+
+
 def test_greedy_act_is_argmax_and_deterministic():
     policy = fresh_policy(seed=5)
     obs = np.random.default_rng(0).normal(size=20)

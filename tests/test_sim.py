@@ -5,8 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stdsh.baselines import random_policy
+from stdsh.env import action_mask, drive
 from stdsh.sim import (ConfigError, SimWorld, load_scenario, parse_config,
                        permits, resolve_config, scenario_config_text)
+from stdsh.sim.world import DWELLING, EXITED, MOVING, QUEUED, TRAM
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -24,14 +27,14 @@ def inject_queued(world, node, arm, movement, count, occupancy=1, lane_index=Non
     made = []
     for _ in range(count):
         v = world._spawn_vehicle("car", occupancy, [(link, movement)])
-        if lane_index is not None and v.lane.index != lane_index:
-            v.lane.moving_count -= 1
-            v.lane = link.lanes[lane_index]
-            v.lane.moving_count += 1
-        v.pos = link.length
-        v.state = "queued"
-        v.lane.moving_count -= 1
-        v.lane.queue.append(v)
+        if lane_index is not None and world.slot[v] != link.lanes[lane_index].slot:
+            world.moving[world.slot[v]] -= 1
+            world.slot[v] = link.lanes[lane_index].slot
+            world.moving[world.slot[v]] += 1
+        world.pos[v] = link.length
+        world.state[v] = QUEUED
+        world.moving[world.slot[v]] -= 1
+        world.queues[world.slot[v]].append(v)
         made.append(v)
     return made
 
@@ -68,8 +71,8 @@ def test_zero_demand_stays_empty():
     world.run(200)
     assert world.spawned_total == 0
     assert world.exited_total == 0
-    assert world.log.net_delayed == [0] * 200
-    assert world.log.net_queued == [0] * 200
+    assert world.log.net_delayed.tolist() == [0] * 200
+    assert world.log.net_queued.tolist() == [0] * 200
 
 
 # ---------------------------------------------------------------- determinism
@@ -81,12 +84,12 @@ def test_same_seed_same_trace():
         ra = a.step()
         rb = b.step()
         assert ra == rb
-    assert a.log.net_delayed == b.log.net_delayed
-    assert a.log.int_queued == b.log.int_queued
+    assert a.log.net_delayed.tolist() == b.log.net_delayed.tolist()
+    assert a.log.int_queued.tolist() == b.log.int_queued.tolist()
     assert a.discharge_events == b.discharge_events
     assert a.spawned_total == b.spawned_total
-    assert [(v.vid, v.state, v.pos) for v in a.active] == \
-           [(v.vid, v.state, v.pos) for v in b.active]
+    assert [(v, a.state[v], a.pos[v]) for v in a.active.tolist()] == \
+           [(v, b.state[v], b.pos[v]) for v in b.active.tolist()]
 
 
 def test_different_seed_different_trace():
@@ -94,7 +97,7 @@ def test_different_seed_different_trace():
     b = load_scenario(3, seed=12)
     a.run(600)
     b.run(600)
-    assert a.log.net_delayed != b.log.net_delayed
+    assert a.log.net_delayed.tolist() != b.log.net_delayed.tolist()
 
 
 # ---------------------------------------------------------------- kinematics
@@ -108,13 +111,13 @@ def test_moving_vehicle_reaches_stop_line():
     for step in range(1, 9):
         world.step()
         if step < 8:
-            assert v.state == "moving"
-            assert v.pos == pytest.approx(step * 100.0 / 7.2)
+            assert world.state[v] == MOVING
+            assert world.pos[v] == pytest.approx(step * 100.0 / 7.2)
         else:
-            assert v.state == "queued"
-            assert v.pos == link.length
-    assert v.lane.queue[0] is v
-    assert v.waiting == 1          # queued during step 8's metrics row
+            assert world.state[v] == QUEUED
+            assert world.pos[v] == link.length
+    assert world.queues[world.slot[v]][0] == v
+    assert world.waiting[v] == 1   # queued during step 8's metrics row
     assert world.log.net_delayed[-1] == 1
 
 
@@ -122,8 +125,8 @@ def test_queued_vehicle_counts_as_delayed_with_occupancy():
     world = quiet_world("[network]\nintersections = 1\ntram_enabled = false\n")
     inject_queued(world, 0, "W", "through", 1, occupancy=4)
     world.step()
-    assert world.log.net_delayed == [4]
-    assert world.log.net_queued == [1]
+    assert world.log.net_delayed.tolist() == [4]
+    assert world.log.net_queued.tolist() == [1]
     assert world.delayed_passengers("network") == 4
     assert world.delayed_passengers(0) == 4
 
@@ -151,7 +154,7 @@ def test_no_discharge_when_phase_does_not_permit():
     world.run(20)
     assert world.exited_total == 0
     lane = world.net.approach(0, "W").lanes[0]
-    assert lane.credit == 0.0          # blocked head resets the meter
+    assert world.credit[lane.slot] == 0.0   # blocked head resets the meter
 
 
 def test_blocked_head_blocks_lane():
@@ -163,11 +166,11 @@ def test_blocked_head_blocks_lane():
     head = world._spawn_vehicle("car", 1, [(link, "left")])
     tail = world._spawn_vehicle("car", 1, [(link, "through")])
     for v in (head, tail):
-        v.pos = link.length
-        v.state = "queued"
-        lane.queue.append(v)
-    lane.moving_count -= 2
-    tail.lane = lane                   # force both into the kerb lane
+        world.pos[v] = link.length
+        world.state[v] = QUEUED
+        world.queues[lane.slot].append(v)
+    world.moving[lane.slot] -= 2
+    world.slot[tail] = lane.slot       # force both into the kerb lane
     world.run(10)
     # P3 permits E-W left and through, so both go; then repeat under P4
     assert world.exited_total == 2
@@ -178,11 +181,11 @@ def test_blocked_head_blocks_lane():
     h2 = world2._spawn_vehicle("car", 1, [(link2, "left")])
     t2 = world2._spawn_vehicle("car", 1, [(link2, "through")])
     for v in (h2, t2):
-        v.pos = link2.length
-        v.state = "queued"
-        lane2.queue.append(v)
-    lane2.moving_count -= 2
-    t2.lane = lane2
+        world2.pos[v] = link2.length
+        world2.state[v] = QUEUED
+        world2.queues[lane2.slot].append(v)
+    world2.moving[lane2.slot] -= 2
+    world2.slot[t2] = lane2.slot
     world2.run(10)
     # P4 is E-W right only: the left head is blocked and pins the lane
     assert world2.exited_total == 0
@@ -191,14 +194,15 @@ def test_blocked_head_blocks_lane():
 def test_lane_choice_balances_and_respects_movements():
     world = quiet_world("[network]\nintersections = 1\ntram_enabled = false\n")
     link = world.net.approach(0, "W")
+    lanes = world.net.all_lanes()
     a = world._spawn_vehicle("car", 1, [(link, "through")])
     b = world._spawn_vehicle("car", 1, [(link, "through")])
-    assert a.lane.index == 0           # tie broken toward the kerb lane
-    assert b.lane.index == 1
+    assert lanes[world.slot[a]].index == 0     # tie broken toward the kerb lane
+    assert lanes[world.slot[b]].index == 1
     left = world._spawn_vehicle("car", 1, [(link, "left")])
     right = world._spawn_vehicle("car", 1, [(link, "right")])
-    assert left.lane.index == 0
-    assert right.lane.index == 1
+    assert lanes[world.slot[left]].index == 0
+    assert lanes[world.slot[right]].index == 1
 
 
 # ---------------------------------------------------------------- signalling
@@ -282,13 +286,15 @@ def test_delayed_recount_matches_log():
     world = load_scenario(3, seed=9)
     for _ in range(300):
         world.step()
-        # brute-force recount straight off the vehicle list
+        # brute-force recount straight off each vehicle's route leg
         per = [0] * world.net.n
-        for v in world.active:
-            if v.state == "dwelling" or v.speed_kmh >= 5.0:
+        for v in world.active.tolist():
+            link = world.routes[v][world.leg[v]][0]
+            speed = link.speed_kmh if world.state[v] == MOVING else 0.0
+            if world.state[v] == DWELLING or speed >= 5.0:
                 continue
-            per[v.route[v.leg][0].node] += v.occupancy
-        assert per == world.log.int_delayed[-1]
+            per[link.node] += int(world.occupancy[v])
+        assert per == world.log.int_delayed[-1].tolist()
         assert world.delayed_passengers("network") == sum(per)
         for k in range(world.net.n):
             assert world.delayed_passengers(k) == per[k]
@@ -298,6 +304,56 @@ def test_delayed_recount_matches_log():
         world.delayed_passengers("everything")
 
 
+@pytest.mark.parametrize("scenario", [3, 5])
+def test_bookkeeping_matches_an_independent_recount(scenario):
+    # every second of a randomly controlled drive: queue membership, the
+    # per-lane moving counters and each vehicle's waiting seconds agree with
+    # a recount that reads only states, routes and the previous second
+    world = load_scenario(scenario, seed=17)
+    rng = np.random.default_rng(17)
+    thr = world.cfg.speed_threshold_kmh
+    waited: dict[int, int] = {}
+    last = {"active": set(), "completed": 0}
+    seen = {"queued": 0, "dwelling": 0, "exited": 0}
+
+    def check(world):
+        active = world.active.tolist()
+        assert active == sorted(set(active))
+        where = {}
+        for s, queue in enumerate(world.queues):
+            for v in queue:
+                assert v not in where          # in one deque, once
+                where[v] = s
+        moving = [0] * len(world.queues)
+        for v in active:
+            state = world.state[v]
+            if state == QUEUED:
+                assert where.pop(v) == world.slot[v]
+                seen["queued"] += 1
+            else:
+                assert v not in where
+                moving[world.slot[v]] += 1
+            link = world.routes[v][world.leg[v]][0]
+            speed = link.speed_kmh if state == MOVING else 0.0
+            if state != DWELLING and speed < thr:
+                waited[v] = waited.get(v, 0) + 1
+            seen["dwelling"] += state == DWELLING
+            assert world.waiting[v] == waited.get(v, 0)
+        assert not where                       # nothing queued that is not live
+        assert moving == world.moving
+        # the vehicles that left this second carry their waiting into the log
+        gone = last["active"] - set(active)
+        trips = world.log.completed[last["completed"]:]
+        assert all(world.state[v] == EXITED for v in gone)
+        assert sorted(c.waiting_s for c in trips) == sorted(waited.get(v, 0) for v in gone)
+        seen["exited"] += len(gone)
+        last["active"], last["completed"] = set(active), len(world.log.completed)
+
+    drive(world, 900, lambda w, i: random_policy(
+        action_mask(w.controllers[i].phase), rng), after_step=check)
+    assert all(seen.values()), seen
+
+
 # ---------------------------------------------------------------- transit
 
 def test_bus_and_tram_schedules():
@@ -305,7 +361,7 @@ def test_bus_and_tram_schedules():
     world.run(1800)
     # buses: t=60, 660, 1260 from both corridor ends; trams: t=30..1530 step 300
     assert world.spawned_total == 6 + 6
-    in_network = sum(1 for v in world.active if v.mode == "tram")
+    in_network = sum(1 for v in world.active if world.mode[v] == TRAM)
     done = sum(1 for c in world.log.completed if c.mode == "tram")
     assert in_network + done == 6
 
@@ -318,15 +374,15 @@ def test_tram_dwell_is_scheduled_not_delay():
             "[signal]\ninitial_phase = P3\ninitial_green_s = 45\n")
     world = load_scenario(text, seed=0)
     link = world.net.approach(0, "W", "tram")
-    tram = world._spawn_vehicle("tram", 150, world._through_route(link, "tram"))
+    tram = world._spawn_vehicle("tram", 150, world._route(link, "tram", "through"))
     dwell_seconds = 0
     for _ in range(400):
         world.step()
-        if tram.state == "dwelling":
+        if world.state[tram] == DWELLING:
             dwell_seconds += 1
             assert world.log.net_delayed[-1] == 0   # dwell is not delay
     assert dwell_seconds == 20
-    assert tram.state == "exited"
+    assert world.state[tram] == EXITED
     # waiting accrued only at stop lines, well under the dwell length
     done = [c for c in world.log.completed if c.mode == "tram"]
     assert len(done) == 1
@@ -357,6 +413,22 @@ def test_config_error_reporting():
         parse_config("[signal]\ninitial_phase = P9\n")
     with pytest.raises(ConfigError):
         parse_config("[network]\nintersections = 0\n")
+
+
+@pytest.mark.parametrize("line, field", [
+    ("[network]\nfreeflow_kmh = nan", "freeflow_kmh"),
+    ("[network]\nsaturation_veh_s = nan", "saturation_veh_s"),
+    ("[demand]\ncar_rate_veh_h = inf", "car_rate_veh_h"),
+    ("[demand]\nturn_left = nan", "turn_left"),
+    ("[scenario]\nspeed_threshold_kmh = -inf", "speed_threshold_kmh"),
+    ("[scenario]\nskew_multiplier = -1", "skew_multiplier"),
+    ("[scenario]\nramp_to_veh_h = -5", "ramp_to_veh_h"),
+    ("[demand]\ntram_occupancy = 0", "tram_occupancy"),
+    ("[demand]\nbus_occupancy = 0", "bus_occupancy"),
+])
+def test_config_rejects_bad_values_naming_the_field(line, field):
+    with pytest.raises(ConfigError, match=f"field '{field}'"):
+        parse_config(line + "\n")
 
 
 def test_resolve_config_forms(tmp_path):
