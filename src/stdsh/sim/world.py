@@ -118,7 +118,8 @@ class SimWorld:
         self.discharge_events: list[tuple[int, int, str]] = []
         self._node_lanes = [self.net.lanes_of(k) for k in range(self.net.n)]
         # per intersection and phase: (slot, movements it lets go) of each
-        # lane that carries a movement the phase permits, kerb lane first
+        # lane allowing a movement the phase permits; a vehicle only ever
+        # joins a lane that allows its movement, so no other lane can go
         self.served = [[[(lane.slot, goes) for lane in lanes
                           if (goes := frozenset(mv for mv in lane.allowed
                                                 if permits(phase, lane.link.arm, mv)))]
