@@ -54,9 +54,8 @@ def exit_arm(arm: str, movement: str) -> str:
 
 
 class Lane:
-    """One incoming lane. Its queue, moving count and saturation-credit
-    meter belong to the world, indexed by `slot`: the lane's position in
-    Network.all_lanes()."""
+    """One incoming lane; the world keeps its queue, moving count and credit
+    meter under `slot`, the lane's position in Network.all_lanes()."""
 
     __slots__ = ("link", "index", "allowed", "slot")
 

@@ -266,6 +266,7 @@ def scenario_config_text(scenario_id: int) -> str:
 def resolve_config(config) -> ScenarioConfig:
     """Accept a scenario id, a file path, raw text, or a ScenarioConfig."""
     if isinstance(config, ScenarioConfig):
+        _validate(config)
         return config
     if isinstance(config, int):
         return parse_config(scenario_config_text(config))

@@ -431,6 +431,14 @@ def test_config_rejects_bad_values_naming_the_field(line, field):
         parse_config(line + "\n")
 
 
+def test_resolve_config_validates_a_config_object():
+    from stdsh.sim import ScenarioConfig
+    with pytest.raises(ConfigError, match="field 'freeflow_kmh'"):
+        resolve_config(ScenarioConfig(freeflow_kmh=float("nan")))
+    with pytest.raises(ConfigError, match="field 'tram_occupancy'"):
+        load_scenario(ScenarioConfig(tram_occupancy=0), seed=0)
+
+
 def test_resolve_config_forms(tmp_path):
     from stdsh.sim import ScenarioConfig
     assert resolve_config(2).scenario_id == 2
