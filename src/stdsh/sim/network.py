@@ -98,7 +98,6 @@ class Network:
             raise ValueError(f"need at least one intersection, got {n}")
         self.n = n
         self.tram_enabled = bool(cfg.tram_enabled)
-        self.links: dict[str, Link] = {}
         self._approach: dict[tuple, Link] = {}
 
         for k in range(n):
@@ -109,7 +108,6 @@ class Network:
                     Lane(link, 0, ("left", "through")),
                     Lane(link, 1, ("through", "right")),
                 ]
-                self.links[link.id] = link
                 self._approach[(k, arm, "road")] = link
             if self.tram_enabled:
                 tlink = Link(f"T{k}", k, "W", "tram", cfg.link_length_m, cfg.tram_freeflow_kmh)
@@ -117,7 +115,6 @@ class Network:
                 if k in cfg.tram_stop_intersections and cfg.tram_stop_dwell_s > 0:
                     tlink.stop_pos = tlink.length / 2.0
                     tlink.stop_dwell = int(cfg.tram_stop_dwell_s)
-                self.links[tlink.id] = tlink
                 self._approach[(k, "W", "tram")] = tlink
 
         # road entries in fixed spawn order: corridor ends, then side arms

@@ -47,9 +47,11 @@ MAX_GREEN_S = 45
 MODES = ("bus", "tram", "car")
 TRAM = MODES.index("tram") + 1
 MOVING, QUEUED, DWELLING, EXITED = range(4)
+# `_live` is the buffer `active` views: live ids never outnumber spawned ones
 _VEHICLE_ARRAYS = (("slot", np.intp), ("mode", np.int8), ("state", np.int8),
                    ("pos", float), ("leg", np.intp), ("occupancy", np.int64),
-                   ("waiting", np.int64), ("dwell", np.int64), ("spawn_t", np.int64))
+                   ("waiting", np.int64), ("dwell", np.int64), ("spawn_t", np.int64),
+                   ("_live", np.intp))
 
 
 class SignalController:
@@ -135,7 +137,7 @@ class SimWorld:
         self.routes: list[list] = []
         for name, dtype in _VEHICLE_ARRAYS:
             setattr(self, name, np.zeros(64, dtype=dtype))
-        self.active = np.zeros(0, dtype=np.intp)
+        self.active = self._live[:0]
 
     # ------------------------------------------------------------- spawning
 
@@ -181,7 +183,8 @@ class SimWorld:
         self.spawn_t[v] = self.t
         link, mv = route[0]
         self._assign_lane(v, link, mv)
-        self.active = np.append(self.active, v)
+        self._live[len(self.active)] = v
+        self.active = self._live[:len(self.active) + 1]
         self.spawned_total += 1
         return v
 
@@ -285,13 +288,11 @@ class SimWorld:
         self._assign_lane(v, link, mv)
 
     def speed_kmh(self, state: np.ndarray, slot: np.ndarray) -> np.ndarray:
-        """Speeds of vehicles in `state` on lanes `slot`: the link's free-flow
-        speed while moving, else 0."""
+        """Speeds by state and lane slot: link free-flow while moving, else 0."""
         return np.where(state == MOVING, self.lane_speed_kmh[slot], 0.0)
 
     def _delayed(self, state: np.ndarray, slot: np.ndarray) -> np.ndarray:
-        """Sub-threshold vehicles; a dwelling tram is scheduled service, not
-        delay."""
+        """Sub-threshold vehicles; a dwelling tram is scheduled, not delayed."""
         return ((state != DWELLING)
                 & (self.speed_kmh(state, slot) < self.cfg.speed_threshold_kmh))
 
@@ -313,7 +314,9 @@ class SimWorld:
         self._move_vehicles()
         released = self._discharge()
         if released:
-            self.active = self.active[self.state[self.active] != EXITED]
+            live = self.active[self.state[self.active] != EXITED]
+            self._live[:len(live)] = live
+            self.active = self._live[:len(live)]
         for ctrl in self.controllers:
             ctrl.advance()
         self._record_metrics()
