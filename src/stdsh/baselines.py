@@ -106,8 +106,8 @@ def measure_flow_ratios(scenario, seed: int, warmup_s: int = 300) -> list[list[f
     drive(world, warmup_s, FixedTimeController(world, [15] * N_PHASES))
     sat_flow = world.cfg.saturation_veh_s * warmup_s
     lanes = world.net.all_lanes()
-    return [[max((world.lane_entry_counts[lanes[s].key] / sat_flow for s, _ in served),
-                 default=0.0) for served in per_phase] for per_phase in world.served]
+    return [[max((world.lane_entry_counts[lanes[s].key] / sat_flow for s, _ in phase_lanes),
+                 default=0.0) for phase_lanes in node_phases] for node_phases in world.served]
 
 
 @dataclass

@@ -21,12 +21,13 @@ net.all_lanes(), which also fixes its link), `mode` (1 + index in MODES),
 `state` (MOVING, QUEUED, DWELLING, EXITED), `pos` in meters along the
 link, `leg` (index into `routes[v]`, its list of (Link, movement) legs),
 `occupancy`, `waiting` seconds, `dwell` seconds left and `spawn_t`.
-`active` is the ascending array of live ids. Per lane slot the world
-keeps a deque of queued ids (head first), a count of vehicles still
-rolling toward the stop line and a credit meter, plus constant arrays of
-node, speed, length and tram stop. Movement, the metrics row and
-observations are array expressions over `active`; spawning and discharge
-stay scalar, in the order that fixes the random draws and lane choices.
+`active`, the ascending array of live ids, is a view that steps rewrite
+in place (copy it to keep it). Per lane slot the world keeps a deque of
+queued ids (head first), a count of vehicles still rolling toward the
+stop line and a credit meter, plus constant arrays of node, speed, length
+and tram stop. Movement, the metrics row and observations are array
+expressions over `active`; spawning and discharge stay scalar, in the
+order that fixes the random draws and lane choices.
 """
 
 from __future__ import annotations
@@ -150,8 +151,7 @@ class SimWorld:
         return "right"
 
     def _route(self, entry_link, kind: str = "road", movement: str | None = None):
-        """(link, movement) legs until the vehicle leaves the network; a car
-        draws each leg's movement, transit goes `movement` throughout."""
+        """(link, movement) legs to the network edge, each leg `movement` or a draw."""
         route, link = [], entry_link
         while link is not None:
             mv = movement or self._draw_movement()
