@@ -9,7 +9,14 @@ are not pinned: the updates recompute them. One free-running scenario-3
 world (no controller, so the initial greens never end and queues grow far
 longer than in any controlled cell) is pinned second by second: every
 step() record, the metrics log, the completed trips, the lane entry
-counts, the discharge events and observe() at three instants.
+counts, the discharge events and observe() at three instants. Edge worlds
+pin scenarios 1 and 3 under random control with configs where a
+per-second and an event-driven movement model could part ways: moving
+vehicles below the delay threshold (on every link, or on tram links
+only), a one-second tram dwell, links crossed in one second, and speeds
+and lengths whose per-second steps are not round numbers. Each is pinned
+by its metrics table, completed trips, discharge events and observe()
+at every decision.
 
 A refactor that changes none of these files or arrays leaves every
 digest in place. A change that is meant to alter the outputs regenerates
@@ -19,14 +26,16 @@ them; print the current digests with
 """
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stdsh.env import CorridorEnv, observe
+from stdsh.baselines import random_policy
+from stdsh.env import CorridorEnv, action_mask, drive, observe
 from stdsh.experiment import run_experiment
-from stdsh.sim import load_scenario
+from stdsh.sim import load_scenario, resolve_config
 from stdsh.trainer import (collect_rollout, corridor_train_config,
                            make_train_state, world_seed)
 
@@ -40,6 +49,16 @@ CELLS = ([(s, c, seed) for s in (1, 2, 3, 4, 5) for c in ("fswf", "random")
          + [(s, c, 100) for s in (1, 3) for c in ("stdsh", "mappo")])
 FREE_WORLD = {"scenario": 3, "seed": 10003, "seconds": 1800,
               "observe_at": (600, 1200, 1800)}
+EDGE_CONFIGS = {
+    "all_slow": {"speed_threshold_kmh": 60.0},
+    "tram_slow": {"speed_threshold_kmh": 45.0},
+    "dwell_1s": {"tram_stop_dwell_s": 1},
+    "short_links": {"link_length_m": 10.0, "side_link_length_m": 10.0},
+    "odd_speeds": {"freeflow_kmh": 30.1, "tram_freeflow_kmh": 17.3,
+                   "link_length_m": 257.0},
+}
+EDGE_WORLDS = [(name, s) for name in EDGE_CONFIGS for s in (1, 3)]
+EDGE_SEED = 20_001
 LOG_FIELDS = ("seconds", "net_delayed", "net_queued", "int_delayed", "int_queued")
 BATCH_FIELDS = ("agent", "t", "obs", "mask", "action", "reward", "dt", "ret",
                 "done", "critic_input")
@@ -210,6 +229,69 @@ GOLDEN_FREE_WORLD = {
     "active": 1649,
 }
 
+GOLDEN_EDGE_WORLDS = {
+    "all_slow-1": {
+        "log": "8665f30f780f5e419607175ad306908e8dac402724682363330aaf4757dccc9c",
+        "completed": "7e563a7ce93b2dbfef8dc8fbd9bec7266328bf574004bac70efc8206ef0529e5",
+        "discharge_events": "4f6178606d31367ae3dceef47963ad9f4e686871aa2589a3fde5200fc098ef62",
+        "observe": "27416278cad31febf909298b924e23eb19907127791b2b6059e04a2ed4351c95",
+    },
+    "all_slow-3": {
+        "log": "d827c28b38298d073a64bbf0567e24dbf87f38fa2a00b4eee6fcc63008c0a20a",
+        "completed": "971bf39de8c45d05f2e89004946ef904b71e1662e96407f6a1486dc841ed07eb",
+        "discharge_events": "190515885e54c8415bb3470dde9eb3db13df0515447f6fe9e168cbb105124e4f",
+        "observe": "a142129d8a237a043ab8e7f02bc63bf10beb8a7e66ecd71598288d2b9d496355",
+    },
+    "tram_slow-1": {
+        "log": "4f677e927a383f7944a34f8b191e09dc2778170f935e953bcbfbd846684c240b",
+        "completed": "6f51918f97e006cfea42e15a759deae62839cbe5709f09218f26c95154c3bda0",
+        "discharge_events": "4f6178606d31367ae3dceef47963ad9f4e686871aa2589a3fde5200fc098ef62",
+        "observe": "27416278cad31febf909298b924e23eb19907127791b2b6059e04a2ed4351c95",
+    },
+    "tram_slow-3": {
+        "log": "05e1a0cbbef0611129b09d526a236316575abcb49a8ca6d84dc97b936478ec90",
+        "completed": "9282c4d1e9c983bbd83edc0ee7bffcb254764b16e236e4d59269c4954e646654",
+        "discharge_events": "190515885e54c8415bb3470dde9eb3db13df0515447f6fe9e168cbb105124e4f",
+        "observe": "a142129d8a237a043ab8e7f02bc63bf10beb8a7e66ecd71598288d2b9d496355",
+    },
+    "dwell_1s-1": {
+        "log": "ca472b6be10c1eecac1997f29f521faac23417ee448af38e041869b84d024267",
+        "completed": "1be0588705e475c9ce79b82c7b8f254c182a263d6bca8883ea316aec186945a5",
+        "discharge_events": "17bcd0278d7f10e22207c5ed052962bbd937317efd86f0bb75332f5e62b34e48",
+        "observe": "21b61ce20c54c41d9c91dd331d03efb25409654150b1b9193777086ba9bc52be",
+    },
+    "dwell_1s-3": {
+        "log": "4381538ed46e36785c05ffc39987849373b9cd14eba2dfd291fd3fb139c382a0",
+        "completed": "ac6095dfb022db9ca7d77f34b9f2278d8ea0b090002b457fe54eca226c0b0c77",
+        "discharge_events": "946dc5647c40767b1cb25992d2a072df99971280f3e3140176b9c1ab135c1812",
+        "observe": "83c0680403852f240dce3d98f430421117b99d4c76d2f01da9ef664cc915d397",
+    },
+    "short_links-1": {
+        "log": "743047cdfe311ef426890e55ab292eea629df1cf089f91d47daa183338d94d29",
+        "completed": "e14207999d07471590dd6a45c0d736cade9d04a06e74f00de86651fe3f4a32fe",
+        "discharge_events": "ee7aeacac6c76a0c04f2a011a8d71bb9f221451b3d6a8298063911a2e03b419e",
+        "observe": "38c4420e1bbe21c34937eaf3ac48f2fd44998fd99296c09db33616e99fe53b68",
+    },
+    "short_links-3": {
+        "log": "f523d597d69862f985e0b790d1999da0a385566622655c8951bae403b3f2bfc4",
+        "completed": "5e0117b31a77059603710a1f752b3997957ed9e4cd2ff575b93c351efd68f31b",
+        "discharge_events": "74f20ab01f8a45fe1816751d30d077bc9e31ed2ae8d177117cd1b50b44d5727b",
+        "observe": "a57877a950a269f332f03d595e775c496d4262da3a2b15d8f9db3c4e3452da89",
+    },
+    "odd_speeds-1": {
+        "log": "3572f832b6a6e1d5e2450e222711d51365b8d469411a9897ffeb8854acfbfb5e",
+        "completed": "6d56011e29a5ce4b010c2d55e36d64df8bf5398b0838ab8df74f621da985b39b",
+        "discharge_events": "24008d317580e7512880780c450ba8fb5464160a6ffb2a5782a6b4921d362c14",
+        "observe": "9049c10c58c87f3a084415f95b0f534a10cb9383890733e3a04548bd802794c1",
+    },
+    "odd_speeds-3": {
+        "log": "8c510bc5ff6770e4bb237ca1c531301df196ae3524fe817d275402bf8408e844",
+        "completed": "e3277ffd966efa57c56a66ff54ef82b077d1e91e24d9d61713d40934ca747a68",
+        "discharge_events": "837fcb691d455254df64178f756d4a0de497b98070d47729eab949eeda7917b0",
+        "observe": "83a778a641fa247de3121215e7d434633ad1c97002a21e031a8864791097daf3",
+    },
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -273,6 +355,30 @@ def free_world_digests() -> dict:
     return out
 
 
+def edge_world_digests(name: str, scenario: int) -> dict:
+    """Digests of a randomly controlled world under an edge config, read
+    back as plain values like the free-running world's."""
+    cfg = replace(resolve_config(scenario), **EDGE_CONFIGS[name])
+    world = load_scenario(cfg, EDGE_SEED)
+    rng = np.random.default_rng(EDGE_SEED)
+    seen = hashlib.sha256()
+
+    def decide(world, i):
+        row = np.asarray(observe(world)[i], dtype=np.float64)
+        seen.update(f"{world.t}:{i}:".encode() + row.tobytes())
+        return random_policy(action_mask(world.controllers[i].phase), rng)
+
+    drive(world, HORIZON_S, decide)
+    log = world.log
+    table = np.column_stack([np.asarray(getattr(log, f), dtype=np.int64) for f in LOG_FIELDS])
+    trips = [(c.mode, int(c.waiting_s), int(c.spawn_t), int(c.exit_t))
+             for c in log.completed]
+    events = [(int(t), int(i), str(stage)) for t, i, stage in world.discharge_events]
+    return {"log": _array_sha(table), "completed": _sha(repr(trips).encode()),
+            "discharge_events": _sha(repr(events).encode()),
+            "observe": seen.hexdigest()}
+
+
 def _cell_id(cell) -> str:
     return "{}-{}-{}".format(*cell)
 
@@ -290,6 +396,11 @@ def test_rollout_arrays_match_golden(use_hypergraph):
 
 def test_free_running_world_matches_golden():
     assert free_world_digests() == GOLDEN_FREE_WORLD
+
+
+@pytest.mark.parametrize("name,scenario", EDGE_WORLDS, ids=lambda x: str(x))
+def test_edge_world_matches_golden(name, scenario):
+    assert edge_world_digests(name, scenario) == GOLDEN_EDGE_WORLDS[f"{name}-{scenario}"]
 
 
 if __name__ == "__main__":
@@ -312,4 +423,11 @@ if __name__ == "__main__":
     print("GOLDEN_FREE_WORLD = {")
     for part, digest in free_world_digests().items():
         print(f'    "{part}": {digest!r},')
+    print("}\n")
+    print("GOLDEN_EDGE_WORLDS = {")
+    for name, scenario in EDGE_WORLDS:
+        print(f'    "{name}-{scenario}": {{')
+        for part, digest in edge_world_digests(name, scenario).items():
+            print(f'        "{part}": "{digest}",')
+        print("    },")
     print("}")
