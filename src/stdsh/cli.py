@@ -12,6 +12,8 @@ file. Ablations name the components to disable during training:
 from __future__ import annotations
 
 import argparse
+import cProfile
+import pstats
 import sys
 from pathlib import Path
 
@@ -69,6 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--horizon", type=int, default=1800)
     p_eval.add_argument("--out", type=Path, default=None,
                         help="directory for metrics/heatmap/summary CSVs")
+    for p in (p_train, p_eval):
+        p.add_argument("--profile", action="store_true",
+                       help="write a cProfile top-30 by cumulative time to "
+                            "profile.txt in --out (timings vary run to run)")
 
     p_report = sub.add_parser("report", help="aggregate summary.csv")
     p_report.add_argument("--in", dest="in_dir", type=Path, required=True)
@@ -78,10 +84,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        if not getattr(args, "profile", False):
+            return _dispatch(args)
+        if args.out is None:
+            raise ValueError("--profile needs --out: profile.txt is written there")
+        profiler = cProfile.Profile()
+        code = profiler.runcall(_dispatch, args)
     except (ValueError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    with open(args.out / "profile.txt", "w") as fh:
+        pstats.Stats(profiler, stream=fh).sort_stats("cumulative").print_stats(30)
+    return code
 
 
 def _dispatch(args) -> int:

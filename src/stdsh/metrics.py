@@ -53,12 +53,7 @@ class MetricsLog:
             self._rows = np.concatenate([self.table, np.zeros((max(64, k), 3 + 2 * self.n),
                                                               dtype=np.int64)])
         self.table = self._rows[:k + 1]
-        row = self.table[k]
-        row[0] = t
-        row[3:3 + self.n] = int_delayed
-        row[3 + self.n:] = int_queued
-        row[1] = row[3:3 + self.n].sum()
-        row[2] = row[3 + self.n:].sum()
+        self.table[k] = (t, sum(int_delayed), sum(int_queued), *int_delayed, *int_queued)
 
     def complete(self, mode: str, waiting_s: int, spawn_t: int, exit_t: int) -> None:
         self.completed.append(CompletedTrip(mode, waiting_s, spawn_t, exit_t))

@@ -100,6 +100,11 @@ class ScenarioConfig:
                 base *= self.skew_multiplier
         return base
 
+    @property
+    def rates_settle_s(self) -> int:
+        """Second from which rate_veh_h no longer changes with t."""
+        return max(1, self.ramp_duration_s) if self.scenario_id == 2 else 0
+
 
 # config keys per section; a key names its ScenarioConfig field (but
 # [scenario] id is scenario_id), and the field's default fixes the parser

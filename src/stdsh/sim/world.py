@@ -15,24 +15,28 @@ A green that expires raises the controller trigger and then simply keeps
 running until a new decision is applied, so step() is total: a world with
 no controlling agent is still well defined.
 
-State is laid out as arrays. A vehicle is an id, its spawn order, into
-per-vehicle arrays grown by doubling: `slot` (its lane's index in
-net.all_lanes(), which also fixes its link), `mode` (1 + index in MODES),
-`state` (MOVING, QUEUED, DWELLING, EXITED), `pos` in meters along the
-link, `leg` (index into `routes[v]`, its list of (Link, movement) legs),
-`occupancy`, `waiting` seconds, `dwell` seconds left and `spawn_t`.
-`active`, the ascending array of live ids, is a view that steps rewrite
-in place (copy it to keep it). Per lane slot the world keeps a deque of
-queued ids (head first), a count of vehicles still rolling toward the
-stop line and a credit meter, plus constant arrays of node, speed, length
-and tram stop. Movement, the metrics row and observations are array
-expressions over `active`; spawning and discharge stay scalar, in the
-order that fixes the random draws and lane choices.
+Movement is event-driven: a leg starts at 0.0 m and advances by its
+lane's free-flow step each second, so the seconds at which a vehicle
+reaches its tram stop, ends its dwell and reaches the stop line are fixed
+at lane entry. `leg_positions` runs that recurrence (the floats of a
+per-second model) once per kind of lane; a calendar maps each second to
+the ids due then, handled in id order. The metrics row is two running
+counters per intersection, changed only at transitions: the occupancy of
+delayed vehicles (queued, or moving slower than `speed_threshold_kmh`)
+and the number of queued road vehicles.
+
+A vehicle is an id, its spawn order. numpy arrays grown by doubling hold
+`slot` (lane index in net.all_lanes()), `mode` (1 + index in MODES),
+`state` (MOVING, QUEUED, DWELLING, EXITED) and `occupancy`; `active`, the
+ascending live ids, is a view that steps rewrite in place (copy it to
+keep it); scalars read one at a time are lists. Per lane slot the world
+keeps a deque of queued ids, a count still rolling and a credit meter.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -50,9 +54,25 @@ TRAM = MODES.index("tram") + 1
 MOVING, QUEUED, DWELLING, EXITED = range(4)
 # `_live` is the buffer `active` views: live ids never outnumber spawned ones
 _VEHICLE_ARRAYS = (("slot", np.intp), ("mode", np.int8), ("state", np.int8),
-                   ("pos", float), ("leg", np.intp), ("occupancy", np.int64),
-                   ("waiting", np.int64), ("dwell", np.int64), ("spawn_t", np.int64),
-                   ("_live", np.intp))
+                   ("occupancy", np.int64), ("_live", np.intp))
+# entered: the second before the leg's first move; due: its next event;
+# since: start of the open delayed spell (None: none), added to waiting at its end
+_VEHICLE_LISTS = ("routes", "leg", "entered", "due", "since", "waiting", "spawn_t")
+
+
+def leg_positions(speed_mps: float, length: float, stop: float, dwell: int):
+    """Position at the end of each second of a leg, from 0.0 before its
+    first move to the stop line: pos += speed each second, clamped at the
+    tram stop (inf: none) and held there for the dwell."""
+    pos = 0.0
+    yield pos
+    while pos < length:
+        if pos < stop <= pos + speed_mps:
+            pos = stop
+            yield from repeat(stop, dwell)
+        else:
+            pos = min(pos + speed_mps, length)
+        yield pos
 
 
 class SignalController:
@@ -129,13 +149,28 @@ class SimWorld:
                          for phase in range(N_PHASES)] for lanes in self._node_lanes]
         lanes = self.net.all_lanes()
         self.lane_entry_counts = {lane.key: 0 for lane in lanes}
-        for name in ("node", "speed_kmh", "length", "stop_pos", "stop_dwell"):
-            setattr(self, f"lane_{name}", np.array([getattr(l.link, name) for l in lanes]))
-        self.lane_speed_mps = self.lane_speed_kmh / 3.6
+        links = [lane.link for lane in lanes]
+        self.lane_node = np.array([l.node for l in links])
+        self.lane_speed_kmh = np.array([l.speed_kmh for l in links])
+        self.leg_args = [(l.speed_kmh / 3.6, l.length, l.stop_pos, l.stop_dwell)
+                         for l in links]
+        # per lane, seconds after a leg's entry of its first event (the tram
+        # stop, else the stop line), the dwell there, and the stop line
+        plans = {}
+        for args in set(self.leg_args):
+            _, length, stop, dwell = args
+            at = [j for j, pos in enumerate(leg_positions(*args)) if pos in (stop, length)]
+            plans[args] = at[0], dwell, at[-1]
+        self.plan = [plans[args] for args in self.leg_args]
+        self.lane_slow = (self.lane_speed_kmh < cfg.speed_threshold_kmh).tolist()
         self.queues = [deque() for _ in lanes]
         self.moving = [0] * len(lanes)
         self.credit = [0.0] * len(lanes)
-        self.routes: list[list] = []
+        self.calendar: dict[int, list[int]] = {}
+        self.delayed_pax = [0] * self.net.n
+        self.queued_road = [0] * self.net.n
+        for name in _VEHICLE_LISTS:
+            setattr(self, name, [])
         for name, dtype in _VEHICLE_ARRAYS:
             setattr(self, name, np.zeros(64, dtype=dtype))
         self.active = self._live[:0]
@@ -159,30 +194,36 @@ class SimWorld:
             link = self.net.next_link(link.node, exit_arm(link.arm, mv), kind)
         return route
 
-    def _assign_lane(self, v: int, link, movement: str) -> None:
+    def _enter(self, v: int, link, movement: str, entered: int) -> None:
+        """Start v's leg on `link`; its first move comes in second entered + 1."""
         # least committed lane (queued or still rolling), kerb lane on ties
         best, best_load = None, 0
         for lane in link.lanes:
             load = len(self.queues[lane.slot]) + self.moving[lane.slot]
             if movement in lane.allowed and (best is None or load < best_load):
                 best, best_load = lane, load
-        self.slot[v] = best.slot
-        self.moving[best.slot] += 1
+        s = best.slot
+        self.slot[v] = s
+        self.state[v] = MOVING
+        self.moving[s] += 1
         self.lane_entry_counts[best.key] += 1
+        self.entered[v] = entered
+        self._schedule(v, entered + self.plan[s][0])
+        self._delay(v, self.lane_slow[s])
 
     def _spawn_vehicle(self, mode: str, occupancy: int, route) -> int:
         """Add a vehicle at the start of its first leg; returns its id."""
         v = len(self.routes)
-        if v == len(self.pos):
+        if v == len(self.slot):
             for name, _ in _VEHICLE_ARRAYS:
                 old = getattr(self, name)
                 setattr(self, name, np.concatenate([old, np.zeros_like(old)]))
-        self.routes.append(route)
+        for name, value in zip(_VEHICLE_LISTS, (route, 0, 0, None, None, 0, self.t)):
+            getattr(self, name).append(value)
         self.mode[v] = MODES.index(mode) + 1
         self.occupancy[v] = occupancy
-        self.spawn_t[v] = self.t
         link, mv = route[0]
-        self._assign_lane(v, link, mv)
+        self._enter(v, link, mv, self.t - 1)
         self._live[len(self.active)] = v
         self.active = self._live[:len(self.active) + 1]
         self.spawned_total += 1
@@ -193,9 +234,12 @@ class SimWorld:
 
     def _spawn_arrivals(self) -> int:
         cfg = self.cfg
+        if self.t <= cfg.rates_settle_s:        # the rates still change with t
+            self._arrival_p = [cfg.rate_veh_h(entry_id, self.t) / 3600.0
+                               for entry_id, _ in self.net.entries]
         count = 0
-        for entry_id, link in self.net.entries:
-            if self.rng.random() < cfg.rate_veh_h(entry_id, self.t) / 3600.0:
+        for (_, link), p in zip(self.net.entries, self._arrival_p):
+            if self.rng.random() < p:
                 occ = 1 + int(self.rng.poisson(cfg.car_occupancy_poisson_mean))
                 self._spawn_vehicle("car", occ, self._route(link))
                 count += 1
@@ -212,36 +256,62 @@ class SimWorld:
 
     # ------------------------------------------------------------- dynamics
 
+    def _schedule(self, v: int, t: int) -> None:
+        self.due[v] = t
+        self.calendar.setdefault(t, []).append(v)
+
+    def _delay(self, v: int, on: bool) -> None:
+        """Open or close v's delayed spell (a no-op if it already is so);
+        its occupancy counts at its lane's node while the spell is open."""
+        if (self.since[v] is not None) == on:
+            return
+        if not on:
+            self.waiting[v] += self.t - self.since[v]
+        self.since[v] = self.t if on else None
+        occ = int(self.occupancy[v])
+        self.delayed_pax[self.lane_node[self.slot[v]]] += occ if on else -occ
+
     def _move_vehicles(self) -> None:
-        ids = self.active
-        state = self.state[ids]
-        dwelling = ids[state == DWELLING]
-        if len(dwelling):
-            self.dwell[dwelling] -= 1
-            self.state[dwelling[self.dwell[dwelling] <= 0]] = MOVING
-        moving = ids[state == MOVING]
-        slot = self.slot[moving]
-        pos = self.pos[moving]
-        newpos = pos + self.lane_speed_mps[slot]
-        # only tram links have a stop (inf elsewhere); a tram is short of it
-        # until it dwells there and sits exactly on it afterwards, so it
-        # serves each stop once
-        stop = self.lane_stop_pos[slot]
-        stops = (pos < stop) & (newpos >= stop)
-        if stops.any():
-            newpos[stops] = stop[stops]
-            dwellers = moving[stops]
-            self.state[dwellers] = DWELLING
-            self.dwell[dwellers] = self.lane_stop_dwell[slot[stops]]
-        length = self.lane_length[slot]
-        arrives = newpos >= length
-        self.pos[moving] = np.minimum(newpos, length)
-        if arrives.any():
-            arrived = moving[arrives]
-            self.state[arrived] = QUEUED
-            for v, s in zip(arrived.tolist(), slot[arrives].tolist()):
-                self.moving[s] -= 1
-                self.queues[s].append(v)
+        """Handle this second's due events in id order."""
+        t = self.t
+        for v in sorted(self.calendar.pop(t, ())):
+            if self.due[v] != t:        # placed in its queue ahead of time
+                continue
+            s = self.slot[v]
+            _, dwell, line = self.plan[s]
+            if self.state[v] == DWELLING:       # dwell over: rolls on next second
+                self.state[v] = MOVING
+                self._delay(v, self.lane_slow[s])
+                self._schedule(v, self.entered[v] + line)
+            elif t - self.entered[v] < line:    # at the tram stop
+                self.state[v] = DWELLING        # scheduled service, not delay
+                self._delay(v, False)
+                self._schedule(v, t + dwell)
+            else:
+                self._join_queue(v)
+
+    def _join_queue(self, v: int) -> None:
+        """v reaches its lane's stop line now and queues there, delayed."""
+        s = self.slot[v]
+        self.due[v] = None
+        self.state[v] = QUEUED
+        self.moving[s] -= 1
+        self.queues[s].append(v)
+        self._delay(v, True)
+        if self.mode[v] != TRAM:
+            self.queued_road[self.lane_node[s]] += 1
+
+    def position(self, v: int) -> float:
+        """Meters along a live vehicle's current link."""
+        args = self.leg_args[self.slot[v]]
+        if self.state[v] == QUEUED:
+            return args[1]
+        return next(islice(leg_positions(*args), self.t - 1 - self.entered[v], None))
+
+    def waited(self, v: int) -> int:
+        """Seconds v has counted as delayed so far, the open spell included."""
+        since = self.since[v]
+        return self.waiting[v] + (0 if since is None else self.t - since)
 
     def _heading(self, v: int) -> str:
         return self.routes[v][self.leg[v]][1]
@@ -274,37 +344,25 @@ class SimWorld:
         return released
 
     def _advance_leg(self, v: int) -> None:
+        self._delay(v, False)
+        if self.mode[v] != TRAM:
+            self.queued_road[self.lane_node[self.slot[v]]] -= 1
         self.leg[v] += 1
         route = self.routes[v]
         if self.leg[v] >= len(route):
             self.state[v] = EXITED
             self.exited_total += 1
-            self.log.complete(MODES[self.mode[v] - 1], int(self.waiting[v]),
-                              int(self.spawn_t[v]), self.t)
+            self.log.complete(MODES[self.mode[v] - 1], self.waiting[v],
+                              self.spawn_t[v], self.t)
             return
-        link, mv = route[self.leg[v]]
-        self.pos[v] = 0.0
-        self.state[v] = MOVING
-        self._assign_lane(v, link, mv)
+        self._enter(v, *route[self.leg[v]], self.t)
 
     def speed_kmh(self, state: np.ndarray, slot: np.ndarray) -> np.ndarray:
         """Speeds by state and lane slot: link free-flow while moving, else 0."""
         return np.where(state == MOVING, self.lane_speed_kmh[slot], 0.0)
 
-    def _delayed(self, state: np.ndarray, slot: np.ndarray) -> np.ndarray:
-        """Sub-threshold vehicles; a dwelling tram is scheduled, not delayed."""
-        return ((state != DWELLING)
-                & (self.speed_kmh(state, slot) < self.cfg.speed_threshold_kmh))
-
     def _record_metrics(self) -> None:
-        ids, n = self.active, self.net.n
-        state, slot = self.state[ids], self.slot[ids]
-        slow = self._delayed(state, slot)
-        self.waiting[ids] += slow
-        node = self.lane_node[slot]
-        road_queued = slow & (state == QUEUED) & (self.mode[ids] != TRAM)
-        self.log.append(self.t, np.bincount(node, slow * self.occupancy[ids], n),
-                        np.bincount(node, road_queued, n))
+        self.log.append(self.t, self.delayed_pax, self.queued_road)
 
     # ------------------------------------------------------------- public API
 
@@ -324,12 +382,8 @@ class SimWorld:
             raise RuntimeError(
                 f"conservation broken at t={self.t}: spawned {self.spawned_total} "
                 f"!= active {len(self.active)} + exited {self.exited_total}")
-        record = {
-            "t": self.t,
-            "spawned": spawned,
-            "discharged": released,
-            "delayed": int(self.log.net_delayed[-1]),
-        }
+        record = {"t": self.t, "spawned": spawned, "discharged": released,
+                  "delayed": sum(self.delayed_pax)}
         self.t += 1
         return record
 
@@ -348,11 +402,7 @@ class SimWorld:
         network = isinstance(scope, str) and scope == "network"
         if not (network or isinstance(scope, (int, np.integer)) and 0 <= scope < self.net.n):
             raise ValueError(f"unknown intersection {scope!r}")
-        ids = self.active
-        slow = self._delayed(self.state[ids], self.slot[ids])
-        if not network:
-            slow &= self.lane_node[self.slot[ids]] == scope
-        return int(self.occupancy[ids[slow]].sum())
+        return sum(self.delayed_pax) if network else self.delayed_pax[scope]
 
 
 def load_scenario(config, seed: int) -> SimWorld:

@@ -35,6 +35,10 @@ from .optim import Adam, clip_grad_norm
 from .sim.world import load_scenario
 
 
+# train_run stops after this many aborted updates in a row (off TrainConfig's fingerprint)
+MAX_ABORTS_IN_A_ROW = 3
+
+
 @dataclass
 class TrainConfig:
     gamma: float = 0.98
@@ -403,7 +407,7 @@ def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig,
     state = make_train_state(cfg, scenario, seed)
     log_path = out_dir / log_name
     ckpt_path = out_dir / checkpoint_name
-    history = []
+    history, aborted = [], []
     t0 = time.perf_counter()
     with open(log_path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -435,6 +439,10 @@ def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig,
             w.writerow([row["update"], row["mean_reward"], row["actor_loss"],
                         row["critic_loss"], row["entropy"], row["grad_norm"],
                         int(row["aborted"])])
+            aborted = aborted + [ep] if row["aborted"] else []
+            if len(aborted) == MAX_ABORTS_IN_A_ROW:
+                raise RuntimeError(f"updates of episodes {aborted} all aborted on a "
+                                   "non-finite loss; stopping training")
     save_checkpoint(state, ckpt_path)
     return {"checkpoint": ckpt_path, "log": log_path, "history": history,
             "wall_s": time.perf_counter() - t0, "state": state}

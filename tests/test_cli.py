@@ -61,3 +61,24 @@ def test_train_eval_report_round_trip(tmp_path, capsys):
     assert (run_dir / "report.csv").exists()
     out = capsys.readouterr().out
     assert "report.csv" in out
+
+
+def test_profile_writes_the_hot_path(tmp_path, capsys):
+    rc = main(["eval", "--scenario", "1", "--controller", "fswf", "--seed", "0",
+               "--horizon", "120", "--out", str(tmp_path), "--profile"])
+    assert rc == 0
+    text = (tmp_path / "profile.txt").read_text()
+    assert "cumulative" in text and "(step)" in text
+    run_dir = tmp_path / "train"
+    rc = main(["train", "--scenario", "1", "--ablation", "hg", "--seed", "0",
+               "--out", str(run_dir), "--episodes", "1", "--profile"])
+    assert rc == 0
+    assert "(step)" in (run_dir / "profile.txt").read_text()
+
+
+def test_eval_profile_needs_an_output_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["eval", "--scenario", "1", "--controller", "fswf", "--profile"])
+    assert rc == 2
+    assert "--out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -106,10 +106,7 @@ def test_queued_bus_slots():
     bus = world._spawn_vehicle("bus", 40, [(link, "through")])
     lane = link.lanes[0]
     assert world.slot[bus] == lane.slot
-    world.pos[bus] = link.length
-    world.state[bus] = QUEUED
-    world.moving[lane.slot] -= 1
-    world.queues[lane.slot].append(bus)
+    world._join_queue(bus)
     obs = observe(world)[0]
     veh = obs[0:4]
     pax = obs[4:8]
@@ -151,14 +148,18 @@ def test_observation_matches_across_identical_worlds():
 
 
 def recount(world):
-    """Reference for observe(): filter each lane's vehicles once per metric
-    x mode, read queue membership from the lane's deque, take speeds from
-    each vehicle's route leg and sum them left to right."""
+    """Reference for observe(): bucket the live vehicles by lane in id
+    order, filter each lane's bucket once per metric x mode, read queue
+    membership from the lane's deque, take speeds from each vehicle's
+    route leg and sum them left to right."""
+    on_lane = {}
+    for v in world.active.tolist():
+        on_lane.setdefault(int(world.slot[v]), []).append(v)
     rows = []
     for i in range(world.net.n):
         row = []
         for lane in world.net.lanes_of(i):
-            present = [v for v in world.active.tolist() if world.slot[v] == lane.slot]
+            present = on_lane.get(lane.slot, [])
             queued = set(world.queues[lane.slot])
             for metric in ("veh", "pax", "queue", "speed"):
                 for mode in (None,) + MODES:

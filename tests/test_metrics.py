@@ -8,7 +8,6 @@ import pytest
 from stdsh.metrics import (CompletedTrip, MetricsLog, anp, aql, awt,
                            write_heatmap_csv, write_metrics_csv)
 from stdsh.sim import load_scenario
-from stdsh.sim.world import QUEUED
 
 
 def make_log(delayed_rows, queued_rows):
@@ -60,10 +59,7 @@ def test_queued_tram_is_delayed_but_never_queued():
     world = load_scenario(text, seed=0)
     link = world.net.approach(0, "W", "tram")
     tram = world._spawn_vehicle("tram", 150, [(link, "through")])
-    world.pos[tram] = link.length
-    world.state[tram] = QUEUED
-    world.moving[world.slot[tram]] -= 1
-    world.queues[world.slot[tram]].append(tram)
+    world._join_queue(tram)
     world.step()
     assert world.log.net_delayed.tolist() == [150]
     assert world.log.net_queued.tolist() == [0]

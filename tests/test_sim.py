@@ -31,10 +31,7 @@ def inject_queued(world, node, arm, movement, count, occupancy=1, lane_index=Non
             world.moving[world.slot[v]] -= 1
             world.slot[v] = link.lanes[lane_index].slot
             world.moving[world.slot[v]] += 1
-        world.pos[v] = link.length
-        world.state[v] = QUEUED
-        world.moving[world.slot[v]] -= 1
-        world.queues[world.slot[v]].append(v)
+        world._join_queue(v)
         made.append(v)
     return made
 
@@ -88,8 +85,8 @@ def test_same_seed_same_trace():
     assert a.log.int_queued.tolist() == b.log.int_queued.tolist()
     assert a.discharge_events == b.discharge_events
     assert a.spawned_total == b.spawned_total
-    assert [(v, a.state[v], a.pos[v]) for v in a.active.tolist()] == \
-           [(v, b.state[v], b.pos[v]) for v in b.active.tolist()]
+    assert [(v, a.state[v], a.position(v)) for v in a.active.tolist()] == \
+           [(v, b.state[v], b.position(v)) for v in b.active.tolist()]
 
 
 def test_different_seed_different_trace():
@@ -112,12 +109,12 @@ def test_moving_vehicle_reaches_stop_line():
         world.step()
         if step < 8:
             assert world.state[v] == MOVING
-            assert world.pos[v] == pytest.approx(step * 100.0 / 7.2)
+            assert world.position(v) == pytest.approx(step * 100.0 / 7.2)
         else:
             assert world.state[v] == QUEUED
-            assert world.pos[v] == link.length
+            assert world.position(v) == link.length
     assert world.queues[world.slot[v]][0] == v
-    assert world.waiting[v] == 1   # queued during step 8's metrics row
+    assert world.waited(v) == 1    # queued during step 8's metrics row
     assert world.log.net_delayed[-1] == 1
 
 
@@ -161,31 +158,15 @@ def test_blocked_head_blocks_lane():
     # left-turner at the head of the kerb lane holds back a through follower
     world = quiet_world("[network]\nintersections = 1\ntram_enabled = false\n"
                         "[signal]\ninitial_phase = P3\ninitial_green_s = 45\n")
-    link = world.net.approach(0, "W")
-    lane = link.lanes[0]
-    head = world._spawn_vehicle("car", 1, [(link, "left")])
-    tail = world._spawn_vehicle("car", 1, [(link, "through")])
-    for v in (head, tail):
-        world.pos[v] = link.length
-        world.state[v] = QUEUED
-        world.queues[lane.slot].append(v)
-    world.moving[lane.slot] -= 2
-    world.slot[tail] = lane.slot       # force both into the kerb lane
+    inject_queued(world, 0, "W", "left", 1)
+    inject_queued(world, 0, "W", "through", 1, lane_index=0)   # both in the kerb lane
     world.run(10)
     # P3 permits E-W left and through, so both go; then repeat under P4
     assert world.exited_total == 2
     world2 = quiet_world("[network]\nintersections = 1\ntram_enabled = false\n"
                          "[signal]\ninitial_phase = P4\ninitial_green_s = 45\n")
-    link2 = world2.net.approach(0, "W")
-    lane2 = link2.lanes[0]
-    h2 = world2._spawn_vehicle("car", 1, [(link2, "left")])
-    t2 = world2._spawn_vehicle("car", 1, [(link2, "through")])
-    for v in (h2, t2):
-        world2.pos[v] = link2.length
-        world2.state[v] = QUEUED
-        world2.queues[lane2.slot].append(v)
-    world2.moving[lane2.slot] -= 2
-    world2.slot[t2] = lane2.slot
+    inject_queued(world2, 0, "W", "left", 1)
+    inject_queued(world2, 0, "W", "through", 1, lane_index=0)
     world2.run(10)
     # P4 is E-W right only: the left head is blocked and pins the lane
     assert world2.exited_total == 0
@@ -338,7 +319,7 @@ def test_bookkeeping_matches_an_independent_recount(scenario):
             if state != DWELLING and speed < thr:
                 waited[v] = waited.get(v, 0) + 1
             seen["dwelling"] += state == DWELLING
-            assert world.waiting[v] == waited.get(v, 0)
+            assert world.waited(v) == waited.get(v, 0)
         assert not where                       # nothing queued that is not live
         assert moving == world.moving
         # the vehicles that left this second carry their waiting into the log

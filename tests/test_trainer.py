@@ -346,6 +346,32 @@ def test_training_log_records_an_aborted_update(tmp_path, monkeypatch):
         assert len(rows) == 1 and rows[0]["aborted"] == flag
 
 
+def test_training_stops_after_repeated_aborts(tmp_path, monkeypatch):
+    rollout = trainer.collect_rollout
+    nan_episodes = set()
+
+    def rollout_with_nan_return(env, state, seconds, greedy=False):
+        batch = rollout(env, state, seconds, greedy)
+        if env.world.seed in nan_episodes:
+            batch.ret[0] = np.nan
+        return batch
+
+    monkeypatch.setattr(trainer, "collect_rollout", rollout_with_nan_return)
+    cfg = small_cfg(horizon_s=60)
+    # two aborts, a clean update, two more aborts: the streak never reaches 3
+    nan_episodes.update(world_seed(0, ep) for ep in (0, 1, 3, 4))
+    out = train_run(1, 0, 5, cfg, tmp_path / "broken")
+    assert [row["aborted"] for row in out["history"]] == [True, True, False, True, True]
+    nan_episodes.add(world_seed(0, 2))
+    with pytest.raises(RuntimeError, match=r"episodes \[0, 1, 2\]"):
+        train_run(1, 0, 5, cfg, tmp_path / "stopped")
+    assert trainer.MAX_ABORTS_IN_A_ROW == 3
+    with open(tmp_path / "stopped" / "training_log.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["aborted"] for row in rows] == ["1", "1", "1"]
+    assert not (tmp_path / "stopped" / "model.ckpt").exists()
+
+
 def test_aborted_updates_leave_no_tape_records():
     cfg = small_cfg(minibatch_size=8)
     state = TrainState(cfg, in_width=10, n_agents=1, seed=0)
