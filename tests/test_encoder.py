@@ -324,6 +324,28 @@ def test_encode_window_matches_per_row_encode(config, n, t):
         assert np.max(np.abs(got[name] - want[name])) <= 1e-12, name
 
 
+@pytest.mark.parametrize("n,t", [(6, 5), (3, 4)])
+@pytest.mark.parametrize("config", WINDOW_CONFIGS)
+def test_encode_window_readout_invariance(config, n, t):
+    # one relabelling of the intersections (the same at every window step),
+    # of the window steps, or of both, leaves every row's g unchanged
+    spatial, temporal, uniform = WINDOW_CONFIGS[config]
+    rng = np.random.default_rng(70 + n)
+    p = init_encoder(8, 4, 6, tau=0.7, rng=rng)
+    X = rng.normal(size=(5, n * t, 8))
+    grid = X.reshape(5, t, n, 8)
+    with ad.no_grad():
+        g0 = encode_window(X, n, t, p, spatial=spatial, temporal=temporal,
+                           uniform=uniform).data
+        for steps, nodes in ((np.arange(t), rng.permutation(n)),
+                             (rng.permutation(t), np.arange(n)),
+                             (rng.permutation(t), rng.permutation(n))):
+            Xp = grid[:, steps][:, :, nodes].reshape(5, n * t, 8)
+            g = encode_window(Xp, n, t, p, spatial=spatial, temporal=temporal,
+                              uniform=uniform).data
+            assert np.max(np.abs(g - g0)) <= 1e-12
+
+
 @pytest.mark.parametrize("config", WINDOW_CONFIGS)
 def test_encode_window_gradients_finite_difference(config):
     spatial, temporal, uniform = WINDOW_CONFIGS[config]
