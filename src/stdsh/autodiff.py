@@ -3,9 +3,10 @@
 A Tensor wraps a numpy array; every op appends a record to a per-thread
 tape (Wengert list). backward() replays the tape once in reverse and
 accumulates gradients into every tracked tensor. The op set is the minimum
-needed by the attention encoder, the actor, and the critic: dense matmul,
-elementwise arithmetic, exp/tanh, reductions, concat/gather, clipping,
-and masked (log-)softmax with max-subtraction stabilization.
+the actor and the critic run: dense matmul, elementwise arithmetic,
+exp/tanh, sum/mean reductions, gather, clipping, and masked (log-)softmax
+with max-subtraction stabilization. The attention encoder is one
+custom_op with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ def no_grad():
         _state.grad_enabled = prev
 
 
-def clear_tape() -> None:
-    del _tape()[:]
-
-
 @contextmanager
 def tape_scope():
     """Records made inside the block never outlive it.
@@ -79,10 +76,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -209,17 +202,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, backprop)
 
 
-def transpose(a: Tensor) -> Tensor:
-    out = Tensor(a.data.T)
-    if not _tracked(a):
-        return out
-
-    def backprop(g):
-        _accumulate(a, g.T)
-
-    return _record(out, backprop)
-
-
 def exp(a: Tensor) -> Tensor:
     out = Tensor(np.exp(a.data))
     if not _tracked(a):
@@ -269,41 +251,6 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     denom = a.data.size if axis is None else a.data.shape[axis]
     return scale(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / denom)
-
-
-def reduce_max(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    """Max reduction; gradient routes to the first argmax of each slice."""
-    out = Tensor(a.data.max(axis=axis, keepdims=keepdims))
-    if not _tracked(a):
-        return out
-
-    def backprop(g):
-        sel = np.zeros_like(a.data)
-        if axis is None:
-            sel.reshape(-1)[int(np.argmax(a.data))] = 1.0
-            _accumulate(a, sel * g)
-        else:
-            idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)
-            np.put_along_axis(sel, idx, 1.0, axis=axis)
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(a, sel * gg)
-
-    return _record(out, backprop)
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    ts = [_as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in ts], axis=axis))
-    if not _tracked(*ts):
-        return out
-    sizes = [t.data.shape[axis] for t in ts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def backprop(g):
-        for t, piece in zip(ts, np.split(g, splits, axis=axis)):
-            _accumulate(t, piece)
-
-    return _record(out, backprop)
 
 
 def gather(a: Tensor, rows, cols) -> Tensor:
@@ -423,46 +370,3 @@ def backward(loss: Tensor) -> None:
             backprop(out.grad)
     del tape[:]
 
-
-def finite_diff_check(f, x: Tensor, eps: float = 1e-5) -> float:
-    """Verify df/dx at x by central differences.
-
-    Args:
-        f: deterministic function mapping the Tensor x to a scalar Tensor;
-           must be built from ops in this module.
-        x: point of evaluation; perturbed in place and restored.
-        eps: step size, > 0.
-
-    Returns:
-        max over coordinates of |analytic - central difference| / max(1, |analytic|).
-    """
-    if eps <= 0:
-        raise ValueError("finite_diff_check: eps must be > 0")
-    clear_tape()
-    x.grad = None
-    was_leaf = x.requires_grad
-    x.requires_grad = x.track = True
-    y = f(x)
-    if not np.all(np.isfinite(y.data)):
-        raise ValueError("finite_diff_check: f(x) is not finite")
-    backward(y)
-    analytic = (x.grad if x.grad is not None else np.zeros_like(x.data)).copy()
-    x.requires_grad = x.track = was_leaf
-    x.grad = None
-
-    flat = x.data.reshape(-1)
-    aflat = analytic.reshape(-1)
-    worst = 0.0
-    with no_grad():
-        for k in range(flat.size):
-            keep = flat[k]
-            flat[k] = keep + eps
-            fp = float(f(x).data)
-            flat[k] = keep - eps
-            fm = float(f(x).data)
-            flat[k] = keep
-            fd = (fp - fm) / (2.0 * eps)
-            err = abs(aflat[k] - fd) / max(1.0, abs(aflat[k]))
-            if err > worst:
-                worst = err
-    return worst

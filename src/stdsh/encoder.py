@@ -14,15 +14,14 @@ Setting uniform=True replaces both attention stages with plain averaging
 (over members / over incident edges) while keeping the projections, so the
 module stays differentiable end to end.
 
-encode(X, H) takes any incidence and records some thirty tape ops per
-graph; it is the reference. The critic's graphs all share one structure:
-node (i, tau) is row tau*n + i of a t x n grid, each spatial edge is a grid
-row (one window step) and each temporal edge a grid column (one
-intersection). encode_window uses that: it encodes a whole batch
-(B, t*n, d) as one tape op with a hand-written backward, where the intra
-stage is a softmax along a grid axis and the inter stage a softmax over a
-node's two edges (or none, with one family). It must agree with encode on
-every row, to rounding.
+The critic's graphs all share one structure: node (i, tau) is row
+tau*n + i of a t x n grid, each spatial edge is a grid row (one window
+step) and each temporal edge a grid column (one intersection).
+encode_window uses that: it encodes a whole batch (B, t*n, d) as one tape
+op with a hand-written backward, where the intra stage is a softmax along a
+grid axis and the inter stage a softmax over a node's two edges (or none,
+with one family). The reference for any incidence matrix is encode(X, H) in
+tests/oracle.py; encode_window must agree with it on every row, to rounding.
 """
 
 from __future__ import annotations
@@ -104,94 +103,13 @@ def load_encoder(named: dict[str, np.ndarray], tau: float) -> EncoderParams:
     return p
 
 
-def _check_incidence(H: np.ndarray) -> np.ndarray:
-    H = np.asarray(H, dtype=np.float64)
-    if H.ndim != 2:
-        raise ValueError(f"incidence must be 2-d, got shape {H.shape}")
-    if np.any(H.sum(axis=0) < 1):
-        raise ValueError("empty hyperedge: cannot normalize over its members")
-    if np.any(H.sum(axis=1) < 1):
-        raise ValueError("isolated node: no incident hyperedge to attend over")
-    return H
-
-
-def intra_attention(X_h: Tensor, H: np.ndarray, a_h: Tensor, tau: float) -> Tensor:
-    """Stage A: alpha[i,e], softmax of node scores within each edge column."""
-    H = _check_incidence(H)
-    N, E = H.shape
-    s = ad.matmul(X_h, a_h)                       # (N, 1) node scores
-    S = ad.matmul(s, Tensor(np.ones((1, E))))     # broadcast scores across columns
-    S = ad.scale(S, 1.0 / tau)
-    return ad.masked_softmax(S, H > 0, axis=0)
-
-
-def hyperedge_embed(alpha: Tensor, X_h: Tensor) -> Tensor:
-    """z_e = sum_i alpha[i,e] * x_i, one row per hyperedge."""
-    return ad.matmul(ad.transpose(alpha), X_h)
-
-
-def inter_attention(Z: Tensor, H: np.ndarray, b_h: Tensor, tau: float) -> Tensor:
-    """Stage B: beta[i,e], softmax of edge scores over each node's edges."""
-    H = _check_incidence(H)
-    N, E = H.shape
-    t = ad.matmul(Z, b_h)                         # (E, 1) edge scores
-    T = ad.matmul(Tensor(np.ones((N, 1))), ad.transpose(t))
-    T = ad.scale(T, 1.0 / tau)
-    return ad.masked_softmax(T, H > 0, axis=1)
-
-
-def _uniform_weights(H: np.ndarray, axis: int) -> np.ndarray:
-    s = H.sum(axis=axis, keepdims=True)
-    return np.divide(H, s, out=np.zeros_like(H), where=s > 0)
-
-
-def encode(X, H: np.ndarray, params: EncoderParams,
-           uniform: bool = False) -> tuple[Tensor, Tensor]:
-    """Run the full encoder.
-
-    Args:
-        X: (N, d) node features, Tensor or array.
-        H: (N, E) binary incidence; no empty edges, no isolated nodes.
-        params: encoder parameters.
-        uniform: replace both attention stages with uniform averaging.
-
-    Returns:
-        (Y_hat, g): per-node embeddings (N, d_model) and the graph
-        embedding g (1, d_model), the coordinatewise max over nodes.
-    """
-    if not isinstance(X, Tensor):
-        X = Tensor(X)
-    H = _check_incidence(H)
-    if X.data.ndim != 2 or X.data.shape[0] != H.shape[0]:
-        raise ValueError(f"X shape {X.shape} does not match H shape {H.shape}")
-    if X.data.shape[1] != params.d:
-        raise ValueError(f"X width {X.data.shape[1]} != params.d {params.d}")
-
-    heads = []
-    for h in range(params.K):
-        X_h = ad.matmul(X, params.W[h])
-        if uniform:
-            alpha = Tensor(_uniform_weights(H, axis=0))
-            Z = hyperedge_embed(alpha, X_h)
-            beta = Tensor(_uniform_weights(H, axis=1))
-        else:
-            alpha = intra_attention(X_h, H, params.a[h], params.tau)
-            Z = hyperedge_embed(alpha, X_h)
-            beta = inter_attention(Z, H, params.b[h], params.tau)
-        heads.append(ad.matmul(beta, Z))          # (N, d_h) updated nodes
-    cat = heads[0] if len(heads) == 1 else ad.concat(heads, axis=1)
-    Y = ad.add(ad.matmul(cat, params.Wo), params.bo)
-    g = ad.reduce_max(Y, axis=0, keepdims=True)
-    return Y, g
-
-
 # The critic's window grid: node (i, tau) of a (B, t*n, d) batch is row
 # tau*n + i, so the batch reshapes to (B, t, n, d). A hyperedge family is
 # the set of grid lines along one axis, its member axis: spatial edges (one
 # per window step) gather the n intersections along axis 2, temporal edges
 # (one per intersection) gather the t steps along axis 1. Edge-level arrays
 # are (B, E, K, c), one row per edge and head, spatial edges first as in
-# the columns of build_st_hypergraph.
+# the incidence columns of the test oracle.
 SPATIAL_AXIS = 2
 TEMPORAL_AXIS = 1
 
@@ -219,9 +137,9 @@ def encode_window(X, n: int, t: int, params: EncoderParams,
                   uniform: bool = False) -> Tensor:
     """Graph embeddings of a batch of critic windows, as one tape op.
 
-    Computes, row by row, the g that encode() returns for the incidence of
-    build_st_hypergraph(n, t) (spatial_only / temporal_only when a family is
-    off), without building it. Intra stage: a softmax of the node scores
+    Computes, row by row, the g that the reference encode(X, H) of
+    tests/oracle.py returns for the (n, t) window incidence (its spatial or
+    temporal columns alone when a family is off), without building it. Intra stage: a softmax of the node scores
     along each grid line. Inter stage: a softmax over the node's own edges,
     at most one per family, so beta = 1 with one family. Per head the node
     output is sum_f beta_f * Z[edge_f]; since it feeds only the linear Wo,
@@ -239,7 +157,7 @@ def encode_window(X, n: int, t: int, params: EncoderParams,
 
     Returns:
         g, (B, d_model): per row the coordinatewise max over nodes; a tied
-        maximum takes its gradient at the first node, as ad.reduce_max does.
+        maximum takes its gradient at the first node, as the oracle's does.
     """
     X = np.asarray(X, dtype=np.float64)
     K, d, d_h, d_model = params.K, params.d, params.d_h, params.d_model

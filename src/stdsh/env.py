@@ -150,8 +150,8 @@ class FeatureWindow:
 
     Snapshots are taken every `cadence_s` seconds of world time; the buffer
     starts full of the initial observation so the stacked matrix always has
-    depth * n rows. Row node_index(i, tau) is intersection i at snapshot
-    tau, tau = 0 the oldest.
+    depth * n rows. Row tau*n + i is intersection i at snapshot tau,
+    tau = 0 the oldest.
     """
 
     def __init__(self, world: SimWorld, depth: int = 5, cadence_s: int = 5):

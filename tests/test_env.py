@@ -8,7 +8,6 @@ from stdsh.env import (MODES, N_ACTIONS, CorridorEnv, FeatureWindow,
                        RewardConfig, action_mask, compute_reward,
                        decode_action, drive, encode_action, feature_scales,
                        obs_width, observe, prepare_node_features)
-from stdsh.hypergraph import node_index
 from stdsh.metrics import MetricsLog
 from stdsh.sim import load_scenario
 from stdsh.sim.world import DWELLING, MOVING, QUEUED
@@ -285,7 +284,7 @@ def test_window_prefill_and_order():
     first = observe(world)
     for tau in range(5):
         for i in range(n):
-            assert X[node_index(i, tau, n, 5)].tolist() == first[i].tolist()
+            assert X[tau * n + i].tolist() == first[i].tolist()
 
 
 def test_window_cadence_and_rotation():

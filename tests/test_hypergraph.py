@@ -1,107 +1,57 @@
-"""Incidence-construction tests for the spatio-temporal hypergraph."""
+"""Incidence-construction tests for the oracle's spatio-temporal hypergraph."""
 
 import numpy as np
 import pytest
 
-from stdsh.hypergraph import (
-    STHypergraph,
-    build_st_hypergraph,
-    members,
-    node_index,
-    node_of,
-    spatial_only,
-    temporal_only,
-)
+from oracle import incidence, spatial_only, temporal_only
 
 
 def test_single_node_graph():
-    hg = build_st_hypergraph(1, 1)
-    assert hg.num_nodes == 1 and hg.num_edges == 2
-    assert np.array_equal(hg.H, [[1.0, 1.0]])
+    H = incidence(1, 1)
+    assert np.array_equal(H, [[1.0, 1.0]])
 
 
 def test_production_sizes():
-    hg = build_st_hypergraph(6, 5)
-    assert hg.num_nodes == 30
-    assert hg.num_spatial == 5 and hg.num_temporal == 6
-    assert hg.num_edges == 11
+    assert incidence(6, 5).shape == (30, 5 + 6)
 
 
 def test_node_incidence_columns():
-    hg = build_st_hypergraph(2, 3)
-    r = node_index(1, 2, 2, 3)
-    cols = np.nonzero(hg.H[r])[0]
+    H = incidence(2, 3)
+    r = 2 * 2 + 1                    # row tau*n + i of intersection 1 at step 2
+    cols = np.nonzero(H[r])[0]
     assert list(cols) == [2, 3 + 1]  # spatial column tau=2, temporal column t+i
-
-
-def test_node_index_examples():
-    assert node_index(0, 0, 3, 3) == 0
-    assert node_index(1, 2, 2, 3) == 5
-
-
-def test_node_index_bijective_small():
-    for n in range(1, 9):
-        for t in range(1, 9):
-            seen = set()
-            for i in range(n):
-                for tau in range(t):
-                    r = node_index(i, tau, n, t)
-                    assert node_of(r, n, t) == (i, tau)
-                    seen.add(r)
-            assert seen == set(range(n * t))
-
-
-def test_node_index_out_of_range():
-    with pytest.raises(ValueError):
-        node_index(2, 0, 2, 3)
-    with pytest.raises(ValueError):
-        node_index(0, 3, 2, 3)
-
-
-def test_members_examples():
-    hg = build_st_hypergraph(2, 2)
-    assert members(hg, 0) == [0, 1]       # spatial edge of tau=0
-    assert members(hg, 2) == [0, 2]       # temporal edge of intersection 0
-    with pytest.raises(ValueError):
-        members(hg, 4)
 
 
 def test_member_counts_and_degrees():
     for n in range(1, 9):
         for t in range(1, 9):
-            hg = build_st_hypergraph(n, t)
-            col = hg.H.sum(axis=0)
+            H = incidence(n, t)
+            col = H.sum(axis=0)
             assert np.all(col[:t] == n)       # spatial columns
             assert np.all(col[t:] == t)       # temporal columns
-            assert np.all(hg.H.sum(axis=1) == 2)
+            assert np.all(H.sum(axis=1) == 2)
             # exactly one incidence inside each column family per node
-            assert np.all(hg.H[:, :t].sum(axis=1) == 1)
-            assert np.all(hg.H[:, t:].sum(axis=1) == 1)
+            assert np.all(H[:, :t].sum(axis=1) == 1)
+            assert np.all(H[:, t:].sum(axis=1) == 1)
 
 
 def test_edge_unions_cover_nodes():
-    hg = build_st_hypergraph(4, 3)
-    spatial = set()
-    for e in range(hg.t):
-        spatial.update(members(hg, e))
-    temporal = set()
-    for e in range(hg.t, hg.num_edges):
-        temporal.update(members(hg, e))
-    assert spatial == temporal == set(range(hg.num_nodes))
+    n, t = 4, 3
+    H = incidence(n, t)
+    spatial = set(np.nonzero(H[:, :t])[0].tolist())
+    temporal = set(np.nonzero(H[:, t:])[0].tolist())
+    assert spatial == temporal == set(range(n * t))
 
 
 def test_rejects_zero_sizes():
     with pytest.raises(ValueError):
-        build_st_hypergraph(0, 3)
+        incidence(0, 3)
     with pytest.raises(ValueError):
-        build_st_hypergraph(3, 0)
+        incidence(3, 0)
 
 
 def test_family_selectors():
-    hg = build_st_hypergraph(3, 4)
-    assert spatial_only(hg).shape == (12, 4)
-    assert temporal_only(hg).shape == (12, 3)
-    assert np.array_equal(
-        np.hstack([spatial_only(hg), temporal_only(hg)]), hg.H
-    )
-    assert isinstance(hg, STHypergraph)
+    H = incidence(3, 4)
+    assert spatial_only(H, 4).shape == (12, 4)
+    assert temporal_only(H, 4).shape == (12, 3)
+    assert np.array_equal(np.hstack([spatial_only(H, 4), temporal_only(H, 4)]), H)
