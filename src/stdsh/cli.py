@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .experiment import CONTROLLERS, report, run_experiment
 from .sim import ConfigError
-from .trainer import corridor_train_config, train_run
+from .trainer import TrainingStopped, corridor_train_config, train_run
 
 ABLATIONS = {"hg": "use_hypergraph", "dsha": "use_dsha",
              "she": "use_spatial", "the": "use_temporal"}
@@ -90,7 +90,7 @@ def main(argv=None) -> int:
             raise ValueError("--profile needs --out: profile.txt is written there")
         profiler = cProfile.Profile()
         code = profiler.runcall(_dispatch, args)
-    except (ValueError, ConfigError) as exc:
+    except (ValueError, ConfigError, TrainingStopped) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     with open(args.out / "profile.txt", "w") as fh:

@@ -398,6 +398,10 @@ def make_train_state(cfg: TrainConfig, scenario, seed: int) -> TrainState:
                       input_scale=feature_scales(n_lanes))
 
 
+class TrainingStopped(RuntimeError):
+    """Training gave up after MAX_ABORTS_IN_A_ROW aborted updates."""
+
+
 def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig,
               out_dir, log_name: str = "training_log.csv",
               checkpoint_name: str = "model.ckpt") -> dict:
@@ -441,7 +445,7 @@ def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig,
                         int(row["aborted"])])
             aborted = aborted + [ep] if row["aborted"] else []
             if len(aborted) == MAX_ABORTS_IN_A_ROW:
-                raise RuntimeError(f"updates of episodes {aborted} all aborted on a "
+                raise TrainingStopped(f"updates of episodes {aborted} all aborted on a "
                                    "non-finite loss; stopping training")
     save_checkpoint(state, ckpt_path)
     return {"checkpoint": ckpt_path, "log": log_path, "history": history,
@@ -483,7 +487,13 @@ def save_checkpoint(state: TrainState, path) -> None:
 
 
 def load_checkpoint(path) -> TrainState:
-    named = load_params(path)
+    try:
+        return _restore(load_params(path))
+    except KeyError as exc:
+        raise ValueError(f"checkpoint {path} has no entry {exc.args[0]!r}") from None
+
+
+def _restore(named: dict[str, np.ndarray]) -> TrainState:
     kwargs = {}
     for flag in _META_FLAGS:
         kwargs[flag] = bool(named[f"meta.{flag}"])

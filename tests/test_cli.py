@@ -5,9 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stdsh
+from stdsh import trainer
+from stdsh.checkpoint import save_params
 from stdsh.cli import _ablation_arg, build_parser, main
 
 
@@ -38,6 +41,33 @@ def test_eval_zero_horizon_returns_error_code(tmp_path, capsys):
     assert rc == 2
     assert "horizon" in capsys.readouterr().err
     assert not (tmp_path / "summary.csv").exists()
+
+
+def test_train_stops_cleanly_after_repeated_aborts(tmp_path, capsys, monkeypatch):
+    rollout = trainer.collect_rollout
+
+    def rollout_with_nan_return(env, state, seconds, greedy=False):
+        batch = rollout(env, state, seconds, greedy)
+        batch.ret[0] = np.nan
+        return batch
+
+    monkeypatch.setattr(trainer, "collect_rollout", rollout_with_nan_return)
+    rc = main(["train", "--scenario", "1", "--ablation", "hg", "--seed", "0",
+               "--out", str(tmp_path), "--episodes", "5"])
+    assert rc == 2
+    assert "error: updates of episodes [0, 1, 2] all aborted" in capsys.readouterr().err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_eval_rejects_an_incomplete_checkpoint(tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    save_params(ckpt, {"pi.W1": np.zeros((2, 2))})      # right magic, no meta.*
+    rc = main(["eval", "--scenario", "1", "--controller", "stdsh",
+               "--checkpoint", str(ckpt), "--horizon", "60"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(ckpt) in err and "'meta.use_hypergraph'" in err
 
 
 def test_eval_fswf_prints_summary(tmp_path, capsys):
