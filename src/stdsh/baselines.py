@@ -103,7 +103,8 @@ def measure_flow_ratios(scenario, seed: int, warmup_s: int = 300) -> list[list[f
     saturation flow.
     """
     world = load_scenario(scenario, seed)
-    drive(world, warmup_s, FixedTimeController(world, [15] * N_PHASES))
+    drive(world, warmup_s,
+          FixedTimeController(world, [[15] * N_PHASES] * world.net.n))
     sat_flow = world.cfg.saturation_veh_s * warmup_s
     lanes = world.net.all_lanes()
     return [[max((world.lane_entry_counts[lanes[s].key] / sat_flow for s, _ in phase_lanes),
@@ -123,14 +124,12 @@ def webster_plan(ratios) -> WebsterPlan:
 
 
 class FixedTimeController:
-    """Replays P1..P4 cyclically with the given greens; a drive() decider."""
+    """Replays P1..P4 cyclically with each intersection's own greens; a
+    drive() decider."""
 
-    def __init__(self, world: SimWorld, greens_or_plans):
+    def __init__(self, world: SimWorld, greens):
         n = world.net.n
-        if isinstance(greens_or_plans[0], (int, np.integer)):
-            self.greens = [list(greens_or_plans)] * n
-        else:
-            self.greens = [list(g) for g in greens_or_plans]
+        self.greens = [list(g) for g in greens]
         if len(self.greens) != n:
             raise ValueError(f"need greens for all {n} intersections")
         for greens in self.greens:

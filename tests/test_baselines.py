@@ -114,7 +114,7 @@ def test_random_policy_single_choice_and_rejections():
 def test_fixed_time_controller_cycles_phases():
     world = load_scenario(resolve_config(QUIET), seed=0)
     greens = [8, 9, 10, 11]
-    ctrl = FixedTimeController(world, greens)
+    ctrl = FixedTimeController(world, [greens] * world.net.n)
     seen = []
 
     def record(world):
@@ -137,17 +137,19 @@ def test_fixed_time_controller_is_periodic_without_demand():
         if world.controllers[0].trigger:
             stamps.append((world.t, world.controllers[0].phase))
 
-    drive(world, 400, FixedTimeController(world, [8, 8, 8, 8]), after_step=record)
+    drive(world, 400, FixedTimeController(world, [[8, 8, 8, 8]] * world.net.n),
+          after_step=record)
     diffs = {stamps[k + 1][0] - stamps[k][0] for k in range(1, len(stamps) - 1)}
     assert diffs == {13}          # 8 s green + 5 s clearance
 
 
 def test_fixed_time_controller_validation():
     world = load_scenario(resolve_config(QUIET), seed=0)
+    n = world.net.n
     with pytest.raises(ValueError):
-        FixedTimeController(world, [8, 8, 8])
+        FixedTimeController(world, [[8, 8, 8]] * n)
     with pytest.raises(ValueError):
-        FixedTimeController(world, [8, 8, 8, 50])
+        FixedTimeController(world, [[8, 8, 8, 50]] * n)
     with pytest.raises(ValueError):
         FixedTimeController(world, [[8] * 4] * 2)
 
