@@ -445,8 +445,8 @@ def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig,
                         int(row["aborted"])])
             aborted = aborted + [ep] if row["aborted"] else []
             if len(aborted) == MAX_ABORTS_IN_A_ROW:
-                raise TrainingStopped(f"updates of episodes {aborted} all aborted on a "
-                                   "non-finite loss; stopping training")
+                raise TrainingStopped(f"updates of episodes {aborted} all aborted "
+                                      "on a non-finite loss; stopping training")
     save_checkpoint(state, ckpt_path)
     return {"checkpoint": ckpt_path, "log": log_path, "history": history,
             "wall_s": time.perf_counter() - t0, "state": state}
