@@ -17,15 +17,17 @@ module stays differentiable end to end.
 The critic's graphs all share one structure: node (i, tau) is row
 tau*n + i of a t x n grid, each spatial edge is a grid row (one window
 step) and each temporal edge a grid column (one intersection).
-encode_window uses that: it encodes a whole batch (B, t*n, d) as one tape
-op with a hand-written backward, where the intra stage is a softmax along a
-grid axis and the inter stage a softmax over a node's two edges (or none,
-with one family). The reference for any incidence matrix is encode(X, H) in
+encode_window uses that. It takes one snapshot table (S, n, d) and each
+row's window as t table rows, runs per-snapshot work (node scores, spatial
+edges) once per snapshot and per-window work (temporal edges, inter stage,
+readout) once per distinct window, in one tape op with a hand-written
+backward. The reference for any incidence matrix is encode(X, H) in
 tests/oracle.py; encode_window must agree with it on every row, to rounding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,13 +105,13 @@ def load_encoder(named: dict[str, np.ndarray], tau: float) -> EncoderParams:
     return p
 
 
-# The critic's window grid: node (i, tau) of a (B, t*n, d) batch is row
-# tau*n + i, so the batch reshapes to (B, t, n, d). A hyperedge family is
-# the set of grid lines along one axis, its member axis: spatial edges (one
-# per window step) gather the n intersections along axis 2, temporal edges
-# (one per intersection) gather the t steps along axis 1. Edge-level arrays
-# are (B, E, K, c), one row per edge and head, spatial edges first as in
-# the incidence columns of the test oracle.
+# The critic's window grid: window v of V distinct windows reads table rows
+# win[v] (t of them), so its nodes form a (V, t, n, .) grid, node (i, tau)
+# at row tau*n + i. A hyperedge family is the set of grid lines along one
+# axis, its member axis: spatial edges (one per window step, so one per
+# snapshot) gather the n intersections along axis 2, temporal edges (one
+# per intersection of a window) gather the t steps along axis 1. Edge-level
+# arrays at window level are (V, E, K, c), one row per edge and head.
 SPATIAL_AXIS = 2
 TEMPORAL_AXIS = 1
 
@@ -132,106 +134,133 @@ def _to_nodes(w: np.ndarray, Ee: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(np.moveaxis(w, axis, 2) @ Ee, 2, axis)
 
 
-def encode_window(X, n: int, t: int, params: EncoderParams,
+def _scatter(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Sum values[j] into row index[j] of a zero (size, ...) array, in index
+    order; values is index.shape + row shape. Far faster than np.add.at."""
+    flat = index.reshape(-1)
+    c = math.prod(values.shape[index.ndim:])
+    cell = (flat[:, None] * c + np.arange(c)).reshape(-1)
+    return np.bincount(cell, values.reshape(-1), size * c).reshape(
+        (size,) + values.shape[index.ndim:])
+
+
+def encode_window(snapshots, windows, params: EncoderParams,
                   spatial: bool = True, temporal: bool = True,
                   uniform: bool = False) -> Tensor:
     """Graph embeddings of a batch of critic windows, as one tape op.
 
-    Computes, row by row, the g that the reference encode(X, H) of
-    tests/oracle.py returns for the (n, t) window incidence (its spatial or
-    temporal columns alone when a family is off), without building it. Intra stage: a softmax of the node scores
-    along each grid line. Inter stage: a softmax over the node's own edges,
-    at most one per family, so beta = 1 with one family. Per head the node
-    output is sum_f beta_f * Z[edge_f]; since it feeds only the linear Wo,
-    each edge embedding is projected once, Z[edge] @ Wo_k, before it is
-    spread back to the nodes. The backward is written by hand and
-    accumulates into every enc.* tensor.
+    Row r's g is what the reference encode(X, H) of tests/oracle.py returns
+    for X = snapshots[windows[r]].reshape(t*n, d) and the (n, t) window
+    incidence (its spatial or temporal columns alone when a family is off).
+    Node scores and spatial edges run once per snapshot; temporal edges, the
+    inter stage (a softmax over a node's own edges; beta = 1 with one
+    family) and the max readout once per distinct window. Each edge
+    embedding is projected once, Z[edge] @ Wo_k, since the node output
+    sum_f beta_f * Z[edge_f] feeds only the linear Wo. The hand-written
+    backward sums the gradients of a window's rows and of a snapshot's
+    windows into every enc.* tensor.
 
     Args:
-        X: (B, t*n, d) node features, row tau*n + i for intersection i at
-            window step tau.
-        n, t: intersections and window depth.
+        snapshots: (S, n, d) node features of n intersections per snapshot.
+        windows: (B, t) integers, each row's t snapshots oldest first.
         params: encoder parameters; d must equal params.d.
         spatial, temporal: which hyperedge families the graph has.
         uniform: replace both attention stages with plain averaging.
 
     Returns:
-        g, (B, d_model): per row the coordinatewise max over nodes; a tied
+        g, (B, d_model): each row's max over its window's nodes; a tied
         maximum takes its gradient at the first node, as the oracle's does.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(snapshots, dtype=np.float64)
+    windows = np.asarray(windows)
     K, d, d_h, d_model = params.K, params.d, params.d_h, params.d_model
-    if X.ndim != 3 or X.shape[1:] != (t * n, d):
-        raise ValueError(f"X shape {X.shape} does not fit the window grid: "
-                         f"expected (B, {t * n}, {d}) for t={t}, n={n}")
+    if X.ndim != 3 or X.shape[2] != d:
+        raise ValueError(f"snapshots shape {X.shape} is not (S, n, {d})")
+    S, n, _ = X.shape
+    if (windows.ndim != 2 or windows.shape[1] < 1 or windows.dtype.kind not in "iu"
+            or windows.size and not 0 <= windows.min() <= windows.max() < S):
+        raise ValueError(f"windows must be (B, t >= 1) integer rows in [0, {S}), "
+                         f"got {windows.dtype} {windows.shape}")
     axes = [ax for ax, on in ((SPATIAL_AXIS, spatial), (TEMPORAL_AXIS, temporal))
             if on]
     if not axes:
         raise ValueError("at least one hyperedge family must stay enabled")
-    B = X.shape[0]
+    win, row_win = np.unique(windows, axis=0, return_inverse=True)
+    (V, t), row_win = win.shape, row_win.reshape(-1)
     inv = 1.0 / params.tau
-    grid = X.reshape(B, t, n, d)
     W = np.stack([w.data for w in params.W])                  # (K, d, d_h)
     a = np.stack([v.data[:, 0] for v in params.a])            # (K, d_h)
     b = np.stack([v.data[:, 0] for v in params.b])
     Wo = params.Wo.data.reshape(K, d_h, d_model)              # head k's rows
     learned_beta = not uniform and len(axes) == 2
-    cuts = [t] if len(axes) == 2 else []                      # families' edges
-
-    if uniform:
-        alpha = [np.full((B, t, n, K), 1.0 / grid.shape[ax]) for ax in axes]
-    else:
+    if not uniform:
         wa = np.einsum("kdh,kh->dk", W, a)                    # x.W_k.a_k = x.wa_k
-        s = (X.reshape(B * t * n, d) @ wa).reshape(B, t, n, K) * inv
-        alpha = [_softmax(s, ax) for ax in axes]
-    Xe = np.concatenate([_pool(al, grid, ax) for al, ax in zip(alpha, axes)],
-                        axis=1)                               # (B, E, K, d)
-    Z = np.einsum("bekd,kdh->bekh", Xe, W, optimize=True)
-    M = np.split(np.einsum("bekh,khm->bekm", Z, Wo, optimize=True), cuts, 1)
+        s = (X.reshape(S * n, d) @ wa).reshape(S, n, K) * inv
+
+    # A family works on grids of table rows, one per spatial edge (S, 1, n, d)
+    # or per window (V, t, n, d); its edge arrays are (E, K, .), E = S or V*n.
+    # up() lifts them to window level (V, E_f, K, .), down() sums back.
+    rows = {SPATIAL_AXIS: np.arange(S)[:, None], TEMPORAL_AXIS: win}
+    grids = [X[rows[ax]] for ax in axes]
+
+    def up(ax, A):
+        return A[win] if ax == SPATIAL_AXIS else A.reshape(V, n, *A.shape[1:])
+
+    def down(ax, A):
+        return _scatter(win, A, S) if ax == SPATIAL_AXIS else A.reshape(-1, *A.shape[2:])
+
+    alpha = [np.full(gr.shape[:3] + (K,), 1.0 / gr.shape[ax]) if uniform
+             else _softmax(s[rows[ax]], ax) for gr, ax in zip(grids, axes)]
+    Xe = [_pool(al, gr, ax).reshape(-1, K, d)
+          for al, gr, ax in zip(alpha, grids, axes)]
+    Z = [np.einsum("ekd,kdh->ekh", xe, W, optimize=True) for xe in Xe]
+    M = [up(ax, np.einsum("ekh,khm->ekm", z, Wo, optimize=True))
+         for z, ax in zip(Z, axes)]
     if learned_beta:
-        u = np.split((Z * b).sum(-1) * inv, cuts, 1)           # (B, E_f, K)
-        beta = _softmax(np.stack(np.broadcast_arrays(
-            *[np.expand_dims(uf, ax) for uf, ax in zip(u, axes)])), 0)
+        u = [np.expand_dims(up(ax, (z * b).sum(-1) * inv), ax)
+             for z, ax in zip(Z, axes)]
+        beta = _softmax(np.stack(np.broadcast_arrays(*u)), 0)
     else:
-        beta = np.full((len(axes), B, t, n, K), 1.0 / len(axes))
+        beta = np.full((len(axes), V, t, n, K), 1.0 / len(axes))
     Y = params.bo.data + sum(_to_nodes(beta[f], M[f], ax)
                              for f, ax in enumerate(axes))
-    Y = Y.reshape(B, t * n, d_model)
+    Y = Y.reshape(V, t * n, d_model)
     inputs = [*params.W, *params.a, *params.b, params.Wo, params.bo]
 
     def grads(dg):
         dY = np.zeros_like(Y)
         first = np.argmax(Y, axis=1)[:, None, :]
-        np.put_along_axis(dY, first, dg[:, None, :], axis=1)
-        dY = dY.reshape(B, t, n, d_model)
-        dM = np.concatenate([_pool(beta[f], dY, ax) for f, ax in enumerate(axes)],
-                            axis=1)                           # (B, E, K, d_model)
-        dWo = np.einsum("bekh,bekm->khm", Z, dM, optimize=True)
-        dZ = np.einsum("bekm,khm->bekh", dM, Wo, optimize=True)
+        np.put_along_axis(dY, first, _scatter(row_win, dg, V)[:, None, :], axis=1)
+        dY = dY.reshape(V, t, n, d_model)
+        dM = [down(ax, _pool(beta[f], dY, ax)) for f, ax in enumerate(axes)]
+        dWo = sum(np.einsum("ekh,ekm->khm", z, dm, optimize=True)
+                  for z, dm in zip(Z, dM))
+        dZ = [np.einsum("ekm,khm->ekh", dm, Wo, optimize=True) for dm in dM]
         if learned_beta:
             dbeta = np.stack([_to_nodes(dY, np.swapaxes(M[f], 2, 3), ax)
                               for f, ax in enumerate(axes)])
             dv = beta * (dbeta - (beta * dbeta).sum(0))
-            du = np.concatenate([dv[f].sum(ax) for f, ax in enumerate(axes)],
-                                axis=1) * inv                 # (B, E, K)
-            dZ += du[..., None] * b
-            db = list(np.einsum("bek,bekh->kh", du, Z)[..., None])
+            du = [down(ax, dv[f].sum(ax) * inv) for f, ax in enumerate(axes)]
+            dZ = [dz + duf[..., None] * b for dz, duf in zip(dZ, du)]
+            db = list(sum(np.einsum("ek,ekh->kh", duf, z)
+                          for duf, z in zip(du, Z))[..., None])
         else:
             db = [None] * K
-        dW = np.einsum("bekd,bekh->kdh", Xe, dZ, optimize=True)
+        dW = sum(np.einsum("ekd,ekh->kdh", xe, dz, optimize=True)
+                 for xe, dz in zip(Xe, dZ))
         if uniform:
             da = [None] * K
         else:
-            dXe = np.split(np.einsum("bekh,kdh->bekd", dZ, W, optimize=True),
-                           cuts, 1)
             ds = 0.0
-            for al, dxe, ax in zip(alpha, dXe, axes):
-                dal = _to_nodes(grid, np.swapaxes(dxe, 2, 3), ax)   # (B, t, n, K)
-                ds = ds + al * (dal - (al * dal).sum(ax, keepdims=True))
-            dwa = X.reshape(B * t * n, d).T @ (ds.reshape(B * t * n, K) * inv)
+            for al, gr, dz, ax in zip(alpha, grids, dZ, axes):
+                dxe = np.einsum("ekh,kdh->ekd", dz, W, optimize=True)
+                dal = _to_nodes(gr, dxe.reshape(len(gr), -1, K, d).swapaxes(2, 3), ax)
+                dal = al * (dal - (al * dal).sum(ax, keepdims=True))
+                ds = ds + _scatter(rows[ax], dal, S)            # (S, n, K)
+            dwa = X.reshape(S * n, d).T @ (ds.reshape(S * n, K) * inv)
             dW += np.einsum("dk,kh->kdh", dwa, a)
             da = list(np.einsum("kdh,dk->kh", W, dwa)[..., None])
         return [*dW, *da, *db, dWo.reshape(K * d_h, d_model),
                 dg.sum(0, keepdims=True)]
 
-    return ad.custom_op(Y.max(axis=1), inputs, grads)
+    return ad.custom_op(Y.max(axis=1)[row_win], inputs, grads)

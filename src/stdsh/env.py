@@ -146,12 +146,12 @@ def compute_reward(window: MetricsLog, intersection: int, cfg: RewardConfig) -> 
 # ----------------------------------------------------- critic feature window
 
 class FeatureWindow:
-    """Rolling stack of the `depth` most recent observation snapshots.
+    """Episode table of observation snapshots behind the critic's windows.
 
-    Snapshots are taken every `cadence_s` seconds of world time; the buffer
-    starts full of the initial observation so the stacked matrix always has
-    depth * n rows. Row tau*n + i is intersection i at snapshot tau,
-    tau = 0 the oldest.
+    A snapshot is taken every `cadence_s` seconds of world time and appended
+    once. The table starts with `depth` copies of the initial observation,
+    so the current window, the `depth` latest snapshots oldest first, is
+    always table rows start() .. start() + depth - 1.
     """
 
     def __init__(self, world: SimWorld, depth: int = 5, cadence_s: int = 5):
@@ -159,25 +159,28 @@ class FeatureWindow:
             raise ValueError("window depth and cadence must be >= 1")
         self.depth = depth
         self.cadence_s = cadence_s
-        first = observe(world)
-        self.buf = [first.copy() for _ in range(depth)]
+        self.buf = [observe(world)] * depth
 
     def after_step(self, world: SimWorld) -> None:
         """Call once after every world.step(); samples on the cadence grid."""
         if world.t % self.cadence_s == 0:
-            self.buf.pop(0)
             self.buf.append(observe(world))
 
-    def stacked(self) -> np.ndarray:
-        return np.concatenate(self.buf, axis=0)
+    def start(self) -> int:
+        """Table row of the current window's oldest snapshot."""
+        return len(self.buf) - self.depth
+
+    def table(self) -> np.ndarray:
+        """(S, n, 16*L + 4) raw snapshots, oldest first."""
+        return np.stack(self.buf)
 
 
-def prepare_node_features(stacked: np.ndarray, n_lanes: int, heads: int) -> np.ndarray:
-    """Scale raw snapshot rows and zero-pad width to a multiple of `heads`."""
-    x = stacked * feature_scales(n_lanes)
-    pad = (-x.shape[1]) % heads
+def prepare_node_features(raw: np.ndarray, n_lanes: int, heads: int) -> np.ndarray:
+    """Scale raw observations (last axis) and zero-pad it to a multiple of `heads`."""
+    x = raw * feature_scales(n_lanes)
+    pad = (-x.shape[-1]) % heads
     if pad:
-        x = np.concatenate([x, np.zeros((x.shape[0], pad))], axis=1)
+        x = np.concatenate([x, np.zeros(x.shape[:-1] + (pad,))], axis=-1)
     return x
 
 
@@ -204,6 +207,3 @@ class CorridorEnv:
     def reward_between(self, intersection: int, start_t: int, stop_t: int) -> float:
         return compute_reward(self.world.log.window(start_t, stop_t),
                               intersection, self.reward_cfg)
-
-    def node_features(self, heads: int) -> np.ndarray:
-        return prepare_node_features(self.window.stacked(), self.n_lanes, heads)

@@ -66,12 +66,14 @@ class TrainConfig:
     use_temporal: bool = True
 
     def __post_init__(self):
+        for size in ("ppo_epochs", "minibatch_size", "horizon_s", "hidden",
+                     "d_model", "heads", "window_depth", "window_cadence_s"):
+            if getattr(self, size) < 1:
+                raise ValueError(f"{size} must be >= 1, got {getattr(self, size)}")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError(f"gamma must be in (0,1), got {self.gamma}")
         if self.clip_eps <= 0:
             raise ValueError("clip_eps must be > 0")
-        if self.ppo_epochs < 1 or self.minibatch_size < 1:
-            raise ValueError("epochs and minibatch size must be >= 1")
         if self.entropy_coef < 0 or self.grad_clip <= 0 or self.lr <= 0:
             raise ValueError("entropy_coef >= 0, grad_clip > 0, lr > 0 required")
         if self.entropy_coef_final is not None and self.entropy_coef_final < 0:
@@ -102,7 +104,10 @@ class TransitionBatch:
     dt: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     ret: np.ndarray = field(default_factory=lambda: np.zeros(0))
     done: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
+    # flat critic: (B, width) mean scaled observations; hypergraph critic:
+    # (B,) window starts, rows of the (S, n, d) episode table `snapshots`
     critic_input: np.ndarray | None = None
+    snapshots: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.action)
@@ -187,8 +192,8 @@ class TrainState:
         """(len(rows), 1) value Tensor; encoder stays on the tape."""
         cfg = self.cfg
         if cfg.use_hypergraph:
-            g = encode_window(batch.critic_input[rows], self.n_agents,
-                              cfg.window_depth, self.encoder,
+            windows = batch.critic_input[rows, None] + np.arange(cfg.window_depth)
+            g = encode_window(batch.snapshots, windows, self.encoder,
                               spatial=cfg.use_spatial,
                               temporal=cfg.use_temporal,
                               uniform=not cfg.use_dsha)
@@ -224,7 +229,7 @@ def collect_rollout(env: CorridorEnv, state: TrainState, seconds: int,
             # (the benchmark tracer's span) sees every call
             obs = envmod.observe(world)              # every agent's row
             if cfg.use_hypergraph:
-                critic_input = env.node_features(cfg.heads)
+                critic_input = env.window.start()
             else:
                 critic_input = (obs * feature_scales(env.n_lanes)).mean(axis=0)
             seen.clear()
@@ -241,7 +246,11 @@ def collect_rollout(env: CorridorEnv, state: TrainState, seconds: int,
     drive(env.world, seconds, decide, after_step=after_step)
     for i in sorted(pending):           # horizon: open decisions close here
         close(i, done=True)
-    return _build_batch(rows, cfg.gamma, cfg.time_discount)
+    batch = _build_batch(rows, cfg.gamma, cfg.time_discount)
+    if cfg.use_hypergraph:
+        batch.snapshots = envmod.prepare_node_features(
+            env.window.table(), env.n_lanes, cfg.heads)
+    return batch
 
 
 def _build_batch(rows: list[dict], gamma: float,
@@ -406,6 +415,8 @@ def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig,
               out_dir, log_name: str = "training_log.csv",
               checkpoint_name: str = "model.ckpt") -> dict:
     """Full training loop; writes the per-update CSV and a checkpoint."""
+    if episodes < 1:
+        raise ValueError(f"episodes must be >= 1, got {episodes}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     state = make_train_state(cfg, scenario, seed)

@@ -35,6 +35,17 @@ def test_bad_scenario_returns_error_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("episodes", ["0", "-3"])
+def test_train_without_episodes_returns_error_code(tmp_path, capsys, episodes):
+    out = tmp_path / "run"
+    rc = main(["train", "--scenario", "1", "--out", str(out),
+               "--episodes", episodes])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: episodes must be >= 1, got {episodes}")
+    assert not out.exists()
+
+
 def test_eval_zero_horizon_returns_error_code(tmp_path, capsys):
     rc = main(["eval", "--scenario", "1", "--controller", "fswf",
                "--horizon", "0", "--out", str(tmp_path)])

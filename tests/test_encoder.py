@@ -285,6 +285,13 @@ def _window_incidence(n, t, spatial, temporal):
     return H
 
 
+def _as_table(X, n, t):
+    """A (B, t*n, d) batch as a snapshot table and windows: row r's window
+    is table rows r*t .. r*t + t - 1."""
+    B, _, d = X.shape
+    return X.reshape(B * t, n, d), np.arange(B * t).reshape(B, t)
+
+
 def _grads(p):
     """enc.* gradients; an untouched tensor counts as a zero gradient."""
     return {name: np.zeros_like(q.data) if q.grad is None else q.grad.copy()
@@ -309,8 +316,8 @@ def test_encode_window_matches_per_row_encode(config, n, t):
     for q in p.tensors().values():
         q.zero_grad()
 
-    g = encode_window(X, n, t, p, spatial=spatial, temporal=temporal,
-                      uniform=uniform)
+    g = encode_window(*_as_table(X, n, t), p, spatial=spatial,
+                      temporal=temporal, uniform=uniform)
     assert g.shape == (5, 6)
     assert np.max(np.abs(g.data - oracle.data)) <= 1e-12
     ad.backward(ad.reduce_sum(ad.matmul(g, v)))
@@ -330,14 +337,14 @@ def test_encode_window_readout_invariance(config, n, t):
     X = rng.normal(size=(5, n * t, 8))
     grid = X.reshape(5, t, n, 8)
     with ad.no_grad():
-        g0 = encode_window(X, n, t, p, spatial=spatial, temporal=temporal,
-                           uniform=uniform).data
+        g0 = encode_window(*_as_table(X, n, t), p, spatial=spatial,
+                           temporal=temporal, uniform=uniform).data
         for steps, nodes in ((np.arange(t), rng.permutation(n)),
                              (rng.permutation(t), np.arange(n)),
                              (rng.permutation(t), rng.permutation(n))):
             Xp = grid[:, steps][:, :, nodes].reshape(5, n * t, 8)
-            g = encode_window(Xp, n, t, p, spatial=spatial, temporal=temporal,
-                              uniform=uniform).data
+            g = encode_window(*_as_table(Xp, n, t), p, spatial=spatial,
+                              temporal=temporal, uniform=uniform).data
             assert np.max(np.abs(g - g0)) <= 1e-12
 
 
@@ -350,8 +357,8 @@ def test_encode_window_gradients_finite_difference(config):
     v = Tensor(rng.normal(size=(3, 1)))
 
     def loss(_t):
-        g = encode_window(X, 2, 3, p, spatial=spatial, temporal=temporal,
-                          uniform=uniform)
+        g = encode_window(*_as_table(X, 2, 3), p, spatial=spatial,
+                          temporal=temporal, uniform=uniform)
         return ad.reduce_sum(ad.matmul(g, v))
 
     for name, param in p.tensors().items():
@@ -364,7 +371,7 @@ def test_encode_window_records_nothing_without_grad():
     p = init_encoder(4, 2, 3, rng=rng)
     clear_tape()
     with ad.no_grad():
-        g = encode_window(rng.normal(size=(3, 6, 4)), 3, 2, p)
+        g = encode_window(*_as_table(rng.normal(size=(3, 6, 4)), 3, 2), p)
     assert len(ad._tape()) == 0
     assert not g.track
 
@@ -384,7 +391,7 @@ def test_encode_window_tie_routes_gradient_to_first_node():
     assert np.ptp(heads, axis=1).min() > 0          # nodes differ
     p.Wo.data = np.zeros((d, d))
     p.bo.data = bo
-    g = encode_window(X, n, t, p)
+    g = encode_window(*_as_table(X, n, t), p)
     assert np.array_equal(g.data, np.repeat(bo, 2, axis=0))
     up = rng.normal(size=(2, d))
     ad.backward(ad.reduce_sum(ad.mul(g, Tensor(up))))
@@ -392,17 +399,68 @@ def test_encode_window_tie_routes_gradient_to_first_node():
     assert np.array_equal(p.bo.grad, up.sum(axis=0, keepdims=True))
 
 
-@pytest.mark.parametrize("shape", [(2, 5, 4), (2, 6, 6), (6, 4)])
+@pytest.mark.parametrize("shape", [(4, 3, 6), (6, 4), (1, 4, 3, 4)])
 def test_encode_window_rejects_a_batch_off_the_grid(shape):
     p = init_encoder(4, 2, 3)
     with pytest.raises(ValueError) as err:
-        encode_window(np.zeros(shape), 3, 2, p)
+        encode_window(np.zeros(shape), np.zeros((1, 2), dtype=int), p)
     assert str(shape) in str(err.value)
-    assert "(B, 6, 4)" in str(err.value)
+    assert "(S, n, 4)" in str(err.value)
+
+
+@pytest.mark.parametrize("windows", [
+    np.array([[0, 4]]), np.array([[-1, 0]]),          # rows off the table
+    np.array([[0.0, 1.0]]), np.array([[True, False]]),  # not integer rows
+    np.array([0, 1]), np.zeros((2, 0), dtype=int),      # not (B, t >= 1)
+    np.zeros((1, 2, 1), dtype=int)],
+    ids=["past_end", "negative", "float", "bool", "flat", "no_steps", "3d"])
+def test_encode_window_rejects_bad_windows(windows):
+    p = init_encoder(4, 2, 3)
+    with pytest.raises(ValueError, match="window"):
+        encode_window(np.zeros((4, 3, 4)), windows, p)
 
 
 def test_encode_window_needs_a_hyperedge_family():
     p = init_encoder(4, 2, 3)
     with pytest.raises(ValueError):
-        encode_window(np.zeros((1, 6, 4)), 3, 2, p, spatial=False,
+        encode_window(*_as_table(np.zeros((1, 6, 4)), 3, 2), p, spatial=False,
                       temporal=False)
+
+
+@pytest.mark.parametrize("config", WINDOW_CONFIGS)
+def test_encode_window_overlapping_and_repeated_windows(config):
+    # sliding windows over one table, as a rollout stores them: a prefill of
+    # copies of the first snapshot, windows that share snapshots, rows that
+    # share a window, and rows out of order; every row must match the
+    # oracle on its own materialized window, for g and every gradient
+    spatial, temporal, uniform = WINDOW_CONFIGS[config]
+    n, t, d = 4, 5, 8
+    rng = np.random.default_rng(90)
+    p = init_encoder(d, 4, 6, tau=0.7, rng=rng)
+    first = rng.normal(size=(n, d))
+    table = np.concatenate([np.repeat(first[None], t, axis=0),
+                            rng.normal(size=(9, n, d))])
+    starts = np.array([0, 3, 1, 3, 9, 0, 4, 5, 3, 2, 9, 8])
+    windows = starts[:, None] + np.arange(t)
+    assert len(np.unique(starts)) < len(starts)
+    weights = Tensor(rng.uniform(0.5, 2.0, size=(len(starts), 1)))
+    v = Tensor(rng.normal(size=(6, 1)))
+    H = _window_incidence(n, t, spatial, temporal)
+
+    clear_tape()
+    rows = [encode(table[w].reshape(t * n, d), H, p, uniform=uniform)[1]
+            for w in windows]
+    oracle = concat(rows, axis=0)
+    ad.backward(ad.reduce_sum(ad.mul(ad.matmul(oracle, v), weights)))
+    want = _grads(p)
+    for q in p.tensors().values():
+        q.zero_grad()
+
+    g = encode_window(table, windows, p, spatial=spatial, temporal=temporal,
+                      uniform=uniform)
+    assert np.max(np.abs(g.data - oracle.data)) <= 1e-12
+    ad.backward(ad.reduce_sum(ad.mul(ad.matmul(g, v), weights)))
+    got = _grads(p)
+    assert np.abs(want["enc.Wo"]).max() > 0
+    for name in want:
+        assert np.max(np.abs(got[name] - want[name])) <= 1e-12, name

@@ -278,9 +278,11 @@ def test_reward_monotone_in_each_count():
 def test_window_prefill_and_order():
     world = load_scenario(1, seed=4)
     win = FeatureWindow(world, depth=5, cadence_s=5)
-    X = win.stacked()
+    table = win.table()
     n = world.net.n
-    assert X.shape == (5 * n, 148)
+    assert table.shape == (5, n, 148)
+    assert win.start() == 0
+    X = table[win.start() + np.arange(5)].reshape(5 * n, 148)
     first = observe(world)
     for tau in range(5):
         for i in range(n):
@@ -290,18 +292,20 @@ def test_window_prefill_and_order():
 def test_window_cadence_and_rotation():
     world = load_scenario(3, seed=4)
     win = FeatureWindow(world, depth=5, cadence_s=5)
-    before = win.stacked().copy()
+    before = win.table()
     for _ in range(4):
         world.step()
         win.after_step(world)
-    assert np.array_equal(win.stacked(), before)        # t=1..4: no snapshot
+    assert np.array_equal(win.table(), before)          # t=1..4: no snapshot
     world.step()
     win.after_step(world)                               # t=5 lands on the grid
-    X = win.stacked()
-    n = world.net.n
+    table = win.table()
+    assert len(table) == 6 and win.start() == 1         # one entry appended
+    assert np.array_equal(table[:5], before)            # earlier rows intact
+    X = table[win.start() + np.arange(5)]
     now = observe(world)
-    assert np.array_equal(X[4 * n:], now)               # newest in last block
-    assert np.array_equal(X[:4 * n], before[:4 * n])    # prefix shifted intact
+    assert np.array_equal(X[4], now)                    # newest in last block
+    assert np.array_equal(X[:4], before[1:])            # window slid by one
     with pytest.raises(ValueError):
         FeatureWindow(world, depth=0)
 
@@ -309,13 +313,13 @@ def test_window_cadence_and_rotation():
 def test_prepare_node_features_scales_and_pads():
     world = load_scenario(1, seed=0)
     win = FeatureWindow(world, depth=5, cadence_s=5)
-    X = prepare_node_features(win.stacked(), n_lanes=9, heads=4)
-    assert X.shape == (30, 148)                         # 148 already divides by 4
-    raw = win.stacked()
+    X = prepare_node_features(win.table(), n_lanes=9, heads=4)
+    assert X.shape == (5, 6, 148)                       # 148 already divides by 4
+    raw = win.table()
     assert np.allclose(X, raw * feature_scales(9))
-    Xp = prepare_node_features(win.stacked(), n_lanes=9, heads=5)
-    assert Xp.shape == (30, 150)
-    assert np.all(Xp[:, 148:] == 0.0)
+    Xp = prepare_node_features(win.table(), n_lanes=9, heads=5)
+    assert Xp.shape == (5, 6, 150)
+    assert np.all(Xp[..., 148:] == 0.0)
 
 
 # ------------------------------------------------------------------- wrapper
@@ -345,7 +349,8 @@ def test_corridor_env_wiring():
     assert not env.mask_for(0)[:38].any()
     r = env.reward_between(0, 0, 10)
     assert r == compute_reward(env.world.log.window(0, 10), 0, env.reward_cfg)
-    assert env.node_features(4).shape == (30, 148)
+    assert env.window.table().shape == (7, 6, 148)      # 5 prefill + t=5, 10
+    assert env.window.start() == 2
 
 
 # --------------------------------------------------------------------- drive

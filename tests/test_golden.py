@@ -315,6 +315,11 @@ def rollout_digests(use_hypergraph: bool) -> dict:
     env = CorridorEnv(1, seed=world_seed(0, 0), window_depth=cfg.window_depth,
                       window_cadence_s=cfg.window_cadence_s)
     batch = collect_rollout(env, state, ROLLOUT_S)
+    if use_hypergraph:
+        # each row's window, materialized from the table as (t*n, d)
+        windows = batch.critic_input[:, None] + np.arange(cfg.window_depth)
+        batch.critic_input = batch.snapshots[windows].reshape(
+            len(batch), -1, batch.snapshots.shape[-1])
     out = {}
     for name in BATCH_FIELDS:
         arr = np.ascontiguousarray(getattr(batch, name))

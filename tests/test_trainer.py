@@ -11,10 +11,10 @@ from stdsh import env as envmod
 from stdsh import trainer
 from stdsh.env import CorridorEnv, action_mask, decode_action, obs_width
 from stdsh.trainer import (TrainConfig, TrainState, TransitionBatch,
-                           advantages, collect_rollout, critic_update,
-                           evaluate_values, load_checkpoint, ppo_update,
-                           returns, run_bandit, save_checkpoint, train_run,
-                           world_seed)
+                           advantages, collect_rollout, corridor_train_config,
+                           critic_update, evaluate_values, load_checkpoint,
+                           ppo_update, returns, run_bandit, save_checkpoint,
+                           train_run, world_seed)
 
 
 def small_cfg(**kw):
@@ -129,6 +129,15 @@ def test_train_config_validation():
             TrainConfig(**bad)
     # both hyperedge families may go only when the hypergraph itself is off
     TrainConfig(use_hypergraph=False, use_spatial=False, use_temporal=False)
+
+
+@pytest.mark.parametrize("size", ["ppo_epochs", "minibatch_size", "horizon_s",
+                                  "hidden", "d_model", "heads", "window_depth",
+                                  "window_cadence_s"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_train_config_rejects_sizes_below_one(size, value):
+    with pytest.raises(ValueError, match=f"^{size} must be >= 1, got {value}$"):
+        TrainConfig(**{size: value})
 
 
 def test_entropy_coef_schedule():
@@ -258,10 +267,11 @@ def test_flat_critic_rollout_takes_no_snapshots():
     env = CorridorEnv(1, seed=0)
     state = TrainState(cfg, in_width=obs_width(env.n_lanes), n_agents=env.n_agents,
                        seed=0)
-    before = list(env.window.buf)
-    assert len(collect_rollout(env, state, 60)) > 0
-    assert len(env.window.buf) == len(before)
-    assert all(a is b for a, b in zip(env.window.buf, before))
+    before = env.window.table()
+    batch = collect_rollout(env, state, 60)
+    assert len(batch) > 0 and batch.snapshots is None
+    assert env.window.start() == 0
+    assert np.array_equal(env.window.table(), before)
 
 
 @pytest.mark.parametrize("use_hypergraph", [True, False],
@@ -272,18 +282,13 @@ def test_rollout_observes_once_per_decided_second(monkeypatch,
     env = CorridorEnv(1, seed=0)
     state = TrainState(cfg, in_width=obs_width(env.n_lanes),
                        n_agents=env.n_agents, seed=0)
-    calls = {"observe": 0, "node_features": 0}
+    calls = {"observe": 0}
     snapshot = env.window.after_step
     observe = envmod.observe
-    node_features = env.node_features
 
     def counted_observe(world):
         calls["observe"] += 1
         return observe(world)
-
-    def counted_node_features(heads):
-        calls["node_features"] += 1
-        return node_features(heads)
 
     def uncounted_snapshot(world):
         before = calls["observe"]
@@ -291,13 +296,19 @@ def test_rollout_observes_once_per_decided_second(monkeypatch,
         calls["observe"] = before
 
     monkeypatch.setattr(envmod, "observe", counted_observe)
-    monkeypatch.setattr(env, "node_features", counted_node_features)
     monkeypatch.setattr(env.window, "after_step", uncounted_snapshot)
     batch = collect_rollout(env, state, 900)
     seconds = len(np.unique(batch.t))
     assert len(batch) > seconds            # some seconds hold two decisions
     assert calls["observe"] == seconds
-    assert calls["node_features"] == (seconds if use_hypergraph else 0)
+    # the table gains one entry per cadence second and none per decision
+    snapshots = 900 // cfg.window_cadence_s if use_hypergraph else 0
+    assert len(env.window.table()) == cfg.window_depth + snapshots
+    if use_hypergraph:
+        assert batch.snapshots.shape == (cfg.window_depth + snapshots,
+                                         env.n_agents, 148)
+        assert np.array_equal(batch.critic_input,
+                              batch.t // cfg.window_cadence_s)
 
 
 def test_rollout_returns_are_per_agent_suffix_sums():
@@ -371,6 +382,23 @@ def test_training_stops_after_repeated_aborts(tmp_path, monkeypatch):
         rows = list(csv.DictReader(fh))
     assert [row["aborted"] for row in rows] == ["1", "1", "1"]
     assert not (tmp_path / "stopped" / "model.ckpt").exists()
+
+
+def test_identical_trainings_write_identical_files(tmp_path):
+    cfg = corridor_train_config(horizon_s=300)
+    assert cfg.use_hypergraph
+    for run in ("a", "b"):
+        train_run(1, 3, 2, cfg, tmp_path / run)
+    for name in ("training_log.csv", "model.ckpt"):
+        first = (tmp_path / "a" / name).read_bytes()
+        assert first and first == (tmp_path / "b" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("episodes", [0, -3])
+def test_train_run_rejects_no_episodes(tmp_path, episodes):
+    with pytest.raises(ValueError, match="episodes must be >= 1"):
+        train_run(1, 0, episodes, small_cfg(horizon_s=60), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_aborted_updates_leave_no_tape_records():
