@@ -13,8 +13,10 @@ counts, the discharge events and observe() at three instants. Edge worlds
 pin scenarios 1 and 3 under random control with configs where a
 per-second and an event-driven movement model could part ways: moving
 vehicles below the delay threshold (on every link, or on tram links
-only), a one-second tram dwell, links crossed in one second, and speeds
-and lengths whose per-second steps are not round numbers. Each is pinned
+only), a one-second tram dwell, links crossed in one second, speeds
+and lengths whose per-second steps are not round numbers, and car
+occupancies drawn with a Poisson mean of 0 (no draw) and of 12 (numpy's
+rejection sampler rather than its multiplication method). Each is pinned
 by its metrics table, completed trips, discharge events and observe()
 at every decision.
 
@@ -56,6 +58,8 @@ EDGE_CONFIGS = {
     "short_links": {"link_length_m": 10.0, "side_link_length_m": 10.0},
     "odd_speeds": {"freeflow_kmh": 30.1, "tram_freeflow_kmh": 17.3,
                    "link_length_m": 257.0},
+    "no_riders": {"car_occupancy_poisson_mean": 0.0},
+    "full_cars": {"car_occupancy_poisson_mean": 12.0},
 }
 EDGE_WORLDS = [(name, s) for name in EDGE_CONFIGS for s in (1, 3)]
 EDGE_SEED = 20_001
@@ -289,6 +293,30 @@ GOLDEN_EDGE_WORLDS = {
         "completed": "e3277ffd966efa57c56a66ff54ef82b077d1e91e24d9d61713d40934ca747a68",
         "discharge_events": "837fcb691d455254df64178f756d4a0de497b98070d47729eab949eeda7917b0",
         "observe": "83a778a641fa247de3121215e7d434633ad1c97002a21e031a8864791097daf3",
+    },
+    "no_riders-1": {
+        "log": "82b4a187f9d02dd34caa98300e7dedb53a793c7ce07909e42c140eebfa0516a6",
+        "completed": "02d7d76da5dede9d462874d849a3013416b4cd78f05d06f48dad84c296d4ca67",
+        "discharge_events": "6745ca1779ad0c989299b2ab39febb4bbe6d9eaaa8db5c635839de5c79215345",
+        "observe": "7a2cec06274884fd0f091384fe0818d3a4bc17f3115aa490ae53722d00cd1635",
+    },
+    "no_riders-3": {
+        "log": "84576ecfc97308ba73e984ec25015ae4231c5648fbc7f279a31c8773ee6f1438",
+        "completed": "636491266af49bbd24587fb0ab3fe2d5f9942468999602f9314b8dbe2b849c69",
+        "discharge_events": "5b95333cb0f02f2b82f95b2afb1074725082130781fcdfafe6bdccffdfff27a3",
+        "observe": "32030b3d3b3c1c3286bf4a819a5c904b02a8a03686f63748266a19c6a2127c23",
+    },
+    "full_cars-1": {
+        "log": "4f4758f9b30de537c7193e182a2360eb6bc290ca9e4fe3c30aebe36b6ee1c7c2",
+        "completed": "499c479a6c90014d0cebd2917bf02aeec72b1fabacc10064d353d0a914807be0",
+        "discharge_events": "d88f7cfb09a9a23d720d7edd87a740e15db0025f91747e9f5130dd9a122ceaf7",
+        "observe": "8842e1f5cd70f4ab8973a425e79699bbe9e960484da1e220ce7e37356afa7d69",
+    },
+    "full_cars-3": {
+        "log": "97e43c100b1791cae95b77378cbd1a4cf5cfa8d83bfba4d24378ec25a5ebc4ef",
+        "completed": "2e2d7c8ffdeb4885e5f08fff8eeb521fa634127a48becd0d97373cf16ffa02fc",
+        "discharge_events": "97db7d852b3c8b8bd0ffb763377036370e5d0e4a2780442afc1f5cb0a933acaa",
+        "observe": "26ed92ee622d6db89d5e8cdf55039fe9c330308a0796f947ba2a3bed0ea099dd",
     },
 }
 

@@ -1,6 +1,7 @@
 """Returns, advantages, PPO/critic updates, rollouts, checkpoints, bandit."""
 
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -392,6 +393,85 @@ def test_identical_trainings_write_identical_files(tmp_path):
     for name in ("training_log.csv", "model.ckpt"):
         first = (tmp_path / "a" / name).read_bytes()
         assert first and first == (tmp_path / "b" / name).read_bytes(), name
+
+
+# sha256 of what four trainings (scenario 1, 300 s episodes) write, pinned
+# when every update still ran in one process; "-" where the run stops
+# before its checkpoint
+PINNED_TRAININGS = {
+    "clean": ("e2e623b884324421dd367ec49c4c2bfa172f1c16b3336b1e85abaa49f72969a9",
+              "7acddde85bbdf832d4aca96bc55da29d2d0362e41aac01f1576b9b630dac0217"),
+    "flat": ("32ce7d31785512cd47a7441ea42c838cd6dd247d1067610f0d9853fcd65b2854",
+             "80326d07c8c72199d1909376c41c2bf3f9d3bb2ce6d831f882f7820d31c5bcee"),
+    "nan_returns": ("8cddbf9937f1649854ee3fb67dfaba6b6e158fc3862286555e72af718c052144",
+                    "dde5a0d2983447a6cbfb68a82a570f990e8ba0b12e86eb82423d1f523d5a3aa0"),
+    "one_sided_aborts": ("511cc5be8f018090a2a8a4aecb10f8cfafe747f9a7797bb088bef88d5cea83e2",
+                         "-"),
+}
+
+
+def pinned_training(name, tmp_path, monkeypatch):
+    """Run one pinned training; returns its two digests.
+
+    The hypergraph critic is on except in flat. clean: 3 episodes at
+    seed 3; flat: 2 episodes at seed 3. nan_returns: 5 episodes at seed 0 with a
+    NaN return in episodes 0 and 3, so both updates abort in their first
+    epoch. one_sided_aborts: 4 episodes at seed 0; a NaN advantage in
+    episode 0 aborts the actor update alone, and NaN critic gradients at
+    the critic's sixth step abort episode 1's critic update alone, in its
+    third epoch; episode 2's updates both abort, and that third abort in
+    a row stops the training before episode 3.
+    """
+    cfg = corridor_train_config(horizon_s=300, use_hypergraph=name != "flat")
+    rollout, clip, make, advantage = (
+        trainer.collect_rollout, trainer.clip_grad_norm,
+        trainer.make_train_state, trainer.advantages)
+    seed, episodes = {"clean": (3, 3), "flat": (3, 2), "nan_returns": (0, 5),
+                      "one_sided_aborts": (0, 4)}[name]
+    made = []
+
+    def poisoned_rollout(env, state, seconds, greedy=False):
+        batch = rollout(env, state, seconds, greedy)
+        ep = env.world.seed - world_seed(seed, 0)
+        if name == "nan_returns" and ep in (0, 3):
+            batch.ret[0] = np.nan
+        return batch
+
+    def poisoned_advantages(*args):
+        adv = advantage(*args)
+        if not made[1:]:            # episode 0
+            made.append(adv)
+            adv[0] = np.nan
+        return adv
+
+    def poisoned_clip(params, max_norm):
+        if "enc.Wo" in params and made[0].opt_critic.t == 5:
+            for p in params.values():
+                p.grad = p.grad * np.nan
+        return clip(params, max_norm)
+
+    def recorded_state(*args, **kwargs):
+        made.append(make(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(trainer, "collect_rollout", poisoned_rollout)
+    if name == "one_sided_aborts":
+        monkeypatch.setattr(trainer, "clip_grad_norm", poisoned_clip)
+        monkeypatch.setattr(trainer, "make_train_state", recorded_state)
+        monkeypatch.setattr(trainer, "advantages", poisoned_advantages)
+        with pytest.raises(trainer.TrainingStopped, match=r"episodes \[0, 1, 2\]"):
+            train_run(1, seed, episodes, cfg, tmp_path)
+    else:
+        train_run(1, seed, episodes, cfg, tmp_path)
+    return tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                 if path.exists() else "-"
+                 for path in (tmp_path / "training_log.csv",
+                              tmp_path / "model.ckpt"))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TRAININGS))
+def test_training_writes_pinned_bytes(name, tmp_path, monkeypatch):
+    assert pinned_training(name, tmp_path, monkeypatch) == PINNED_TRAININGS[name]
 
 
 @pytest.mark.parametrize("episodes", [0, -3])
