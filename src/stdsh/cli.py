@@ -74,7 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_train, p_eval):
         p.add_argument("--profile", action="store_true",
                        help="write a cProfile top-30 by cumulative time to "
-                            "profile.txt in --out (timings vary run to run)")
+                            "profile.txt in --out (timings vary run to run); "
+                            "critic updates that train runs in a child "
+                            "process show up as the wait for it")
 
     p_report = sub.add_parser("report", help="aggregate summary.csv")
     p_report.add_argument("--in", dest="in_dir", type=Path, required=True)

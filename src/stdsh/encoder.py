@@ -225,11 +225,16 @@ def encode_window(snapshots, windows, params: EncoderParams,
     Y = params.bo.data + sum(_to_nodes(beta[f], M[f], ax)
                              for f, ax in enumerate(axes))
     Y = Y.reshape(V, t * n, d_model)
+    top = Y.max(axis=1)
     inputs = [*params.W, *params.a, *params.b, params.Wo, params.bo]
 
     def grads(dg):
         dY = np.zeros_like(Y)
-        first = np.argmax(Y, axis=1)[:, None, :]
+        # argmax's first node at each maximum, from a max over the node
+        # axis, which numpy reduces far faster than it takes argmax across it
+        rank = np.arange(t * n, 0, -1, dtype=np.min_scalar_type(t * n))[:, None]
+        top_rank = ((Y == top[:, None]) * rank).max(axis=1).astype(np.intp)
+        first = (t * n - top_rank)[:, None, :]
         np.put_along_axis(dY, first, _scatter(row_win, dg, V)[:, None, :], axis=1)
         dY = dY.reshape(V, t, n, d_model)
         dM = [down(ax, _pool(beta[f], dY, ax)) for f, ax in enumerate(axes)]
@@ -263,4 +268,4 @@ def encode_window(snapshots, windows, params: EncoderParams,
         return [*dW, *da, *db, dWo.reshape(K * d_h, d_model),
                 dg.sum(0, keepdims=True)]
 
-    return ad.custom_op(Y.max(axis=1)[row_win], inputs, grads)
+    return ad.custom_op(top[row_win], inputs, grads)

@@ -35,6 +35,7 @@ keeps a deque of queued ids, a count still rolling and a credit meter.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from itertools import islice, repeat
 
@@ -131,6 +132,7 @@ class SimWorld:
         self.cfg = cfg
         self.seed = int(seed)
         self.rng = np.random.default_rng(seed)
+        self._draws = iter(())          # uniforms drawn ahead from rng, in order
         self.net = Network(cfg)
         self.controllers = [SignalController(k, cfg.initial_phase, cfg.initial_green_s)
                             for k in range(cfg.intersections)]
@@ -177,8 +179,29 @@ class SimWorld:
 
     # ------------------------------------------------------------- spawning
 
+    def _random(self) -> float:
+        """The next self.rng.random(), from blocks of 512 drawn in order."""
+        try:
+            return next(self._draws)
+        except StopIteration:
+            self._draws = iter(self.rng.random(512).tolist())
+            return next(self._draws)
+
+    def _poisson(self, mean: float) -> int:
+        """self.rng.poisson(mean) on the same stream: numpy's multiplication
+        method below a mean of 10, numpy itself once the draws ahead are
+        rewound (one PCG64 step each) from 10 on."""
+        if mean >= 10:
+            self.rng.bit_generator.advance(2**128 - self._draws.__length_hint__())
+            self._draws = iter(())
+            return int(self.rng.poisson(mean))
+        k, prod, floor = 0, 1.0, math.exp(-mean)
+        while mean and (prod := prod * self._random()) > floor:
+            k += 1
+        return k
+
     def _draw_movement(self) -> str:
-        u = self.rng.random()
+        u = self._random()
         if u < self.cfg.turn_left:
             return "left"
         if u < self.cfg.turn_left + self.cfg.turn_through:
@@ -239,8 +262,8 @@ class SimWorld:
                                for entry_id, _ in self.net.entries]
         count = 0
         for (_, link), p in zip(self.net.entries, self._arrival_p):
-            if self.rng.random() < p:
-                occ = 1 + int(self.rng.poisson(cfg.car_occupancy_poisson_mean))
+            if self._random() < p:
+                occ = 1 + self._poisson(cfg.car_occupancy_poisson_mean)
                 self._spawn_vehicle("car", occ, self._route(link))
                 count += 1
         if self._due(cfg.bus_first_departure_s, cfg.bus_headway_s):

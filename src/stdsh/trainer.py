@@ -13,11 +13,19 @@ Ratios in the clipped surrogate are taken against log-probs recomputed in
 one batched forward at the start of the update; collection keeps none.
 Identical inputs through an identical batched graph make the first
 epoch's ratios exactly one when the batch fits in a single minibatch.
+
+Only the value pass reads the critic, so where this process's CPUs fit
+two processes' BLAS threads train_run updates it in a forked child during
+the actor update and the next rollout. Epoch orders are drawn up front in
+the updates' own order and redrawn after an early abort, so the files are
+those of the updates run in turn.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -225,9 +233,11 @@ def collect_rollout(env: CorridorEnv, state: TrainState, seconds: int,
         if i in pending:
             close(i, done=False)
         if world.t not in seen:
+            # on the snapshot grid the window has just observed this state;
             # envmod.observe is looked up at call time, so a patched one
             # (the benchmark tracer's span) sees every call
-            obs = envmod.observe(world)              # every agent's row
+            on_grid = cfg.use_hypergraph and world.t % env.window.cadence_s == 0
+            obs = env.window.buf[-1] if on_grid else envmod.observe(world)
             if cfg.use_hypergraph:
                 critic_input = env.window.start()
             else:
@@ -285,8 +295,20 @@ def evaluate_values(state: TrainState, batch: TransitionBatch) -> np.ndarray:
 
 # -------------------------------------------------------------------- updates
 
+def epoch_orders(rng: np.random.Generator, size: int, epochs: int):
+    """Each epoch's minibatch order: arange(size) shuffled once more per
+    epoch. Lazy, so an aborted update draws only the epochs it reached. The
+    updates take them as `orders` (default: drawn lazily) and count those
+    they used in stats["epochs"]."""
+    idx = np.arange(size)
+    for _ in range(epochs):
+        rng.shuffle(idx)
+        yield idx.copy()
+
+
 def ppo_update(state: TrainState, batch: TransitionBatch,
-               adv: np.ndarray, entropy_coef: float | None = None) -> dict:
+               adv: np.ndarray, entropy_coef: float | None = None,
+               orders=None) -> dict:
     """Clipped-surrogate actor update; returns per-update statistics."""
     cfg = state.cfg
     if entropy_coef is None:
@@ -301,13 +323,12 @@ def ppo_update(state: TrainState, batch: TransitionBatch,
         old = logp_all.data[np.arange(B), batch.action].copy()
     stats = {"aborted": False, "ratio_min": np.inf, "ratio_max": -np.inf,
              "surrogate_first": None, "entropy": 0.0, "actor_loss": 0.0,
-             "grad_norm": 0.0}
+             "grad_norm": 0.0, "epochs": 0}
     ent_sum = 0.0
     loss_sum = 0.0
     steps = 0
-    idx = np.arange(B)
-    for epoch in range(cfg.ppo_epochs):
-        state.rng.shuffle(idx)
+    for epoch, idx in enumerate(orders or epoch_orders(state.rng, B, cfg.ppo_epochs)):
+        stats["epochs"] = epoch + 1
         for s in range(0, B, cfg.minibatch_size):
             rows = idx[s:s + cfg.minibatch_size]
             with ad.tape_scope():
@@ -342,21 +363,21 @@ def ppo_update(state: TrainState, batch: TransitionBatch,
     return stats
 
 
-def critic_update(state: TrainState, batch: TransitionBatch) -> dict:
+def critic_update(state: TrainState, batch: TransitionBatch,
+                  orders=None) -> dict:
     """Half-MSE return regression; trains the encoder when hypergraph is on."""
     cfg = state.cfg
     B = len(batch)
     if B == 0:
         raise ValueError("empty batch")
-    stats = {"aborted": False, "critic_loss": 0.0, "grad_norm": 0.0}
+    stats = {"aborted": False, "critic_loss": 0.0, "grad_norm": 0.0, "epochs": 0}
     loss_sum = 0.0
     steps = 0
     params = dict(state.critic.params())
     if state.encoder is not None:
         params.update(state.encoder.tensors())
-    idx = np.arange(B)
-    for _ in range(cfg.ppo_epochs):
-        state.rng.shuffle(idx)
+    for epoch, idx in enumerate(orders or epoch_orders(state.rng, B, cfg.ppo_epochs)):
+        stats["epochs"] = epoch + 1
         for s in range(0, B, cfg.minibatch_size):
             rows = idx[s:s + cfg.minibatch_size]
             with ad.tape_scope():
@@ -411,6 +432,61 @@ class TrainingStopped(RuntimeError):
     """Training gave up after MAX_ABORTS_IN_A_ROW aborted updates."""
 
 
+def _blas_threads() -> int | None:
+    """Threads per call of the OpenBLAS numpy loaded; None if none is found."""
+    with open("/proc/self/maps") as fh:
+        libs = {ln.split()[-1] for ln in fh if "openblas" in ln.lower() and ".so" in ln}
+    for lib in map(ctypes.CDLL, sorted(libs)):
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                return getattr(lib, name)()
+
+
+class _CriticChild:
+    """critic_update(state, batch, orders) of one episode in a forked child."""
+
+    def __init__(self, state: TrainState, batch, orders, episode: int):
+        import multiprocessing      # 8 ms of start-up that evaluation never needs
+        self.state, self.episode = state, episode
+        self.conn, sender = multiprocessing.Pipe(duplex=False)
+        self.proc = multiprocessing.get_context("fork").Process(
+            target=self._run, args=(sender, batch, orders), daemon=True)
+        self.proc.start()
+        sender.close()
+
+    def _run(self, conn, batch, orders) -> None:
+        # os._exit: nothing inherited (the log's buffer, stdio) is flushed twice
+        try:
+            stats, opt = critic_update(self.state, batch, orders), self.state.opt_critic
+            conn.send((stats, [p.data for p in opt.params] + opt._m + opt._v, opt.t))
+        except BaseException as exc:    # re-raised by result(); unpicklable: EOF
+            conn.send(exc)
+        finally:
+            os._exit(0)
+
+    def result(self) -> dict:
+        """Wait for the child; install its critic, encoder and Adam state."""
+        try:
+            msg = self.conn.recv()
+        except EOFError:
+            self.proc.join()
+            raise RuntimeError(f"episode {self.episode}: the critic update's child "
+                               f"exited with {self.proc.exitcode} before its result") from None
+        if isinstance(msg, BaseException):
+            raise msg
+        opt = self.state.opt_critic
+        for dst, src in zip([p.data for p in opt.params] + opt._m + opt._v, msg[1]):
+            dst[...] = src
+        opt.t = msg[2]
+        return msg[0]
+
+    def close(self) -> None:
+        self.proc.terminate()       # a no-op once the child has sent its result
+        self.proc.join()
+        self.conn.close()
+
+
 def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig,
               out_dir, log_name: str = "training_log.csv",
               checkpoint_name: str = "model.ckpt") -> dict:
@@ -423,26 +499,57 @@ def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig,
     log_path = out_dir / log_name
     ckpt_path = out_dir / checkpoint_name
     history, aborted = [], []
+    # no affinity call (not Linux): run in turn, as on one CPU
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    fork = cpus > 1 and cpus >= 2 * (_blas_threads() or cpus)
     t0 = time.perf_counter()
+
+    def rollout(ep: int) -> TransitionBatch:
+        batch = collect_rollout(CorridorEnv(scenario, world_seed(seed, ep), cfg.window_depth,
+                                            cfg.window_cadence_s), state, cfg.horizon_s)
+        if len(batch) == 0:
+            raise RuntimeError(f"episode {ep}: no decisions collected")
+        return batch
+
+    def orders(ppo_epochs: int, critic_epochs: int) -> list:
+        state.rng.bit_generator.state = drawn
+        return [list(epoch_orders(state.rng, len(batch), n))
+                for n in (ppo_epochs, critic_epochs)]
+
     with open(log_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["update", "mean_reward", "actor_loss", "critic_loss",
                     "entropy", "grad_norm", "aborted"])
+        batch = rollout(0)
         for ep in range(episodes):
-            env = CorridorEnv(scenario, seed=world_seed(seed, ep),
-                              window_depth=cfg.window_depth,
-                              window_cadence_s=cfg.window_cadence_s)
-            batch = collect_rollout(env, state, cfg.horizon_s)
-            if len(batch) == 0:
-                raise RuntimeError(f"episode {ep}: no decisions collected")
-            # value head lives in return_scale units; normalization keeps the
-            # actor's gradient invariant to the choice of scale
-            values = evaluate_values(state, batch)
-            adv = advantages(batch.ret * cfg.return_scale, values,
-                             cfg.normalize_advantages)
-            astats = ppo_update(state, batch, adv,
-                                entropy_coef=cfg.entropy_coef_at(ep, episodes))
-            cstats = critic_update(state, batch)
+            drawn, upcoming, E = state.rng.bit_generator.state, None, cfg.ppo_epochs
+            ppo_orders, critic_orders = orders(E, E)
+            child = _CriticChild(state, batch, critic_orders, ep) if fork else None
+            try:
+                # value head lives in return_scale units; normalization keeps
+                # the actor's gradient invariant to the choice of scale
+                values = evaluate_values(state, batch)
+                adv = advantages(batch.ret * cfg.return_scale, values,
+                                 cfg.normalize_advantages)
+                astats = ppo_update(state, batch, adv, orders=ppo_orders,
+                                    entropy_coef=cfg.entropy_coef_at(ep, episodes))
+                if child is None or astats["epochs"] < E:
+                    # after an early PPO abort the child's orders follow
+                    # draws never made: it is dropped on the way out
+                    cstats = critic_update(state, batch, orders(astats["epochs"], E)[1])
+                else:
+                    if ep + 1 < episodes:
+                        try:
+                            upcoming = rollout(ep + 1)
+                        except Exception as exc:    # raised after the row, as before
+                            upcoming = exc
+                    cstats = child.result()
+            finally:
+                if child is not None:
+                    child.close()
+            if cstats["epochs"] < E:    # fewer orders used than drawn: rewind,
+                orders(astats["epochs"], cstats["epochs"])
+                upcoming = None         # and roll the next episode out again
             row = {"update": ep,
                    "mean_reward": float(batch.reward.mean()),
                    "actor_loss": astats["actor_loss"],
@@ -458,6 +565,10 @@ def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig,
             if len(aborted) == MAX_ABORTS_IN_A_ROW:
                 raise TrainingStopped(f"updates of episodes {aborted} all aborted "
                                       "on a non-finite loss; stopping training")
+            if isinstance(upcoming, Exception):
+                raise upcoming
+            if ep + 1 < episodes:
+                batch = rollout(ep + 1) if upcoming is None else upcoming
     save_checkpoint(state, ckpt_path)
     return {"checkpoint": ckpt_path, "log": log_path, "history": history,
             "wall_s": time.perf_counter() - t0, "state": state}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stdsh import env as envmod
 from stdsh.env import CorridorEnv, feature_scales, obs_width
 from stdsh.experiment import (CONTROLLERS, SUMMARY_HEADER, SummaryRow, report,
                               run_experiment)
@@ -135,6 +136,28 @@ def test_every_cell_serves_the_t0_trigger_and_none_past_the_horizon(
     for calls in served.values():
         assert calls[:6] == [(0, i) for i in range(6)]
         assert max(t for t, _ in calls) < 300
+
+
+@pytest.mark.parametrize("controller", ("stdsh", "mappo"))
+def test_greedy_cells_observe_each_decided_second_once(controller, monkeypatch):
+    observed, decided = [], []
+    observe, apply_signal = envmod.observe, SimWorld.apply_signal
+    state = small_state(controller == "stdsh")
+
+    def recorded_observe(world):
+        observed.append(world.t)
+        return observe(world)
+
+    def record(world, i, phase, green):
+        decided.append(world.t)
+        apply_signal(world, i, phase, green)
+
+    monkeypatch.setattr(envmod, "observe", recorded_observe)
+    monkeypatch.setattr(SimWorld, "apply_signal", record)
+    run_experiment("[signal]\ninitial_green_s = 0\n", controller, seed=0,
+                   horizon_s=HORIZON, state=state)
+    assert len(decided) > len(set(decided))     # seconds with several decisions
+    assert observed == sorted(set(decided))
 
 
 def test_report_aggregates_seed_means(tmp_path):

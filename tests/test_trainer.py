@@ -2,6 +2,8 @@
 
 import csv
 import hashlib
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -283,27 +285,26 @@ def test_rollout_observes_once_per_decided_second(monkeypatch,
     env = CorridorEnv(1, seed=0)
     state = TrainState(cfg, in_width=obs_width(env.n_lanes),
                        n_agents=env.n_agents, seed=0)
-    calls = {"observe": 0}
-    snapshot = env.window.after_step
+    observed = []
     observe = envmod.observe
 
-    def counted_observe(world):
-        calls["observe"] += 1
+    def recorded_observe(world):
+        observed.append(world.t)
         return observe(world)
 
-    def uncounted_snapshot(world):
-        before = calls["observe"]
-        snapshot(world)
-        calls["observe"] = before
-
-    monkeypatch.setattr(envmod, "observe", counted_observe)
-    monkeypatch.setattr(env.window, "after_step", uncounted_snapshot)
+    monkeypatch.setattr(envmod, "observe", recorded_observe)
     batch = collect_rollout(env, state, 900)
-    seconds = len(np.unique(batch.t))
-    assert len(batch) > seconds            # some seconds hold two decisions
-    assert calls["observe"] == seconds
+    seconds = np.unique(batch.t)
+    assert len(batch) > len(seconds)       # some seconds hold two decisions
+    # snapshots and decisions together observe each second at most once:
+    # a decided second on the snapshot grid reads the snapshot
+    assert len(observed) == len(set(observed))
+    assert set(seconds) <= set(observed)
+    on_grid = np.sum(seconds % cfg.window_cadence_s == 0)
+    assert on_grid > 0
     # the table gains one entry per cadence second and none per decision
     snapshots = 900 // cfg.window_cadence_s if use_hypergraph else 0
+    assert len(observed) == snapshots + len(seconds) - bool(snapshots) * on_grid
     assert len(env.window.table()) == cfg.window_depth + snapshots
     if use_hypergraph:
         assert batch.snapshots.shape == (cfg.window_depth + snapshots,
@@ -414,9 +415,9 @@ def pinned_training(name, tmp_path, monkeypatch):
     """Run one pinned training; returns its two digests.
 
     The hypergraph critic is on except in flat. clean: 3 episodes at
-    seed 3; flat: 2 episodes at seed 3. nan_returns: 5 episodes at seed 0 with a
-    NaN return in episodes 0 and 3, so both updates abort in their first
-    epoch. one_sided_aborts: 4 episodes at seed 0; a NaN advantage in
+    seed 3; flat: 2 episodes at seed 3. nan_returns: 5 episodes at seed 0
+    with a NaN return in episodes 0 and 3, so both updates abort in their
+    first epoch. one_sided_aborts: 4 episodes at seed 0; a NaN advantage in
     episode 0 aborts the actor update alone, and NaN critic gradients at
     the critic's sixth step abort episode 1's critic update alone, in its
     third epoch; episode 2's updates both abort, and that third abort in
@@ -428,7 +429,7 @@ def pinned_training(name, tmp_path, monkeypatch):
         trainer.make_train_state, trainer.advantages)
     seed, episodes = {"clean": (3, 3), "flat": (3, 2), "nan_returns": (0, 5),
                       "one_sided_aborts": (0, 4)}[name]
-    made = []
+    states, advantage_calls = [], []
 
     def poisoned_rollout(env, state, seconds, greedy=False):
         batch = rollout(env, state, seconds, greedy)
@@ -439,20 +440,20 @@ def pinned_training(name, tmp_path, monkeypatch):
 
     def poisoned_advantages(*args):
         adv = advantage(*args)
-        if not made[1:]:            # episode 0
-            made.append(adv)
+        advantage_calls.append(1)
+        if len(advantage_calls) == 1:       # episode 0
             adv[0] = np.nan
         return adv
 
     def poisoned_clip(params, max_norm):
-        if "enc.Wo" in params and made[0].opt_critic.t == 5:
+        if "enc.Wo" in params and states[0].opt_critic.t == 5:
             for p in params.values():
                 p.grad = p.grad * np.nan
         return clip(params, max_norm)
 
     def recorded_state(*args, **kwargs):
-        made.append(make(*args, **kwargs))
-        return made[-1]
+        states.append(make(*args, **kwargs))
+        return states[-1]
 
     monkeypatch.setattr(trainer, "collect_rollout", poisoned_rollout)
     if name == "one_sided_aborts":
@@ -469,9 +470,91 @@ def pinned_training(name, tmp_path, monkeypatch):
                               tmp_path / "model.ckpt"))
 
 
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: {0})
+
+
+def forked(monkeypatch):
+    """Fork the critic updates wherever there is a second CPU, whatever
+    the BLAS threads, which then only compete for the CPUs."""
+    monkeypatch.setattr(trainer, "_blas_threads", lambda: 1)
+
+
+@pytest.mark.parametrize("mode", [one_cpu, forked], ids=["one_cpu", "forked"])
 @pytest.mark.parametrize("name", sorted(PINNED_TRAININGS))
-def test_training_writes_pinned_bytes(name, tmp_path, monkeypatch):
+def test_training_writes_pinned_bytes(name, mode, tmp_path, monkeypatch):
+    mode(monkeypatch)
     assert pinned_training(name, tmp_path, monkeypatch) == PINNED_TRAININGS[name]
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("mode,forks", [(one_cpu, 0), (forked, 2)],
+                         ids=["one_cpu", "forked"])
+def test_critic_child_per_episode_only_with_two_cpus(mode, forks, tmp_path,
+                                                     monkeypatch):
+    if forks and len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the critic child needs a second CPU")
+    fork, started = os.fork, []
+
+    def counted_fork():
+        started.append(1)
+        return fork()
+
+    mode(monkeypatch)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    train_run(1, 0, 2, small_cfg(horizon_s=60), tmp_path)
+    assert len(started) == forks
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("mode", [one_cpu, forked], ids=["one_cpu", "forked"])
+def test_critic_update_error_surfaces_from_train_run(mode, tmp_path,
+                                                     monkeypatch):
+    def broken(*args):
+        raise ValueError("boom")
+
+    mode(monkeypatch)
+    monkeypatch.setattr(trainer, "critic_update", broken)
+    with pytest.raises(ValueError, match="^boom$"):
+        train_run(1, 0, 2, small_cfg(horizon_s=60), tmp_path)
+    assert not multiprocessing.active_children()
+    assert (tmp_path / "training_log.csv").read_text().count("\n") == 1
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="the critic child needs a second CPU")
+def test_critic_child_that_dies_is_reported_by_episode(tmp_path, monkeypatch):
+    update = trainer.critic_update
+
+    def dies_in_episode_1(state, batch, orders=None):
+        if state.opt_critic.t:
+            os._exit(3)
+        return update(state, batch, orders)
+
+    forked(monkeypatch)
+    monkeypatch.setattr(trainer, "critic_update", dies_in_episode_1)
+    with pytest.raises(RuntimeError, match="^episode 1: .* exited with 3"):
+        train_run(1, 0, 3, small_cfg(horizon_s=60), tmp_path)
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("mode", [one_cpu, forked], ids=["one_cpu", "forked"])
+def test_rollout_error_comes_after_the_previous_row(mode, tmp_path,
+                                                   monkeypatch):
+    rollout = trainer.collect_rollout
+
+    def fails_in_episode_1(env, state, seconds, greedy=False):
+        if env.world.seed == world_seed(0, 1):
+            raise RuntimeError("no road")
+        return rollout(env, state, seconds, greedy)
+
+    mode(monkeypatch)
+    monkeypatch.setattr(trainer, "collect_rollout", fails_in_episode_1)
+    with pytest.raises(RuntimeError, match="^no road$"):
+        train_run(1, 0, 3, small_cfg(horizon_s=60), tmp_path)
+    with open(tmp_path / "training_log.csv", newline="") as fh:
+        assert [row["update"] for row in csv.DictReader(fh)] == ["0"]
+    assert not multiprocessing.active_children()
 
 
 @pytest.mark.parametrize("episodes", [0, -3])
