@@ -435,7 +435,8 @@ class TrainingStopped(RuntimeError):
 def _blas_threads() -> int | None:
     """Threads per call of the OpenBLAS numpy loaded; None if none is found."""
     with open("/proc/self/maps") as fh:
-        libs = {ln.split()[-1] for ln in fh if "openblas" in ln.lower() and ".so" in ln}
+        libs = {ln.split(maxsplit=5)[5].strip() for ln in fh
+                if "openblas" in ln.lower() and ".so" in ln}
     for lib in map(ctypes.CDLL, sorted(libs)):
         for name in ("scipy_openblas_get_num_threads64_",
                      "openblas_get_num_threads64_", "openblas_get_num_threads"):
