@@ -16,9 +16,10 @@ epoch's ratios exactly one when the batch fits in a single minibatch.
 
 Only the value pass reads the critic, so where this process's CPUs fit
 two processes' BLAS threads train_run updates it in a forked child during
-the actor update and the next rollout. Epoch orders are drawn up front in
-the updates' own order and redrawn after an early abort, so the files are
-those of the updates run in turn.
+the actor update and the next rollout. Before either update, train_run
+draws every epoch order of PPO and then of the critic, so an update that
+aborts early leaves orders unused but moves no later draw, and the forked
+and one-process paths write the same files.
 """
 
 from __future__ import annotations
@@ -295,15 +296,16 @@ def evaluate_values(state: TrainState, batch: TransitionBatch) -> np.ndarray:
 
 # -------------------------------------------------------------------- updates
 
-def epoch_orders(rng: np.random.Generator, size: int, epochs: int):
+def epoch_orders(rng: np.random.Generator, size: int, epochs: int) -> list:
     """Each epoch's minibatch order: arange(size) shuffled once more per
-    epoch. Lazy, so an aborted update draws only the epochs it reached. The
-    updates take them as `orders` (default: drawn lazily) and count those
-    they used in stats["epochs"]."""
-    idx = np.arange(size)
+    epoch, all `epochs` of them drawn now. The updates take them as
+    `orders` (default: drawn on entry) and draw nothing else, so an update
+    that aborts early moves no later draw."""
+    idx, out = np.arange(size), []
     for _ in range(epochs):
         rng.shuffle(idx)
-        yield idx.copy()
+        out.append(idx.copy())
+    return out
 
 
 def ppo_update(state: TrainState, batch: TransitionBatch,
@@ -323,12 +325,11 @@ def ppo_update(state: TrainState, batch: TransitionBatch,
         old = logp_all.data[np.arange(B), batch.action].copy()
     stats = {"aborted": False, "ratio_min": np.inf, "ratio_max": -np.inf,
              "surrogate_first": None, "entropy": 0.0, "actor_loss": 0.0,
-             "grad_norm": 0.0, "epochs": 0}
+             "grad_norm": 0.0}
     ent_sum = 0.0
     loss_sum = 0.0
     steps = 0
     for epoch, idx in enumerate(orders or epoch_orders(state.rng, B, cfg.ppo_epochs)):
-        stats["epochs"] = epoch + 1
         for s in range(0, B, cfg.minibatch_size):
             rows = idx[s:s + cfg.minibatch_size]
             with ad.tape_scope():
@@ -356,7 +357,12 @@ def ppo_update(state: TrainState, batch: TransitionBatch,
                 steps += 1
                 state.opt_actor.zero_grad()
                 ad.backward(loss)
-            stats["grad_norm"] = clip_grad_norm(policy.params(), cfg.grad_clip)
+            # a NaN input row can leave the loss finite and its gradients not
+            norm = clip_grad_norm(policy.params(), cfg.grad_clip)
+            if not np.isfinite(norm):
+                stats["aborted"] = True
+                return stats
+            stats["grad_norm"] = norm
             state.opt_actor.step()
     stats["entropy"] = ent_sum / steps
     stats["actor_loss"] = loss_sum / steps
@@ -370,14 +376,13 @@ def critic_update(state: TrainState, batch: TransitionBatch,
     B = len(batch)
     if B == 0:
         raise ValueError("empty batch")
-    stats = {"aborted": False, "critic_loss": 0.0, "grad_norm": 0.0, "epochs": 0}
+    stats = {"aborted": False, "critic_loss": 0.0, "grad_norm": 0.0}
     loss_sum = 0.0
     steps = 0
     params = dict(state.critic.params())
     if state.encoder is not None:
         params.update(state.encoder.tensors())
-    for epoch, idx in enumerate(orders or epoch_orders(state.rng, B, cfg.ppo_epochs)):
-        stats["epochs"] = epoch + 1
+    for idx in orders or epoch_orders(state.rng, B, cfg.ppo_epochs):
         for s in range(0, B, cfg.minibatch_size):
             rows = idx[s:s + cfg.minibatch_size]
             with ad.tape_scope():
@@ -392,7 +397,11 @@ def critic_update(state: TrainState, batch: TransitionBatch,
                 steps += 1
                 state.opt_critic.zero_grad()
                 ad.backward(loss)
-            stats["grad_norm"] = clip_grad_norm(params, cfg.grad_clip)
+            norm = clip_grad_norm(params, cfg.grad_clip)
+            if not np.isfinite(norm):
+                stats["aborted"] = True
+                return stats
+            stats["grad_norm"] = norm
             state.opt_critic.step()
     stats["critic_loss"] = loss_sum / steps
     return stats
@@ -512,20 +521,16 @@ def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig,
             raise RuntimeError(f"episode {ep}: no decisions collected")
         return batch
 
-    def orders(ppo_epochs: int, critic_epochs: int) -> list:
-        state.rng.bit_generator.state = drawn
-        return [list(epoch_orders(state.rng, len(batch), n))
-                for n in (ppo_epochs, critic_epochs)]
-
     with open(log_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["update", "mean_reward", "actor_loss", "critic_loss",
                     "entropy", "grad_norm", "aborted"])
         batch = rollout(0)
         for ep in range(episodes):
-            drawn, upcoming, E = state.rng.bit_generator.state, None, cfg.ppo_epochs
-            ppo_orders, critic_orders = orders(E, E)
+            ppo_orders = epoch_orders(state.rng, len(batch), cfg.ppo_epochs)
+            critic_orders = epoch_orders(state.rng, len(batch), cfg.ppo_epochs)
             child = _CriticChild(state, batch, critic_orders, ep) if fork else None
+            upcoming = None
             try:
                 # value head lives in return_scale units; normalization keeps
                 # the actor's gradient invariant to the choice of scale
@@ -534,23 +539,18 @@ def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig,
                                  cfg.normalize_advantages)
                 astats = ppo_update(state, batch, adv, orders=ppo_orders,
                                     entropy_coef=cfg.entropy_coef_at(ep, episodes))
-                if child is None or astats["epochs"] < E:
-                    # after an early PPO abort the child's orders follow
-                    # draws never made: it is dropped on the way out
-                    cstats = critic_update(state, batch, orders(astats["epochs"], E)[1])
-                else:
-                    if ep + 1 < episodes:
-                        try:
-                            upcoming = rollout(ep + 1)
-                        except Exception as exc:    # raised after the row, as before
-                            upcoming = exc
+                if child is None:
+                    cstats = critic_update(state, batch, critic_orders)
+                if ep + 1 < episodes:
+                    try:
+                        upcoming = rollout(ep + 1)
+                    except Exception as exc:    # raised after this episode's row
+                        upcoming = exc
+                if child is not None:
                     cstats = child.result()
             finally:
                 if child is not None:
                     child.close()
-            if cstats["epochs"] < E:    # fewer orders used than drawn: rewind,
-                orders(astats["epochs"], cstats["epochs"])
-                upcoming = None         # and roll the next episode out again
             row = {"update": ep,
                    "mean_reward": float(batch.reward.mean()),
                    "actor_loss": astats["actor_loss"],
@@ -564,12 +564,11 @@ def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig,
                         int(row["aborted"])])
             aborted = aborted + [ep] if row["aborted"] else []
             if len(aborted) == MAX_ABORTS_IN_A_ROW:
-                raise TrainingStopped(f"updates of episodes {aborted} all aborted "
-                                      "on a non-finite loss; stopping training")
+                raise TrainingStopped(f"updates of episodes {aborted} all aborted on a "
+                                      "non-finite loss or gradient; stopping training")
             if isinstance(upcoming, Exception):
                 raise upcoming
-            if ep + 1 < episodes:
-                batch = rollout(ep + 1) if upcoming is None else upcoming
+            batch = upcoming
     save_checkpoint(state, ckpt_path)
     return {"checkpoint": ckpt_path, "log": log_path, "history": history,
             "wall_s": time.perf_counter() - t0, "state": state}

@@ -396,17 +396,17 @@ def test_identical_trainings_write_identical_files(tmp_path):
         assert first and first == (tmp_path / "b" / name).read_bytes(), name
 
 
-# sha256 of what four trainings (scenario 1, 300 s episodes) write, pinned
-# when every update still ran in one process; "-" where the run stops
-# before its checkpoint
+# sha256 of what four trainings (scenario 1, 300 s episodes) write, the same
+# whether the critic updates run in a child or in this process; "-" where
+# the run stops before its checkpoint
 PINNED_TRAININGS = {
     "clean": ("e2e623b884324421dd367ec49c4c2bfa172f1c16b3336b1e85abaa49f72969a9",
               "7acddde85bbdf832d4aca96bc55da29d2d0362e41aac01f1576b9b630dac0217"),
     "flat": ("32ce7d31785512cd47a7441ea42c838cd6dd247d1067610f0d9853fcd65b2854",
              "80326d07c8c72199d1909376c41c2bf3f9d3bb2ce6d831f882f7820d31c5bcee"),
-    "nan_returns": ("8cddbf9937f1649854ee3fb67dfaba6b6e158fc3862286555e72af718c052144",
-                    "dde5a0d2983447a6cbfb68a82a570f990e8ba0b12e86eb82423d1f523d5a3aa0"),
-    "one_sided_aborts": ("511cc5be8f018090a2a8a4aecb10f8cfafe747f9a7797bb088bef88d5cea83e2",
+    "nan_returns": ("0a8c13de86bd336f4416d0baf6e7cf4980bae7bce3fedf23372535952986de9f",
+                    "6d1d5f5db06da42a2f47273a605106b73d43bf9207ea5123e8556354150af94a"),
+    "one_sided_aborts": ("d55a17a145c6588be5bb5f44f73f8b556ce211d91c237b51ae8c8d57b2775b3b",
                          "-"),
 }
 
@@ -417,11 +417,13 @@ def pinned_training(name, tmp_path, monkeypatch):
     The hypergraph critic is on except in flat. clean: 3 episodes at
     seed 3; flat: 2 episodes at seed 3. nan_returns: 5 episodes at seed 0
     with a NaN return in episodes 0 and 3, so both updates abort in their
-    first epoch. one_sided_aborts: 4 episodes at seed 0; a NaN advantage in
-    episode 0 aborts the actor update alone, and NaN critic gradients at
-    the critic's sixth step abort episode 1's critic update alone, in its
-    third epoch; episode 2's updates both abort, and that third abort in
-    a row stops the training before episode 3.
+    first epoch. one_sided_aborts: 4 episodes at seed 0, one minibatch per
+    epoch; a NaN advantage in episode 0 aborts the actor update alone, and
+    NaN critic gradients at the critic's sixth step (Adam's t == 5) abort
+    episode 1's critic update alone, in its second epoch, before that
+    step. An aborted step leaves t at 5, so episode 2's critic update
+    aborts again at its first step while its actor update runs, and that
+    third abort in a row stops the training before episode 3.
     """
     cfg = corridor_train_config(horizon_s=300, use_hypergraph=name != "flat")
     rollout, clip, make, advantage = (
@@ -565,17 +567,57 @@ def test_train_run_rejects_no_episodes(tmp_path, episodes):
 
 
 def test_aborted_updates_leave_no_tape_records():
-    cfg = small_cfg(minibatch_size=8)
-    state = TrainState(cfg, in_width=10, n_agents=1, seed=0)
+    """A NaN return or advantage makes the loss non-finite; a NaN
+    observation row or snapshot leaves it finite and its gradients not.
+    Either way the update aborts before Adam writes a non-finite weight."""
+    flat = small_cfg(minibatch_size=8)
+    hg = small_cfg(minibatch_size=8, use_hypergraph=True, d_model=8, heads=4)
+    for poison, row in (("ret", 12), ("adv", 12), ("obs", 0), ("snapshots", 0)):
+        if poison == "snapshots":
+            state = trainer.make_train_state(hg, 1, 0)
+            batch = collect_rollout(CorridorEnv(1, 0), state, 60)
+        else:
+            state = TrainState(flat, in_width=10, n_agents=1, seed=0)
+            batch = synthetic_batch(state)
+        adv = np.ones(len(batch))
+        (adv if poison == "adv" else getattr(batch, poison))[row] = np.nan
+        clear_tape()
+        if poison in ("adv", "obs"):
+            stats = ppo_update(state, batch, adv)
+        else:
+            stats = critic_update(state, batch)
+        assert stats["aborted"], poison
+        assert len(ad._tape()) == 0, poison
+        params = [*state.policy.params().values(), *state.critic.params().values(),
+                  *(state.encoder.tensors().values() if state.encoder else ())]
+        assert all(np.isfinite(p.data).all() for p in params), poison
+        assert np.isfinite(stats["grad_norm"]), poison
+
+
+@pytest.mark.parametrize("aborts", [False, True], ids=["completes", "aborts"])
+def test_updates_given_their_orders_draw_nothing(aborts):
+    state = TrainState(small_cfg(minibatch_size=8), in_width=10, n_agents=1, seed=0)
     batch = synthetic_batch(state)
-    batch.ret[12] = np.nan
-    clear_tape()
-    assert critic_update(state, batch)["aborted"]
-    assert len(ad._tape()) == 0
     adv = np.ones(len(batch))
-    adv[12] = np.nan
-    assert ppo_update(state, batch, adv)["aborted"]
-    assert len(ad._tape()) == 0
+    if aborts:
+        batch.ret[12] = adv[12] = np.nan
+    for update in (lambda orders: ppo_update(state, batch, adv, orders=orders),
+                   lambda orders: critic_update(state, batch, orders)):
+        orders = trainer.epoch_orders(state.rng, len(batch), state.cfg.ppo_epochs)
+        drawn = state.rng.bit_generator.state
+        assert update(orders)["aborted"] == aborts
+        assert state.rng.bit_generator.state == drawn
+
+
+def test_epoch_orders_are_that_many_shuffles():
+    rng, fresh = np.random.default_rng(4), np.random.default_rng(4)
+    orders = trainer.epoch_orders(rng, 9, 3)
+    assert len(orders) == 3
+    idx = np.arange(9)
+    for order in orders:
+        fresh.shuffle(idx)
+        assert np.array_equal(order, idx)
+    assert rng.bit_generator.state == fresh.bit_generator.state
 
 
 # -------------------------------------------------------------- checkpoints
