@@ -20,9 +20,10 @@ step) and each temporal edge a grid column (one intersection).
 encode_window uses that. It takes one snapshot table (S, n, d) and each
 row's window as t table rows, runs per-snapshot work (node scores, spatial
 edges) once per snapshot and per-window work (temporal edges, inter stage,
-readout) once per distinct window, in one tape op with a hand-written
-backward. The reference for any incidence matrix is encode(X, H) in
-tests/oracle.py; encode_window must agree with it on every row, to rounding.
+readout) once per distinct window, and returns the embeddings with their
+hand-written backward. The reference for any incidence matrix is
+encode(X, H) in tests/oracle.py; encode_window must agree with it on every
+row, to rounding.
 """
 
 from __future__ import annotations
@@ -32,13 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
-
 
 @dataclass
 class EncoderParams:
-    """Learnable tensors plus the fixed head count K and temperature tau."""
+    """Learnable arrays plus the fixed head count K and temperature tau."""
 
     K: int
     d: int
@@ -47,16 +45,16 @@ class EncoderParams:
     W: list = field(default_factory=list)    # K of (d, d_h)
     a: list = field(default_factory=list)    # K of (d_h, 1)
     b: list = field(default_factory=list)    # K of (d_h, 1)
-    Wo: Tensor = None                        # (K*d_h, d_model)
-    bo: Tensor = None                        # (1, d_model)
+    Wo: np.ndarray = None                    # (K*d_h, d_model)
+    bo: np.ndarray = None                    # (1, d_model)
 
     @property
     def d_h(self) -> int:
         return self.d // self.K
 
-    def tensors(self) -> dict[str, Tensor]:
+    def tensors(self) -> dict[str, np.ndarray]:
         """Named parameters, head order 1..K; keys match the checkpoint names."""
-        out: dict[str, Tensor] = {}
+        out: dict[str, np.ndarray] = {}
         for h in range(self.K):
             out[f"enc.W.h{h + 1}"] = self.W[h]
             out[f"enc.a.h{h + 1}"] = self.a[h]
@@ -78,11 +76,11 @@ def init_encoder(d: int, K: int, d_model: int, tau: float = 1.0,
     d_h = d // K
     p = EncoderParams(K=K, d=d, d_model=d_model, tau=float(tau))
     for _ in range(K):
-        p.W.append(Tensor(rng.normal(0.0, (1.0 / d) ** 0.5, (d, d_h)), requires_grad=True))
-        p.a.append(Tensor(rng.normal(0.0, (1.0 / d_h) ** 0.5, (d_h, 1)), requires_grad=True))
-        p.b.append(Tensor(rng.normal(0.0, (1.0 / d_h) ** 0.5, (d_h, 1)), requires_grad=True))
-    p.Wo = Tensor(rng.normal(0.0, (1.0 / d) ** 0.5, (d, d_model)), requires_grad=True)
-    p.bo = Tensor(np.zeros((1, d_model)), requires_grad=True)
+        p.W.append(rng.normal(0.0, (1.0 / d) ** 0.5, (d, d_h)))
+        p.a.append(rng.normal(0.0, (1.0 / d_h) ** 0.5, (d_h, 1)))
+        p.b.append(rng.normal(0.0, (1.0 / d_h) ** 0.5, (d_h, 1)))
+    p.Wo = rng.normal(0.0, (1.0 / d) ** 0.5, (d, d_model))
+    p.bo = np.zeros((1, d_model))
     return p
 
 
@@ -97,11 +95,11 @@ def load_encoder(named: dict[str, np.ndarray], tau: float) -> EncoderParams:
     d_model = named["enc.Wo"].shape[1]
     p = EncoderParams(K=K, d=d, d_model=d_model, tau=float(tau))
     for h in range(K):
-        p.W.append(Tensor(named[f"enc.W.h{h + 1}"], requires_grad=True))
-        p.a.append(Tensor(named[f"enc.a.h{h + 1}"].reshape(d_h, 1), requires_grad=True))
-        p.b.append(Tensor(named[f"enc.b.h{h + 1}"].reshape(d_h, 1), requires_grad=True))
-    p.Wo = Tensor(named["enc.Wo"], requires_grad=True)
-    p.bo = Tensor(named["enc.bo"].reshape(1, d_model), requires_grad=True)
+        p.W.append(named[f"enc.W.h{h + 1}"])
+        p.a.append(named[f"enc.a.h{h + 1}"].reshape(d_h, 1))
+        p.b.append(named[f"enc.b.h{h + 1}"].reshape(d_h, 1))
+    p.Wo = named["enc.Wo"]
+    p.bo = named["enc.bo"].reshape(1, d_model)
     return p
 
 
@@ -146,8 +144,8 @@ def _scatter(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
 
 def encode_window(snapshots, windows, params: EncoderParams,
                   spatial: bool = True, temporal: bool = True,
-                  uniform: bool = False) -> Tensor:
-    """Graph embeddings of a batch of critic windows, as one tape op.
+                  uniform: bool = False):
+    """Graph embeddings of a batch of critic windows, and their backward.
 
     Row r's g is what the reference encode(X, H) of tests/oracle.py returns
     for X = snapshots[windows[r]].reshape(t*n, d) and the (n, t) window
@@ -158,7 +156,7 @@ def encode_window(snapshots, windows, params: EncoderParams,
     embedding is projected once, Z[edge] @ Wo_k, since the node output
     sum_f beta_f * Z[edge_f] feeds only the linear Wo. The hand-written
     backward sums the gradients of a window's rows and of a snapshot's
-    windows into every enc.* tensor.
+    windows into every enc.* array.
 
     Args:
         snapshots: (S, n, d) node features of n intersections per snapshot.
@@ -168,8 +166,12 @@ def encode_window(snapshots, windows, params: EncoderParams,
         uniform: replace both attention stages with plain averaging.
 
     Returns:
-        g, (B, d_model): each row's max over its window's nodes; a tied
-        maximum takes its gradient at the first node, as the oracle's does.
+        (g, backward). g, (B, d_model): each row's max over its window's
+        nodes; a tied maximum takes its gradient at the first node, as the
+        oracle's does. backward(dg) gives the gradients for dg = d loss / d g
+        by enc.* name, in params.tensors() order, leaving out enc.a.* and
+        enc.b.* where uniform attention has none and enc.b.* where one
+        family leaves beta = 1.
     """
     X = np.asarray(snapshots, dtype=np.float64)
     windows = np.asarray(windows)
@@ -188,10 +190,10 @@ def encode_window(snapshots, windows, params: EncoderParams,
     win, row_win = np.unique(windows, axis=0, return_inverse=True)
     (V, t), row_win = win.shape, row_win.reshape(-1)
     inv = 1.0 / params.tau
-    W = np.stack([w.data for w in params.W])                  # (K, d, d_h)
-    a = np.stack([v.data[:, 0] for v in params.a])            # (K, d_h)
-    b = np.stack([v.data[:, 0] for v in params.b])
-    Wo = params.Wo.data.reshape(K, d_h, d_model)              # head k's rows
+    W = np.stack(params.W)                                    # (K, d, d_h)
+    a = np.stack([v[:, 0] for v in params.a])                 # (K, d_h)
+    b = np.stack([v[:, 0] for v in params.b])
+    Wo = params.Wo.reshape(K, d_h, d_model)                   # head k's rows
     learned_beta = not uniform and len(axes) == 2
     if not uniform:
         wa = np.einsum("kdh,kh->dk", W, a)                    # x.W_k.a_k = x.wa_k
@@ -222,13 +224,11 @@ def encode_window(snapshots, windows, params: EncoderParams,
         beta = _softmax(np.stack(np.broadcast_arrays(*u)), 0)
     else:
         beta = np.full((len(axes), V, t, n, K), 1.0 / len(axes))
-    Y = params.bo.data + sum(_to_nodes(beta[f], M[f], ax)
-                             for f, ax in enumerate(axes))
+    Y = params.bo + sum(_to_nodes(beta[f], M[f], ax) for f, ax in enumerate(axes))
     Y = Y.reshape(V, t * n, d_model)
     top = Y.max(axis=1)
-    inputs = [*params.W, *params.a, *params.b, params.Wo, params.bo]
 
-    def grads(dg):
+    def backward(dg):
         dY = np.zeros_like(Y)
         # argmax's first node at each maximum, from a max over the node
         # axis, which numpy reduces far faster than it takes argmax across it
@@ -265,7 +265,9 @@ def encode_window(snapshots, windows, params: EncoderParams,
             dwa = X.reshape(S * n, d).T @ (ds.reshape(S * n, K) * inv)
             dW += np.einsum("dk,kh->kdh", dwa, a)
             da = list(np.einsum("kdh,dk->kh", W, dwa)[..., None])
-        return [*dW, *da, *db, dWo.reshape(K * d_h, d_model),
-                dg.sum(0, keepdims=True)]
+        grads = [g for h in range(K) for g in (dW[h], da[h], db[h])]
+        grads += [dWo.reshape(K * d_h, d_model), dg.sum(0, keepdims=True)]
+        return {name: np.ascontiguousarray(g)
+                for name, g in zip(params.tensors(), grads) if g is not None}
 
-    return ad.custom_op(top[row_win], inputs, grads)
+    return top[row_win], backward

@@ -1,9 +1,10 @@
 """Actor and critic networks plus masked-categorical action sampling.
 
-Both are two affine layers with a tanh hidden width of 256, built on the
-tape so updates flow from the losses. The actor's output layer starts
-near zero so the initial masked policy is close to uniform; the critic's
-value head uses an ordinary fan-in init.
+Both are two affine layers with a tanh hidden width of 256 over plain
+arrays; forward returns the output with its hand-written backward (see
+autodiff.py). The actor's output layer starts near zero so the initial
+masked policy is close to uniform; the critic's value head uses an
+ordinary fan-in init.
 
 The actor owns a fixed per-slot input scale (counts and speeds live on
 very different ranges); raw observations go in, scaling happens here.
@@ -14,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 
 HIDDEN = 256
 
@@ -23,7 +23,39 @@ def _affine_init(rng, fan_in: int, fan_out: int, gain: float = 1.0) -> np.ndarra
     return rng.normal(0.0, gain / np.sqrt(fan_in), size=(fan_in, fan_out))
 
 
-class PolicyNet:
+class _TwoLayer:
+    """x -> tanh(x @ W1 + b1) @ W2 + b2; its arrays are named prefix.W1 etc."""
+
+    def __init__(self, prefix: str, in_width: int, out_width: int, hidden: int,
+                 rng, gain: float):
+        self.prefix = prefix
+        self.W1 = _affine_init(rng, in_width, hidden)
+        self.b1 = np.zeros((1, hidden))
+        self.W2 = _affine_init(rng, hidden, out_width, gain=gain)
+        self.b2 = np.zeros((1, out_width))
+
+    def params(self) -> dict:
+        """The live arrays by name; optimizers update them in place."""
+        return {f"{self.prefix}.{k}": getattr(self, k) for k in ("W1", "b1", "W2", "b2")}
+
+    def forward(self, x):
+        """(B, in_width) rows -> ((B, out_width), backward), where
+        backward(g) gives the gradients by name for g = d loss / d output,
+        and a function that returns d loss / d x."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        h = np.tanh(x @ self.W1 + self.b1)
+
+        def backward(g):
+            gh = (g @ self.W2.T) * (1.0 - h * h)
+            pre = self.prefix
+            return ({f"{pre}.W1": x.T @ gh, f"{pre}.b1": gh.sum(axis=(0,), keepdims=True),
+                     f"{pre}.W2": h.T @ g, f"{pre}.b2": g.sum(axis=(0,), keepdims=True)},
+                    lambda: gh @ self.W1.T)
+
+        return h @ self.W2 + self.b2, backward
+
+
+class PolicyNet(_TwoLayer):
     """Shared actor: observation -> action logits."""
 
     def __init__(self, in_width: int, n_actions: int, rng,
@@ -36,66 +68,23 @@ class PolicyNet:
         if scale.shape != (in_width,):
             raise ValueError(f"input_scale must have shape ({in_width},)")
         self.input_scale = scale
-        self.W1 = Tensor(_affine_init(rng, in_width, hidden), requires_grad=True)
-        self.b1 = Tensor(np.zeros((1, hidden)), requires_grad=True)
         # near-zero head keeps the starting policy near uniform
-        self.W2 = Tensor(_affine_init(rng, hidden, n_actions, gain=0.01),
-                         requires_grad=True)
-        self.b2 = Tensor(np.zeros((1, n_actions)), requires_grad=True)
+        super().__init__("pi", in_width, n_actions, hidden, rng, gain=0.01)
 
-    def params(self) -> dict:
-        return {"pi.W1": self.W1, "pi.b1": self.b1,
-                "pi.W2": self.W2, "pi.b2": self.b2}
-
-    def forward(self, obs_rows: np.ndarray) -> Tensor:
-        """(B, in_width) raw observations -> (B, n_actions) logit Tensor."""
-        x = np.atleast_2d(np.asarray(obs_rows, dtype=float)) * self.input_scale
-        h = ad.tanh(ad.add(ad.matmul(Tensor(x), self.W1), self.b1))
-        return ad.add(ad.matmul(h, self.W2), self.b2)
-
-    def logits(self, obs_rows: np.ndarray) -> np.ndarray:
-        """forward() on plain arrays, no tape: the same ops in the same order."""
-        x = np.atleast_2d(np.asarray(obs_rows, dtype=float)) * self.input_scale
-        h = np.tanh(x @ self.W1.data + self.b1.data)
-        return h @ self.W2.data + self.b2.data
+    def forward(self, obs_rows):
+        """(B, in_width) raw observations -> (B, n_actions) logits, backward."""
+        return super().forward(np.atleast_2d(np.asarray(obs_rows, dtype=float))
+                               * self.input_scale)
 
 
-class CriticNet:
+class CriticNet(_TwoLayer):
     """Centralized value head: embedding (or pooled observation) -> scalar."""
 
     def __init__(self, in_width: int, rng, hidden: int = HIDDEN):
         if in_width < 1:
             raise ValueError("critic needs in_width >= 1")
         self.in_width = in_width
-        self.W1 = Tensor(_affine_init(rng, in_width, hidden), requires_grad=True)
-        self.b1 = Tensor(np.zeros((1, hidden)), requires_grad=True)
-        self.W2 = Tensor(_affine_init(rng, hidden, 1), requires_grad=True)
-        self.b2 = Tensor(np.zeros((1, 1)), requires_grad=True)
-
-    def params(self) -> dict:
-        return {"v.W1": self.W1, "v.b1": self.b1,
-                "v.W2": self.W2, "v.b2": self.b2}
-
-    def forward(self, x: Tensor) -> Tensor:
-        """(B, in_width) Tensor -> (B, 1) values; keeps upstream gradients."""
-        h = ad.tanh(ad.add(ad.matmul(x, self.W1), self.b1))
-        return ad.add(ad.matmul(h, self.W2), self.b2)
-
-    def forward_np(self, x_rows: np.ndarray) -> Tensor:
-        return self.forward(Tensor(np.atleast_2d(np.asarray(x_rows, dtype=float))))
-
-
-def masked_distribution(logits: Tensor, mask: np.ndarray) -> tuple[Tensor, Tensor]:
-    """(log-probs, probs) under the mask; masked slots are exactly 0 in both."""
-    m = np.atleast_2d(mask)
-    logp = ad.masked_log_softmax(logits, m, axis=1)
-    probs = ad.masked_softmax(logits, m, axis=1)
-    return logp, probs
-
-
-def entropy_of(logp: Tensor, probs: Tensor) -> Tensor:
-    """Per-row entropy, (B, 1); masked slots contribute exactly zero."""
-    return ad.scale(ad.reduce_sum(ad.mul(probs, logp), axis=1, keepdims=True), -1.0)
+        super().__init__("v", in_width, 1, hidden, rng, gain=1.0)
 
 
 def act(policy: PolicyNet, obs: np.ndarray, mask: np.ndarray, rng,
@@ -106,7 +95,7 @@ def act(policy: PolicyNet, obs: np.ndarray, mask: np.ndarray, rng,
         raise ValueError(f"mask must have shape ({policy.n_actions},)")
     if not mask.any():
         raise ValueError("every action is masked")
-    logp, p = ad.masked_log_softmax_np(policy.logits(obs), mask[None, :], 1)
+    logp, p = ad.masked_log_softmax(policy.forward(obs)[0], mask[None, :])
     if greedy:
         action = int(np.argmax(p[0]))
     else:

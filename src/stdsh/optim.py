@@ -1,65 +1,52 @@
-"""Adaptive-moment optimizer and global-norm gradient clipping."""
+"""Adaptive-moment optimizer and global-norm gradient clipping.
+
+Parameters and gradients are dicts of arrays keyed by parameter name; a
+gradient dict leaves out the parameters its loss does not reach.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8      # moment decay rates, denominator floor
 
 
 class Adam:
-    """Adam over a fixed ordered set of parameter tensors.
+    """Adam over a fixed ordered set of named arrays, updated in place."""
 
-    Defaults: lr 3e-4, decay rates 0.9/0.999, epsilon 1e-8.
-    """
-
-    def __init__(self, params, lr: float = 3e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        if isinstance(params, dict):
-            params = list(params.values())
-        self.params: list[Tensor] = list(params)
+    def __init__(self, params: dict, lr: float = 3e-4):
+        self.params = dict(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._m = [np.zeros_like(p) for p in self.params.values()]
+        self._v = [np.zeros_like(p) for p in self.params.values()]
 
-    def step(self) -> None:
+    def step(self, grads: dict) -> None:
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self._m, self._v):
-            if p.grad is None:
+        b1t = 1.0 - BETA1 ** self.t
+        b2t = 1.0 - BETA2 ** self.t
+        for (name, p), m, v in zip(self.params.items(), self._m, self._v):
+            g = grads.get(name)
+            if g is None:
                 continue
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)
 
 
-def clip_grad_norm(params, max_norm: float) -> float:
+def clip_grad_norm(grads: dict, max_norm: float) -> float:
     """Scale gradients in place so their global L2 norm is <= max_norm.
 
-    Returns the pre-clip global norm.
+    Squares are summed in the dict's order. Returns the pre-clip norm.
     """
-    if isinstance(params, dict):
-        params = list(params.values())
     total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
+    for g in grads.values():
+        total += float((g * g).sum())
     norm = total ** 0.5
     if norm > max_norm and norm > 0.0:
         s = max_norm / norm
-        for p in params:
-            if p.grad is not None:
-                p.grad *= s
+        for g in grads.values():
+            g *= s
     return norm

@@ -35,17 +35,20 @@ import numpy as np
 
 from . import autodiff as ad
 from . import env as envmod
-from .autodiff import Tensor
 from .checkpoint import load_params, save_params
 from .encoder import encode_window, init_encoder, load_encoder
 from .env import N_ACTIONS, CorridorEnv, drive, feature_scales, obs_width
-from .nets import (CriticNet, PolicyNet, act, entropy_of, masked_distribution)
+from .nets import CriticNet, PolicyNet, act
 from .optim import Adam, clip_grad_norm
 from .sim.world import load_scenario
 
 
 # train_run stops after this many aborted updates in a row (off TrainConfig's fingerprint)
 MAX_ABORTS_IN_A_ROW = 3
+
+# TrainConfig's integer sizes: each must be >= 1, and checkpoints store them as floats
+SIZES = ("ppo_epochs", "minibatch_size", "horizon_s", "hidden", "d_model",
+         "heads", "window_depth", "window_cadence_s")
 
 
 @dataclass
@@ -75,8 +78,7 @@ class TrainConfig:
     use_temporal: bool = True
 
     def __post_init__(self):
-        for size in ("ppo_epochs", "minibatch_size", "horizon_s", "hidden",
-                     "d_model", "heads", "window_depth", "window_cadence_s"):
+        for size in SIZES:
             if getattr(self, size) < 1:
                 raise ValueError(f"{size} must be >= 1, got {getattr(self, size)}")
         if not (0.0 < self.gamma < 1.0):
@@ -197,17 +199,26 @@ class TrainState:
             critic_params.update(self.encoder.tensors())
         self.opt_critic = Adam(critic_params, lr=cfg.lr)
 
-    def critic_values(self, batch: TransitionBatch, rows) -> Tensor:
-        """(len(rows), 1) value Tensor; encoder stays on the tape."""
+    def critic_values(self, batch: TransitionBatch, rows):
+        """(len(rows), 1) values and their backward: dv -> the gradients of
+        the critic and, with the hypergraph on, of the encoder, by name in
+        opt_critic's order."""
         cfg = self.cfg
-        if cfg.use_hypergraph:
-            windows = batch.critic_input[rows, None] + np.arange(cfg.window_depth)
-            g = encode_window(batch.snapshots, windows, self.encoder,
-                              spatial=cfg.use_spatial,
-                              temporal=cfg.use_temporal,
-                              uniform=not cfg.use_dsha)
-            return self.critic.forward(g)
-        return self.critic.forward_np(batch.critic_input[rows])
+        if not cfg.use_hypergraph:
+            v, backward = self.critic.forward(batch.critic_input[rows])
+            return v, lambda dv: backward(dv)[0]
+        windows = batch.critic_input[rows, None] + np.arange(cfg.window_depth)
+        g, encoder_backward = encode_window(batch.snapshots, windows, self.encoder,
+                                            spatial=cfg.use_spatial,
+                                            temporal=cfg.use_temporal,
+                                            uniform=not cfg.use_dsha)
+        v, critic_backward = self.critic.forward(g)
+
+        def backward(dv):
+            grads, dg = critic_backward(dv)
+            return {**grads, **encoder_backward(dg())}
+
+        return v, backward
 
 
 # -------------------------------------------------------------------- rollout
@@ -289,9 +300,7 @@ def _build_batch(rows: list[dict], gamma: float,
 
 
 def evaluate_values(state: TrainState, batch: TransitionBatch) -> np.ndarray:
-    with ad.no_grad():
-        v = state.critic_values(batch, np.arange(len(batch)))
-    return v.data[:, 0].copy()
+    return state.critic_values(batch, np.arange(len(batch)))[0][:, 0].copy()
 
 
 # -------------------------------------------------------------------- updates
@@ -319,10 +328,8 @@ def ppo_update(state: TrainState, batch: TransitionBatch,
     if B == 0:
         raise ValueError("empty batch")
     policy = state.policy
-    with ad.no_grad():
-        logits = policy.forward(batch.obs)
-        logp_all, _ = masked_distribution(logits, batch.mask)
-        old = logp_all.data[np.arange(B), batch.action].copy()
+    logp_all, _ = ad.masked_log_softmax(policy.forward(batch.obs)[0], batch.mask)
+    old = logp_all[np.arange(B), batch.action]
     stats = {"aborted": False, "ratio_min": np.inf, "ratio_max": -np.inf,
              "surrogate_first": None, "entropy": 0.0, "actor_loss": 0.0,
              "grad_norm": 0.0}
@@ -332,38 +339,29 @@ def ppo_update(state: TrainState, batch: TransitionBatch,
     for epoch, idx in enumerate(orders or epoch_orders(state.rng, B, cfg.ppo_epochs)):
         for s in range(0, B, cfg.minibatch_size):
             rows = idx[s:s + cfg.minibatch_size]
-            with ad.tape_scope():
-                logits = policy.forward(batch.obs[rows])
-                logp, probs = masked_distribution(logits, batch.mask[rows])
-                lp_a = ad.gather(logp, np.arange(len(rows)), batch.action[rows])
-                ratio = ad.exp(ad.sub(lp_a, Tensor(old[rows])))
-                if epoch == 0:
-                    stats["ratio_min"] = min(stats["ratio_min"], ratio.data.min())
-                    stats["ratio_max"] = max(stats["ratio_max"], ratio.data.max())
-                a_rows = Tensor(adv[rows])
-                clipped = ad.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
-                surr = ad.minimum(ad.mul(ratio, a_rows), ad.mul(clipped, a_rows))
-                surrogate = ad.reduce_mean(surr)
-                if stats["surrogate_first"] is None:
-                    stats["surrogate_first"] = float(surrogate.data)
-                ent = ad.reduce_mean(entropy_of(logp, probs))
-                loss = ad.sub(ad.scale(surrogate, -1.0),
-                              ad.scale(ent, entropy_coef))
-                if not np.isfinite(loss.data):
-                    stats["aborted"] = True
-                    return stats
-                ent_sum += float(ent.data)
-                loss_sum += float(loss.data)
-                steps += 1
-                state.opt_actor.zero_grad()
-                ad.backward(loss)
+            logits, policy_backward = policy.forward(batch.obs[rows])
+            loss, ratio, surrogate, ent, backward = ad.ppo_loss(
+                logits, batch.mask[rows], batch.action[rows], old[rows], adv[rows],
+                cfg.clip_eps, entropy_coef)
+            if epoch == 0:
+                stats["ratio_min"] = min(stats["ratio_min"], ratio.min())
+                stats["ratio_max"] = max(stats["ratio_max"], ratio.max())
+            if stats["surrogate_first"] is None:
+                stats["surrogate_first"] = float(surrogate)
+            if not np.isfinite(loss):
+                stats["aborted"] = True
+                return stats
+            ent_sum += float(ent)
+            loss_sum += float(loss)
+            steps += 1
+            grads = policy_backward(backward())[0]
             # a NaN input row can leave the loss finite and its gradients not
-            norm = clip_grad_norm(policy.params(), cfg.grad_clip)
+            norm = clip_grad_norm(grads, cfg.grad_clip)
             if not np.isfinite(norm):
                 stats["aborted"] = True
                 return stats
             stats["grad_norm"] = norm
-            state.opt_actor.step()
+            state.opt_actor.step(grads)
     stats["entropy"] = ent_sum / steps
     stats["actor_loss"] = loss_sum / steps
     return stats
@@ -379,30 +377,23 @@ def critic_update(state: TrainState, batch: TransitionBatch,
     stats = {"aborted": False, "critic_loss": 0.0, "grad_norm": 0.0}
     loss_sum = 0.0
     steps = 0
-    params = dict(state.critic.params())
-    if state.encoder is not None:
-        params.update(state.encoder.tensors())
     for idx in orders or epoch_orders(state.rng, B, cfg.ppo_epochs):
         for s in range(0, B, cfg.minibatch_size):
             rows = idx[s:s + cfg.minibatch_size]
-            with ad.tape_scope():
-                v = state.critic_values(batch, rows)
-                target = Tensor(batch.ret[rows][:, None] * cfg.return_scale)
-                loss = ad.scale(ad.reduce_mean(ad.square(ad.sub(v, target))),
-                                0.5)
-                if not np.isfinite(loss.data):
-                    stats["aborted"] = True
-                    return stats
-                loss_sum += float(loss.data)
-                steps += 1
-                state.opt_critic.zero_grad()
-                ad.backward(loss)
-            norm = clip_grad_norm(params, cfg.grad_clip)
+            v, values_backward = state.critic_values(batch, rows)
+            loss, backward = ad.half_mse(v, batch.ret[rows][:, None] * cfg.return_scale)
+            if not np.isfinite(loss):
+                stats["aborted"] = True
+                return stats
+            loss_sum += float(loss)
+            steps += 1
+            grads = values_backward(backward())
+            norm = clip_grad_norm(grads, cfg.grad_clip)
             if not np.isfinite(norm):
                 stats["aborted"] = True
                 return stats
             stats["grad_norm"] = norm
-            state.opt_critic.step()
+            state.opt_critic.step(grads)
     stats["critic_loss"] = loss_sum / steps
     return stats
 
@@ -469,7 +460,7 @@ class _CriticChild:
         # os._exit: nothing inherited (the log's buffer, stdio) is flushed twice
         try:
             stats, opt = critic_update(self.state, batch, orders), self.state.opt_critic
-            conn.send((stats, [p.data for p in opt.params] + opt._m + opt._v, opt.t))
+            conn.send((stats, [*opt.params.values(), *opt._m, *opt._v], opt.t))
         except BaseException as exc:    # re-raised by result(); unpicklable: EOF
             conn.send(exc)
         finally:
@@ -486,7 +477,7 @@ class _CriticChild:
         if isinstance(msg, BaseException):
             raise msg
         opt = self.state.opt_critic
-        for dst, src in zip([p.data for p in opt.params] + opt._m + opt._v, msg[1]):
+        for dst, src in zip([*opt.params.values(), *opt._m, *opt._v], msg[1]):
             dst[...] = src
         opt.t = msg[2]
         return msg[0]
@@ -584,15 +575,11 @@ _META_NUMS = ("gamma", "clip_eps", "entropy_coef", "ppo_epochs",
 
 
 def save_checkpoint(state: TrainState, path) -> None:
-    named: dict[str, np.ndarray] = {}
-    for name, tensor in state.policy.params().items():
-        named[name] = tensor.data
+    named = dict(state.policy.params())
     named["pi.input_scale"] = state.policy.input_scale
-    for name, tensor in state.critic.params().items():
-        named[name] = tensor.data
+    named.update(state.critic.params())
     if state.encoder is not None:
-        for name, tensor in state.encoder.tensors().items():
-            named[name] = tensor.data
+        named.update(state.encoder.tensors())
     cfg = state.cfg
     for flag in _META_FLAGS:
         named[f"meta.{flag}"] = np.array(1.0 if getattr(cfg, flag) else 0.0)
@@ -621,10 +608,7 @@ def _restore(named: dict[str, np.ndarray]) -> TrainState:
         kwargs[flag] = bool(named[f"meta.{flag}"])
     for num in _META_NUMS:
         val = float(named[f"meta.{num}"])
-        kwargs[num] = int(val) if num in ("ppo_epochs", "minibatch_size",
-                                          "horizon_s", "hidden", "d_model",
-                                          "heads", "window_depth",
-                                          "window_cadence_s") else val
+        kwargs[num] = int(val) if num in SIZES else val
     kwargs["normalize_advantages"] = bool(named["meta.normalize_advantages"])
     if "meta.entropy_coef_final" in named:
         final = float(named["meta.entropy_coef_final"])
@@ -636,10 +620,8 @@ def _restore(named: dict[str, np.ndarray]) -> TrainState:
     n_agents = int(named["meta.n_agents"])
     state = TrainState(cfg, in_width, n_agents, seed=0,
                        input_scale=named["pi.input_scale"])
-    for name, tensor in state.policy.params().items():
-        tensor.data = named[name].copy()
-    for name, tensor in state.critic.params().items():
-        tensor.data = named[name].copy()
+    for name, arr in {**state.policy.params(), **state.critic.params()}.items():
+        arr[...] = named[name]
     if cfg.use_hypergraph:
         enc_named = {k: v for k, v in named.items() if k.startswith("enc.")}
         state.encoder = load_encoder(enc_named, tau=cfg.attn_tau)
@@ -647,54 +629,3 @@ def _restore(named: dict[str, np.ndarray]) -> TrainState:
         critic_params.update(state.encoder.tensors())
         state.opt_critic = Adam(critic_params, lr=cfg.lr)
     return state
-
-
-# -------------------------------------------------------------------- bandit
-
-def run_bandit(seed: int, max_updates: int = 500, batch_size: int = 64,
-               lr: float = 3e-2) -> dict:
-    """Two-action sanity task: action 0 pays 1, action 1 pays 0.
-
-    Exercises act / advantages / ppo_update end to end with a single
-    minibatch per epoch. Returns the probability trajectory of the better
-    action and the first update index where it crossed 0.95.
-    """
-    cfg = TrainConfig(minibatch_size=batch_size, lr=lr, entropy_coef=0.0,
-                      use_hypergraph=False)
-    state = TrainState(cfg, in_width=2, n_agents=1, seed=seed)
-    state.policy = PolicyNet(2, 2, state.rng, hidden=32)
-    state.opt_actor = Adam(state.policy.params(), lr=lr)
-    obs = np.array([1.0, 0.0])
-    mask = np.array([True, True])
-    trajectory = []
-    converged_at = None
-    first_update_stats = None
-    for update in range(max_updates):
-        acts = np.array([act(state.policy, obs, mask, state.rng)[0]
-                         for _ in range(batch_size)])
-        rewards = (acts == 0).astype(float)
-        batch = TransitionBatch(
-            agent=np.zeros(batch_size, dtype=int),
-            t=np.arange(batch_size),
-            obs=np.tile(obs, (batch_size, 1)),
-            mask=np.tile(mask, (batch_size, 1)),
-            action=acts,
-            reward=rewards,
-            ret=rewards.copy(),              # one-step episodes
-            done=np.ones(batch_size, dtype=bool),
-        )
-        adv = advantages(batch.ret, np.full(batch_size, rewards.mean()),
-                         normalize=True)
-        stats = ppo_update(state, batch, adv)
-        if first_update_stats is None:
-            first_update_stats = stats
-        with ad.no_grad():
-            logits = state.policy.forward(obs)
-            _, probs = masked_distribution(logits, mask[None])
-        p_best = float(probs.data[0, 0])
-        trajectory.append(p_best)
-        if converged_at is None and p_best > 0.95:
-            converged_at = update
-            break
-    return {"trajectory": trajectory, "converged_at": converged_at,
-            "first_update_stats": first_update_stats, "state": state}

@@ -4,11 +4,11 @@ against independent loop oracles, and the fused encode_window against it."""
 import numpy as np
 import pytest
 
-from oracle import (clear_tape, concat, encode, finite_diff_check,
+import oracle as tape
+from oracle import (Tensor, clear_tape, concat, encode, finite_diff_check,
                     hyperedge_embed, incidence, inter_attention,
-                    intra_attention, spatial_only, temporal_only)
-from stdsh import autodiff as ad
-from stdsh.autodiff import Tensor
+                    intra_attention, spatial_only, taped_encoder,
+                    temporal_only, window_op)
 from stdsh.encoder import EncoderParams, encode_window, init_encoder
 
 
@@ -17,8 +17,8 @@ def manual_encode(X, H, p):
     N, E = H.shape
     heads = []
     for h in range(p.K):
-        Xh = X @ p.W[h].data
-        s = (Xh @ p.a[h].data).ravel() / p.tau
+        Xh = X @ p.W[h]
+        s = (Xh @ p.a[h]).ravel() / p.tau
         alpha = np.zeros((N, E))
         for e in range(E):
             mem = np.nonzero(H[:, e])[0]
@@ -28,14 +28,14 @@ def manual_encode(X, H, p):
         for e in range(E):
             for i in range(N):
                 Z[e] += alpha[i, e] * Xh[i]
-        ts = (Z @ p.b[h].data).ravel() / p.tau
+        ts = (Z @ p.b[h]).ravel() / p.tau
         beta = np.zeros((N, E))
         for i in range(N):
             inc = np.nonzero(H[i])[0]
             ex = np.exp(ts[inc] - ts[inc].max())
             beta[i, inc] = ex / ex.sum()
         heads.append(beta @ Z)
-    Y = np.hstack(heads) @ p.Wo.data + p.bo.data
+    Y = np.hstack(heads) @ p.Wo + p.bo
     return Y, Y.max(axis=0, keepdims=True)
 
 
@@ -172,12 +172,12 @@ def test_normalization_random_instances():
         p = init_encoder(d, K, 5, rng=rng)
         X = Tensor(rng.normal(size=(n * t, d)))
         for h in range(K):
-            Xh = ad.matmul(X, p.W[h])
-            alpha = intra_attention(Xh, H, p.a[h], p.tau).data
+            Xh = tape.matmul(X, Tensor(p.W[h]))
+            alpha = intra_attention(Xh, H, Tensor(p.a[h]), p.tau).data
             assert np.all(np.abs(alpha.sum(axis=0) - 1.0) < 1e-12)
             assert np.all(alpha[H == 0] == 0.0)
             Z = hyperedge_embed(Tensor(alpha), Xh)
-            beta = inter_attention(Z, H, p.b[h], p.tau).data
+            beta = inter_attention(Z, H, Tensor(p.b[h]), p.tau).data
             assert np.all(np.abs(beta.sum(axis=1) - 1.0) < 1e-12)
             assert np.all(beta[H == 0] == 0.0)
 
@@ -199,21 +199,15 @@ def test_score_shift_invariance_and_scale_sensitivity():
     rng = np.random.default_rng(8)
     p = init_encoder(4, 1, 3, rng=rng)
     X = Tensor(rng.normal(size=(4, 4)))
-    Xh = ad.matmul(X, p.W[0])
-    alpha = intra_attention(Xh, H, p.a[0], p.tau).data
+    Xh = tape.matmul(X, Tensor(p.W[0]))
+    alpha = intra_attention(Xh, H, Tensor(p.a[0]), p.tau).data
     # additive shift of every node score leaves both softmax stages unchanged
-    s = ad.matmul(Xh, p.a[0])
-    S = ad.matmul(ad.add(s, Tensor(np.full((4, 1), 11.0))), Tensor(np.ones((1, 4))))
-    alpha_shift = ad.masked_softmax(S, H > 0, axis=0).data
+    s = tape.matmul(Xh, Tensor(p.a[0]))
+    S = tape.matmul(tape.add(s, Tensor(np.full((4, 1), 11.0))), Tensor(np.ones((1, 4))))
+    alpha_shift = tape.masked_softmax(S, H > 0, axis=0).data
     assert np.allclose(alpha, alpha_shift, atol=1e-12)
     # multiplicative scaling of a changes alpha (scores are not all equal)
-    doubled = EncoderParams(K=1, d=4, d_model=3, tau=p.tau)
-    doubled.W = p.W
-    doubled.a = [Tensor(p.a[0].data * 2.0)]
-    doubled.b = p.b
-    doubled.Wo = p.Wo
-    doubled.bo = p.bo
-    alpha2 = intra_attention(Xh, H, doubled.a[0], p.tau).data
+    alpha2 = intra_attention(Xh, H, Tensor(p.a[0] * 2.0), p.tau).data
     assert not np.allclose(alpha, alpha2, atol=1e-6)
 
 
@@ -226,12 +220,12 @@ def test_uniform_mode_is_plain_averaging():
     # oracle: averages instead of attention
     heads = []
     for h in range(p.K):
-        Xh = X @ p.W[h].data
+        Xh = X @ p.W[h]
         alpha = H / H.sum(axis=0, keepdims=True)
         Z = alpha.T @ Xh
         beta = H / H.sum(axis=1, keepdims=True)
         heads.append(beta @ Z)
-    Ym = np.hstack(heads) @ p.Wo.data + p.bo.data
+    Ym = np.hstack(heads) @ p.Wo + p.bo
     assert np.allclose(Y.data, Ym, atol=1e-12)
     assert np.allclose(g.data, Ym.max(axis=0, keepdims=True), atol=1e-12)
 
@@ -241,13 +235,13 @@ def test_encoder_gradients_finite_difference():
     # the probed tensor IS the parameter object, so the tape sees it as a leaf
     rng = np.random.default_rng(12)
     H = incidence(2, 3)
-    p = init_encoder(4, 2, 3, rng=rng)
+    p = taped_encoder(init_encoder(4, 2, 3, rng=rng))
     X = rng.normal(size=(6, 4))
     v = rng.normal(size=(3, 1))
 
     def loss(_t):
         _, g = encode(X, H, p)
-        return ad.reduce_sum(ad.matmul(g, Tensor(v)))
+        return tape.reduce_sum(tape.matmul(g, Tensor(v)))
 
     for name, param in p.tensors().items():
         err = finite_diff_check(loss, param, eps=1e-5)
@@ -303,7 +297,7 @@ def _grads(p):
 def test_encode_window_matches_per_row_encode(config, n, t):
     spatial, temporal, uniform = WINDOW_CONFIGS[config]
     rng = np.random.default_rng(40 + n)
-    p = init_encoder(8, 4, 6, tau=0.7, rng=rng)
+    p = taped_encoder(init_encoder(8, 4, 6, tau=0.7, rng=rng))
     X = rng.normal(size=(5, n * t, 8))
     v = Tensor(rng.normal(size=(6, 1)))
     H = _window_incidence(n, t, spatial, temporal)
@@ -311,16 +305,16 @@ def test_encode_window_matches_per_row_encode(config, n, t):
     clear_tape()
     rows = [encode(x, H, p, uniform=uniform)[1] for x in X]
     oracle = concat(rows, axis=0)
-    ad.backward(ad.reduce_sum(ad.matmul(oracle, v)))
+    tape.backward(tape.reduce_sum(tape.matmul(oracle, v)))
     want = _grads(p)
     for q in p.tensors().values():
         q.zero_grad()
 
-    g = encode_window(*_as_table(X, n, t), p, spatial=spatial,
-                      temporal=temporal, uniform=uniform)
+    g = window_op(*_as_table(X, n, t), p, spatial=spatial,
+                  temporal=temporal, uniform=uniform)
     assert g.shape == (5, 6)
     assert np.max(np.abs(g.data - oracle.data)) <= 1e-12
-    ad.backward(ad.reduce_sum(ad.matmul(g, v)))
+    tape.backward(tape.reduce_sum(tape.matmul(g, v)))
     got = _grads(p)
     for name in want:
         assert np.max(np.abs(got[name] - want[name])) <= 1e-12, name
@@ -336,30 +330,29 @@ def test_encode_window_readout_invariance(config, n, t):
     p = init_encoder(8, 4, 6, tau=0.7, rng=rng)
     X = rng.normal(size=(5, n * t, 8))
     grid = X.reshape(5, t, n, 8)
-    with ad.no_grad():
-        g0 = encode_window(*_as_table(X, n, t), p, spatial=spatial,
-                           temporal=temporal, uniform=uniform).data
-        for steps, nodes in ((np.arange(t), rng.permutation(n)),
-                             (rng.permutation(t), np.arange(n)),
-                             (rng.permutation(t), rng.permutation(n))):
-            Xp = grid[:, steps][:, :, nodes].reshape(5, n * t, 8)
-            g = encode_window(*_as_table(Xp, n, t), p, spatial=spatial,
-                              temporal=temporal, uniform=uniform).data
-            assert np.max(np.abs(g - g0)) <= 1e-12
+    g0 = encode_window(*_as_table(X, n, t), p, spatial=spatial,
+                       temporal=temporal, uniform=uniform)[0]
+    for steps, nodes in ((np.arange(t), rng.permutation(n)),
+                         (rng.permutation(t), np.arange(n)),
+                         (rng.permutation(t), rng.permutation(n))):
+        Xp = grid[:, steps][:, :, nodes].reshape(5, n * t, 8)
+        g = encode_window(*_as_table(Xp, n, t), p, spatial=spatial,
+                          temporal=temporal, uniform=uniform)[0]
+        assert np.max(np.abs(g - g0)) <= 1e-12
 
 
 @pytest.mark.parametrize("config", WINDOW_CONFIGS)
 def test_encode_window_gradients_finite_difference(config):
     spatial, temporal, uniform = WINDOW_CONFIGS[config]
     rng = np.random.default_rng(13)
-    p = init_encoder(4, 2, 3, rng=rng)
+    p = taped_encoder(init_encoder(4, 2, 3, rng=rng))
     X = rng.normal(size=(2, 6, 4))
     v = Tensor(rng.normal(size=(3, 1)))
 
     def loss(_t):
-        g = encode_window(*_as_table(X, 2, 3), p, spatial=spatial,
-                          temporal=temporal, uniform=uniform)
-        return ad.reduce_sum(ad.matmul(g, v))
+        g = window_op(*_as_table(X, 2, 3), p, spatial=spatial,
+                      temporal=temporal, uniform=uniform)
+        return tape.reduce_sum(tape.matmul(g, v))
 
     for name, param in p.tensors().items():
         err = finite_diff_check(loss, param, eps=1e-5)
@@ -368,11 +361,11 @@ def test_encode_window_gradients_finite_difference(config):
 
 def test_encode_window_records_nothing_without_grad():
     rng = np.random.default_rng(5)
-    p = init_encoder(4, 2, 3, rng=rng)
+    p = taped_encoder(init_encoder(4, 2, 3, rng=rng))
     clear_tape()
-    with ad.no_grad():
-        g = encode_window(*_as_table(rng.normal(size=(3, 6, 4)), 3, 2), p)
-    assert len(ad._tape()) == 0
+    with tape.no_grad():
+        g = window_op(*_as_table(rng.normal(size=(3, 6, 4)), 3, 2), p)
+    assert len(tape._tape()) == 0
     assert not g.track
 
 
@@ -381,7 +374,7 @@ def test_encode_window_tie_routes_gradient_to_first_node():
     # N-way tie, and d loss/d Wo must come from node 0's head outputs alone
     rng = np.random.default_rng(6)
     n, t, d = 3, 2, 4
-    p = init_encoder(d, 2, d, rng=rng)
+    p = taped_encoder(init_encoder(d, 2, d, rng=rng))
     X = rng.normal(size=(2, n * t, d))
     bo = p.bo.data.copy()
     p.Wo.data = np.eye(d)
@@ -391,10 +384,10 @@ def test_encode_window_tie_routes_gradient_to_first_node():
     assert np.ptp(heads, axis=1).min() > 0          # nodes differ
     p.Wo.data = np.zeros((d, d))
     p.bo.data = bo
-    g = encode_window(*_as_table(X, n, t), p)
+    g = window_op(*_as_table(X, n, t), p)
     assert np.array_equal(g.data, np.repeat(bo, 2, axis=0))
     up = rng.normal(size=(2, d))
-    ad.backward(ad.reduce_sum(ad.mul(g, Tensor(up))))
+    tape.backward(tape.reduce_sum(tape.mul(g, Tensor(up))))
     assert np.allclose(p.Wo.grad, heads[:, 0, :].T @ up, atol=1e-14)
     assert np.array_equal(p.bo.grad, up.sum(axis=0, keepdims=True))
 
@@ -436,7 +429,7 @@ def test_encode_window_overlapping_and_repeated_windows(config):
     spatial, temporal, uniform = WINDOW_CONFIGS[config]
     n, t, d = 4, 5, 8
     rng = np.random.default_rng(90)
-    p = init_encoder(d, 4, 6, tau=0.7, rng=rng)
+    p = taped_encoder(init_encoder(d, 4, 6, tau=0.7, rng=rng))
     first = rng.normal(size=(n, d))
     table = np.concatenate([np.repeat(first[None], t, axis=0),
                             rng.normal(size=(9, n, d))])
@@ -451,15 +444,15 @@ def test_encode_window_overlapping_and_repeated_windows(config):
     rows = [encode(table[w].reshape(t * n, d), H, p, uniform=uniform)[1]
             for w in windows]
     oracle = concat(rows, axis=0)
-    ad.backward(ad.reduce_sum(ad.mul(ad.matmul(oracle, v), weights)))
+    tape.backward(tape.reduce_sum(tape.mul(tape.matmul(oracle, v), weights)))
     want = _grads(p)
     for q in p.tensors().values():
         q.zero_grad()
 
-    g = encode_window(table, windows, p, spatial=spatial, temporal=temporal,
-                      uniform=uniform)
+    g = window_op(table, windows, p, spatial=spatial, temporal=temporal,
+                  uniform=uniform)
     assert np.max(np.abs(g.data - oracle.data)) <= 1e-12
-    ad.backward(ad.reduce_sum(ad.mul(ad.matmul(g, v), weights)))
+    tape.backward(tape.reduce_sum(tape.mul(tape.matmul(g, v), weights)))
     got = _grads(p)
     assert np.abs(want["enc.Wo"]).max() > 0
     for name in want:

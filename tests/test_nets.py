@@ -3,12 +3,10 @@
 import numpy as np
 import pytest
 
-from oracle import clear_tape
+import oracle as tape
 from stdsh import autodiff as ad
-from stdsh.autodiff import Tensor
 from stdsh.env import N_ACTIONS, action_mask
-from stdsh.nets import (CriticNet, PolicyNet, act, entropy_of,
-                        masked_distribution)
+from stdsh.nets import PolicyNet, act
 
 
 def fresh_policy(width=20, seed=0, input_scale=None):
@@ -17,13 +15,24 @@ def fresh_policy(width=20, seed=0, input_scale=None):
 
 
 def test_masked_distribution_two_point():
-    logits = Tensor(np.zeros((1, 2)))
-    mask = np.array([[True, True]])
-    logp, probs = masked_distribution(logits, mask)
-    assert np.allclose(probs.data, [[0.5, 0.5]], atol=1e-15)
-    ent = entropy_of(logp, probs)
-    assert abs(ent.data.item() - np.log(2.0)) < 1e-12
-    clear_tape()
+    logp, probs = ad.masked_log_softmax(np.zeros((1, 2)), np.array([[True, True]]))
+    assert np.allclose(probs, [[0.5, 0.5]], atol=1e-15)
+    assert abs(-(probs * logp).sum() - np.log(2.0)) < 1e-12
+
+
+def test_masked_log_softmax_matches_the_tape():
+    # the tape's masked softmax on plain arrays, bit for bit: random rows,
+    # huge logits, and a row with every action masked (all zero)
+    rng = np.random.default_rng(8)
+    x = rng.normal(scale=20.0, size=(7, 9))
+    x[1] += 1e4
+    mask = rng.random((7, 9)) < 0.6
+    mask[2] = False
+    logp, p = ad.masked_log_softmax(x, mask)
+    want_logp, want_p = tape.masked_log_softmax_np(x, mask, 1)
+    assert logp.tobytes() == want_logp.tobytes()
+    assert p.tobytes() == want_p.tobytes()
+    assert np.all(np.isfinite(logp)) and np.all(p[2] == 0.0)
 
 
 def test_single_allowed_action_logp_is_exact_zero():
@@ -43,11 +52,9 @@ def test_fresh_policy_is_near_uniform_over_allowed():
     policy = fresh_policy()
     obs = np.random.default_rng(3).normal(size=20)
     mask = action_mask(2)
-    with ad.no_grad():
-        logits = policy.forward(obs[None, :])
-        logp, probs = masked_distribution(logits, mask[None, :])
-        ent = entropy_of(logp, probs).data.item()
-    p = probs.data[0]
+    logp, probs = ad.masked_log_softmax(policy.forward(obs[None, :])[0], mask[None, :])
+    ent = -(probs * logp).sum()
+    p = probs[0]
     assert abs(ent - np.log(114.0)) < 1e-3
     assert p[mask].min() > 0.8 / 114
     assert np.all(p[~mask] == 0.0)
@@ -66,25 +73,25 @@ def test_sampling_frequencies_match_probabilities():
     assert counts[~mask].sum() == 0
     # total variation distance to the (near uniform) model distribution;
     # expected TV for a 114-bin multinomial at this n is about 0.017
-    with ad.no_grad():
-        _, probs = masked_distribution(policy.forward(obs[None, :]),
-                                       mask[None, :])
-    tv = 0.5 * np.abs(counts / draws - probs.data[0]).sum()
+    _, probs = ad.masked_log_softmax(policy.forward(obs[None, :])[0], mask[None, :])
+    tv = 0.5 * np.abs(counts / draws - probs[0]).sum()
     assert tv < 0.03
 
 
 def test_act_matches_the_tape_forward():
-    # act() skips the tape; its logits, log-probs, probs and draws must equal
-    # the taped forward's bit for bit, greedy picks included
+    # act()'s logits, log-probs, probs and draws must equal the forward built
+    # on the reference tape bit for bit, greedy picks included
     policy = fresh_policy(seed=3, input_scale=np.linspace(0.05, 1.0, 20))
+    weights = tape.taped(policy.params())
     rng = np.random.default_rng(11)
     for k in range(200):
         obs = rng.normal(scale=30.0, size=20)
         mask = action_mask(k % 4)
-        with ad.no_grad():
-            logits = policy.forward(obs)
-            logp, probs = masked_distribution(logits, mask)
-        assert policy.logits(obs).tolist() == logits.data.tolist()
+        with tape.no_grad():
+            logits = tape.two_layer(obs[None, :] * policy.input_scale,
+                                    *weights.values())
+            logp, probs = tape.masked_distribution(logits, mask)
+        assert policy.forward(obs)[0].tolist() == logits.data.tolist()
         want = int(np.random.default_rng(k).choice(N_ACTIONS, p=probs.data[0]))
         assert act(policy, obs, mask, np.random.default_rng(k)) == \
             (want, float(logp.data[0, want]))
@@ -102,10 +109,8 @@ def test_greedy_act_is_argmax_and_deterministic():
     assert len(picks) == 1
     a = picks.pop()
     assert mask[a]
-    with ad.no_grad():
-        _, probs = masked_distribution(policy.forward(obs[None, :]),
-                                       mask[None, :])
-    assert a == int(np.argmax(probs.data[0]))
+    _, probs = ad.masked_log_softmax(policy.forward(obs[None, :])[0], mask[None, :])
+    assert a == int(np.argmax(probs[0]))
 
 
 def test_act_rejects_fully_masked_and_bad_shapes():
@@ -124,19 +129,4 @@ def test_input_scale_equals_prescaled_input():
     a = fresh_policy(seed=9, input_scale=scale)
     b = fresh_policy(seed=9)
     x = np.random.default_rng(2).normal(size=(4, 20))
-    with ad.no_grad():
-        ya = a.forward(x).data
-        yb = b.forward(x * scale).data
-    assert np.array_equal(ya, yb)
-
-
-def test_critic_forward_np_matches_forward():
-    rng = np.random.default_rng(4)
-    critic = CriticNet(12, rng, hidden=16)
-    x = rng.normal(size=(5, 12))
-    with ad.no_grad():
-        y1 = critic.forward(Tensor(x)).data
-        y2 = critic.forward_np(x).data
-    assert y1.shape == (5, 1)
-    assert np.array_equal(y1, y2)
-    assert np.all(np.isfinite(y1))
+    assert np.array_equal(a.forward(x)[0], b.forward(x * scale)[0])

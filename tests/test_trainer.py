@@ -8,16 +8,19 @@ import os
 import numpy as np
 import pytest
 
-from oracle import clear_tape
+import oracle as tape
+from bandit import run_bandit
+from oracle import taped_encoder, window_op
 from stdsh import autodiff as ad
 from stdsh import env as envmod
 from stdsh import trainer
-from stdsh.env import CorridorEnv, action_mask, decode_action, obs_width
+from stdsh.env import (CorridorEnv, action_mask, decode_action, feature_scales,
+                       obs_width)
 from stdsh.trainer import (TrainConfig, TrainState, TransitionBatch,
                            advantages, collect_rollout, corridor_train_config,
                            critic_update, evaluate_values, load_checkpoint,
-                           ppo_update, returns, run_bandit, save_checkpoint,
-                           train_run, world_seed)
+                           ppo_update, returns, save_checkpoint, train_run,
+                           world_seed)
 
 
 def small_cfg(**kw):
@@ -172,27 +175,27 @@ def test_ppo_update_moves_only_policy_parameters():
     state = TrainState(cfg, in_width=10, n_agents=1, seed=1)
     batch = synthetic_batch(state, seed=2)
     adv = advantages(batch.ret, evaluate_values(state, batch))
-    before_pi = {k: v.data.copy() for k, v in state.policy.params().items()}
-    before_v = {k: v.data.copy() for k, v in state.critic.params().items()}
+    before_pi = {k: v.copy() for k, v in state.policy.params().items()}
+    before_v = {k: v.copy() for k, v in state.critic.params().items()}
     ppo_update(state, batch, adv)
-    assert any(not np.array_equal(before_pi[k], v.data)
+    assert any(not np.array_equal(before_pi[k], v)
                for k, v in state.policy.params().items())
     for k, v in state.critic.params().items():
-        assert np.array_equal(before_v[k], v.data)
+        assert np.array_equal(before_v[k], v)
 
 
 def test_critic_update_moves_only_critic_parameters():
     cfg = small_cfg(ppo_epochs=2)
     state = TrainState(cfg, in_width=10, n_agents=1, seed=3)
     batch = synthetic_batch(state, seed=4)
-    before_pi = {k: v.data.copy() for k, v in state.policy.params().items()}
-    before_v = {k: v.data.copy() for k, v in state.critic.params().items()}
+    before_pi = {k: v.copy() for k, v in state.policy.params().items()}
+    before_v = {k: v.copy() for k, v in state.critic.params().items()}
     stats = critic_update(state, batch)
     assert stats["critic_loss"] > 0
-    assert any(not np.array_equal(before_v[k], v.data)
+    assert any(not np.array_equal(before_v[k], v)
                for k, v in state.critic.params().items())
     for k, v in state.policy.params().items():
-        assert np.array_equal(before_pi[k], v.data)
+        assert np.array_equal(before_pi[k], v)
 
 
 def test_critic_loss_zero_when_predictions_match_targets():
@@ -200,19 +203,19 @@ def test_critic_loss_zero_when_predictions_match_targets():
     state = TrainState(cfg, in_width=10, n_agents=1, seed=5)
     batch = synthetic_batch(state, seed=6)
     batch.ret = evaluate_values(state, batch) / cfg.return_scale
-    before = {k: v.data.copy() for k, v in state.critic.params().items()}
+    before = {k: v.copy() for k, v in state.critic.params().items()}
     stats = critic_update(state, batch)
     assert stats["critic_loss"] == 0.0
     for k, v in state.critic.params().items():
-        assert np.array_equal(before[k], v.data)
+        assert np.array_equal(before[k], v)
 
 
 def test_critic_loss_half_mse_example():
     # zeroed critic predicts 0 everywhere; target 2 gives 0.5 * 4 = 2
     cfg = small_cfg(ppo_epochs=1, return_scale=1.0)
     state = TrainState(cfg, in_width=4, n_agents=1, seed=0)
-    for tensor in state.critic.params().values():
-        tensor.data[...] = 0.0
+    for weights in state.critic.params().values():
+        weights[...] = 0.0
     batch = TransitionBatch(
         agent=np.zeros(1, dtype=int), t=np.zeros(1, dtype=int),
         obs=np.ones((1, 4)), mask=np.ones((1, 152), dtype=bool),
@@ -230,6 +233,101 @@ def test_updates_reject_empty_batch():
         ppo_update(state, TransitionBatch(), np.zeros(0))
     with pytest.raises(ValueError):
         critic_update(state, TransitionBatch())
+
+
+# the critic configurations of the gradient comparison
+GRADIENT_CONFIGS = {"full": {}, "hg_off": {"use_hypergraph": False},
+                    "no_dsha": {"use_dsha": False},
+                    "no_spatial": {"use_spatial": False},
+                    "no_temporal": {"use_temporal": False}}
+
+
+def gradient_case(config, kind):
+    """A corridor train state and a 300 s rollout, or a random batch of the
+    same layout whose snapshot table opens with copies of one snapshot."""
+    cfg = small_cfg(**{"use_hypergraph": True, "d_model": 8, "heads": 4,
+                       "hidden": 32, **GRADIENT_CONFIGS[config]})
+    env = CorridorEnv(1, seed=5)
+    state = TrainState(cfg, obs_width(env.n_lanes), env.n_agents, seed=5,
+                       input_scale=feature_scales(env.n_lanes))
+    if kind == "rollout":
+        return state, collect_rollout(env, state, 300)
+    rng = np.random.default_rng(6)
+    B, width = 96, obs_width(env.n_lanes)
+    batch = synthetic_batch(state, B=B, width=width, seed=6)
+    batch.obs *= 20.0
+    if cfg.use_hypergraph:
+        first = rng.normal(size=(1, env.n_agents, state.encoder.d))
+        batch.snapshots = np.concatenate(
+            [first.repeat(cfg.window_depth, axis=0),
+             rng.normal(size=(12, env.n_agents, state.encoder.d))])
+        batch.critic_input = rng.integers(0, 13, size=B)
+        batch.critic_input[0] = 0
+    return state, batch
+
+
+def assert_same_gradients(got, tensors):
+    """got holds a gradient for exactly the tensors the tape reached, in
+    their order, each byte for byte the tape's and C-ordered as the tape's
+    are: clip_grad_norm's sums of squares follow the memory order."""
+    want = {k: t.grad for k, t in tensors.items() if t.grad is not None}
+    assert list(got) == list(want)
+    for k in want:
+        assert got[k].shape == want[k].shape, k
+        assert got[k].tobytes() == want[k].tobytes(), k
+        assert got[k].flags.c_contiguous, k
+
+
+@pytest.mark.parametrize("kind", ["random", "rollout"])
+@pytest.mark.parametrize("config", GRADIENT_CONFIGS)
+def test_hand_gradients_match_the_tape(config, kind):
+    # the actor's and the critic's hand-written gradients against the same
+    # losses built on the reference tape, on one minibatch that holds masked
+    # actions, clipped and unclipped ratios (an unclipped ratio ties the two
+    # arms of the minimum), zero advantages and, where the hypergraph is on,
+    # windows with tied max readouts
+    state, batch = gradient_case(config, kind)
+    cfg, policy = state.cfg, state.policy
+    rng = np.random.default_rng(7)
+    rows = np.concatenate([[0], rng.permutation(np.arange(1, len(batch)))[:63]])
+    old = ad.masked_log_softmax(policy.forward(batch.obs)[0], batch.mask)[0][
+        np.arange(len(batch)), batch.action]
+    for w in policy.params().values():
+        w += rng.normal(scale=0.1, size=w.shape)
+    adv = rng.normal(size=len(batch))
+    adv[rows[:4]] = 0.0
+    actor = (batch.mask[rows], batch.action[rows], old[rows], adv[rows],
+             cfg.clip_eps, 0.01)
+
+    logits, policy_backward = policy.forward(batch.obs[rows])
+    loss, ratio, _, _, backward = ad.ppo_loss(logits, *actor)
+    got = policy_backward(backward())[0]
+    clipped = np.abs(ratio - 1.0) > cfg.clip_eps
+    assert 0 < clipped.sum() < len(rows) and not batch.mask[rows].all()
+    weights = tape.taped(policy.params())
+    tape.clear_tape()
+    taped_loss = tape.ppo_loss(tape.two_layer(batch.obs[rows] * policy.input_scale,
+                                              *weights.values()), *actor)
+    tape.backward(taped_loss)
+    assert np.float64(loss).tobytes() == taped_loss.data.tobytes()
+    assert_same_gradients(got, weights)
+
+    target = batch.ret[rows][:, None] * cfg.return_scale
+    v, values_backward = state.critic_values(batch, rows)
+    loss, backward = ad.half_mse(v, target)
+    got = values_backward(backward())
+    weights = tape.taped(state.critic.params())
+    x = batch.critic_input[rows]
+    if cfg.use_hypergraph:
+        encoder = taped_encoder(state.encoder)
+        x = window_op(batch.snapshots, x[:, None] + np.arange(cfg.window_depth),
+                      encoder, spatial=cfg.use_spatial, temporal=cfg.use_temporal,
+                      uniform=not cfg.use_dsha)
+        weights.update(encoder.tensors())
+    taped_loss = tape.half_mse(tape.two_layer(x, *list(weights.values())[:4]), target)
+    tape.backward(taped_loss)
+    assert np.float64(loss).tobytes() == taped_loss.data.tobytes()
+    assert_same_gradients(got, weights)
 
 
 # ------------------------------------------------------------------ rollout
@@ -447,11 +545,11 @@ def pinned_training(name, tmp_path, monkeypatch):
             adv[0] = np.nan
         return adv
 
-    def poisoned_clip(params, max_norm):
-        if "enc.Wo" in params and states[0].opt_critic.t == 5:
-            for p in params.values():
-                p.grad = p.grad * np.nan
-        return clip(params, max_norm)
+    def poisoned_clip(grads, max_norm):
+        if "enc.Wo" in grads and states[0].opt_critic.t == 5:
+            for k in grads:
+                grads[k] = grads[k] * np.nan
+        return clip(grads, max_norm)
 
     def recorded_state(*args, **kwargs):
         states.append(make(*args, **kwargs))
@@ -566,10 +664,15 @@ def test_train_run_rejects_no_episodes(tmp_path, episodes):
     assert not (tmp_path / "out").exists()
 
 
-def test_aborted_updates_leave_no_tape_records():
+def _adam_bytes(opt):
+    return (opt.t, [a.tobytes() for a in (*opt.params.values(), *opt._m, *opt._v)])
+
+
+def test_aborted_updates_leave_adam_and_weights_untouched():
     """A NaN return or advantage makes the loss non-finite; a NaN
     observation row or snapshot leaves it finite and its gradients not.
-    Either way the update aborts before Adam writes a non-finite weight."""
+    Either way the aborted step leaves Adam's step count, moments and
+    weights as the last completed step left them, all finite."""
     flat = small_cfg(minibatch_size=8)
     hg = small_cfg(minibatch_size=8, use_hypergraph=True, d_model=8, heads=4)
     for poison, row in (("ret", 12), ("adv", 12), ("obs", 0), ("snapshots", 0)):
@@ -581,16 +684,24 @@ def test_aborted_updates_leave_no_tape_records():
             batch = synthetic_batch(state)
         adv = np.ones(len(batch))
         (adv if poison == "adv" else getattr(batch, poison))[row] = np.nan
-        clear_tape()
+        opt = state.opt_actor if poison in ("adv", "obs") else state.opt_critic
+        step, completed = opt.step, [_adam_bytes(opt)]
+
+        def recorded_step(grads):
+            step(grads)
+            completed.append(_adam_bytes(opt))
+
+        opt.step = recorded_step
         if poison in ("adv", "obs"):
             stats = ppo_update(state, batch, adv)
         else:
             stats = critic_update(state, batch)
         assert stats["aborted"], poison
-        assert len(ad._tape()) == 0, poison
+        assert _adam_bytes(opt) == completed[-1], poison
+        assert opt.t == len(completed) - 1, poison
         params = [*state.policy.params().values(), *state.critic.params().values(),
                   *(state.encoder.tensors().values() if state.encoder else ())]
-        assert all(np.isfinite(p.data).all() for p in params), poison
+        assert all(np.isfinite(p).all() for p in params), poison
         assert np.isfinite(stats["grad_norm"]), poison
 
 
@@ -638,10 +749,8 @@ def test_checkpoint_round_trip_preserves_behavior(tmp_path):
     save_checkpoint(state, path)
     clone = load_checkpoint(path)
     assert clone.cfg == cfg
-    with ad.no_grad():
-        a = state.policy.forward(batch.obs).data
-        b = clone.policy.forward(batch.obs).data
-    assert np.array_equal(a, b)
+    assert np.array_equal(state.policy.forward(batch.obs)[0],
+                          clone.policy.forward(batch.obs)[0])
     va = evaluate_values(state, batch)
     vb = evaluate_values(clone, batch)
     assert np.array_equal(va, vb)
