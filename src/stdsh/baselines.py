@@ -21,32 +21,31 @@ from .sim.world import (ALL_RED_S, AMBER_S, MAX_GREEN_S, MIN_GREEN_S, SimWorld,
 LOST_TIME_S = N_PHASES * (AMBER_S + ALL_RED_S)          # 20
 MIN_CYCLE_S = N_PHASES * MIN_GREEN_S + LOST_TIME_S      # 52
 MAX_CYCLE_S = N_PHASES * MAX_GREEN_S + LOST_TIME_S      # 200
+WARMUP_S = 300                  # the flow-measuring run before a plan is sized
 
 
-def webster_cycle(ratios, lost_time_s: float = LOST_TIME_S) -> tuple[int, bool]:
+def webster_cycle(ratios) -> tuple[int, bool]:
     """Cycle seconds from critical flow ratios; flagged when oversaturated."""
     ratios = [float(y) for y in ratios]
     if len(ratios) != N_PHASES or min(ratios) < 0:
         raise ValueError("need 4 non-negative flow ratios")
-    if lost_time_s <= 0:
-        raise ValueError("lost time must be > 0")
     Y = sum(ratios)
     if Y >= 1.0:
         return MAX_CYCLE_S, True
-    cycle = int(round((1.5 * lost_time_s + 5.0) / (1.0 - Y)))
+    cycle = int(round((1.5 * LOST_TIME_S + 5.0) / (1.0 - Y)))
     if cycle > MAX_CYCLE_S:
         return MAX_CYCLE_S, True        # demand too high for the longest cycle
     return max(cycle, MIN_CYCLE_S), False
 
 
-def green_split(cycle: int, ratios, lost_time_s: int = LOST_TIME_S) -> list[int]:
+def green_split(cycle: int, ratios) -> list[int]:
     """Demand-proportional integer greens: every phase gets the 8 s minimum,
     the remaining budget goes out by ratio share, the rounding residual to
     the largest-ratio phase, and any excess over 45 s is redistributed."""
     ratios = [float(y) for y in ratios]
     if len(ratios) != N_PHASES or min(ratios) < 0:
         raise ValueError("need 4 non-negative flow ratios")
-    budget = cycle - lost_time_s - N_PHASES * MIN_GREEN_S
+    budget = cycle - LOST_TIME_S - N_PHASES * MIN_GREEN_S
     if budget < 0:
         raise ValueError(f"cycle {cycle} cannot fit minimum greens")
     Y = sum(ratios)
@@ -76,7 +75,7 @@ def green_split(cycle: int, ratios, lost_time_s: int = LOST_TIME_S) -> list[int]
             overflow -= take
             if overflow == 0:
                 break
-    if sum(greens) + lost_time_s != cycle:
+    if sum(greens) + LOST_TIME_S != cycle:
         raise AssertionError("green split failed to fill the cycle")
     return greens
 
@@ -94,7 +93,7 @@ def random_policy(mask: np.ndarray, rng) -> int:
 
 # ------------------------------------------------------------------ fixed time
 
-def measure_flow_ratios(scenario, seed: int, warmup_s: int = 300) -> list[list[float]]:
+def measure_flow_ratios(scenario, seed: int) -> list[list[float]]:
     """Per-intersection critical flow ratios from a warm-up run.
 
     The warm-up world cycles a naive equal plan (15 s per phase). Each
@@ -103,9 +102,9 @@ def measure_flow_ratios(scenario, seed: int, warmup_s: int = 300) -> list[list[f
     saturation flow.
     """
     world = load_scenario(scenario, seed)
-    drive(world, warmup_s,
+    drive(world, WARMUP_S,
           FixedTimeController(world, [[15] * N_PHASES] * world.net.n))
-    sat_flow = world.cfg.saturation_veh_s * warmup_s
+    sat_flow = world.cfg.saturation_veh_s * WARMUP_S
     lanes = world.net.all_lanes()
     return [[max((world.lane_entry_counts[lanes[s].key] / sat_flow for s, _ in phase_lanes),
                  default=0.0) for phase_lanes in node_phases] for node_phases in world.served]
@@ -145,8 +144,8 @@ class FixedTimeController:
         return encode_action(nxt, self.greens[i][nxt])
 
 
-def fixed_time_fswf(scenario, seed: int, warmup_s: int = 300):
+def fixed_time_fswf(scenario, seed: int):
     """FS-WF setup: measured ratios -> per-intersection Webster plans."""
-    ratios = measure_flow_ratios(scenario, seed, warmup_s)
+    ratios = measure_flow_ratios(scenario, seed)
     plans = [webster_plan(r) for r in ratios]
     return plans

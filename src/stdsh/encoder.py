@@ -84,25 +84,6 @@ def init_encoder(d: int, K: int, d_model: int, tau: float = 1.0,
     return p
 
 
-def load_encoder(named: dict[str, np.ndarray], tau: float) -> EncoderParams:
-    """Rebuild EncoderParams from checkpoint tensors named enc.*."""
-    K = 0
-    while f"enc.W.h{K + 1}" in named:
-        K += 1
-    if K == 0:
-        raise ValueError("checkpoint holds no encoder heads")
-    d, d_h = named["enc.W.h1"].shape
-    d_model = named["enc.Wo"].shape[1]
-    p = EncoderParams(K=K, d=d, d_model=d_model, tau=float(tau))
-    for h in range(K):
-        p.W.append(named[f"enc.W.h{h + 1}"])
-        p.a.append(named[f"enc.a.h{h + 1}"].reshape(d_h, 1))
-        p.b.append(named[f"enc.b.h{h + 1}"].reshape(d_h, 1))
-    p.Wo = named["enc.Wo"]
-    p.bo = named["enc.bo"].reshape(1, d_model)
-    return p
-
-
 # The critic's window grid: window v of V distinct windows reads table rows
 # win[v] (t of them), so its nodes form a (V, t, n, .) grid, node (i, tau)
 # at row tau*n + i. A hyperedge family is the set of grid lines along one

@@ -23,8 +23,6 @@ own delayed-passenger count and the network count, weighted and negated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .metrics import MetricsLog
@@ -121,18 +119,12 @@ def drive(world: SimWorld, seconds: int, decide, after_step=None) -> None:
 
 # ------------------------------------------------------------------- reward
 
-@dataclass
-class RewardConfig:
-    w1: float = 0.5          # weight on the agent's own intersection
-    w2: float = 0.5          # weight on the whole network
-
-    def __post_init__(self):
-        if self.w1 < 0 or self.w2 < 0:
-            raise ValueError("reward weights must be >= 0")
+W_LOCAL, W_NETWORK = 0.5, 0.5    # reward weights: own intersection, whole network
 
 
-def compute_reward(window: MetricsLog, intersection: int, cfg: RewardConfig) -> float:
-    """-( (w1/m) sum N^i_t + (w2/m) sum N_hat_t ) over the window's m seconds."""
+def compute_reward(window: MetricsLog, intersection: int) -> float:
+    """-( (w1/m) sum N^i_t + (w2/m) sum N_hat_t ) over the window's m seconds,
+    w1 = W_LOCAL and w2 = W_NETWORK."""
     m = len(window)
     if m == 0:
         raise ValueError("reward window is empty")
@@ -140,7 +132,7 @@ def compute_reward(window: MetricsLog, intersection: int, cfg: RewardConfig) -> 
         raise ValueError(f"unknown intersection {intersection}")
     local = int(window.int_delayed[:, intersection].sum())
     network = int(window.net_delayed.sum())
-    return -(cfg.w1 * local + cfg.w2 * network) / float(m)
+    return -(W_LOCAL * local + W_NETWORK * network) / float(m)
 
 
 # ----------------------------------------------------- critic feature window
@@ -193,7 +185,6 @@ class CorridorEnv:
                  window_cadence_s: int = 5):
         from .sim.world import load_scenario
         self.world = load_scenario(config, seed)
-        self.reward_cfg = RewardConfig()
         self.window = FeatureWindow(self.world, window_depth, window_cadence_s)
         self.n_lanes = len(self.world.net.lanes_of(0))
 
@@ -205,5 +196,4 @@ class CorridorEnv:
         return action_mask(self.world.controllers[intersection].phase)
 
     def reward_between(self, intersection: int, start_t: int, stop_t: int) -> float:
-        return compute_reward(self.world.log.window(start_t, stop_t),
-                              intersection, self.reward_cfg)
+        return compute_reward(self.world.log.window(start_t, stop_t), intersection)

@@ -134,8 +134,9 @@ def _append_summary(path: Path, row: SummaryRow) -> None:
         w.writerow(row.as_csv_row())
 
 
-def report(in_dir, out_name: str = "report.csv") -> Path:
-    """Aggregate summary.csv into per-(scenario, controller) seed means."""
+def report(in_dir) -> Path:
+    """Aggregate summary.csv into per-(scenario, controller) seed means,
+    written to report.csv beside it."""
     in_dir = Path(in_dir)
     src = in_dir / "summary.csv"
     if not src.exists():
@@ -150,7 +151,7 @@ def report(in_dir, out_name: str = "report.csv") -> Path:
                 awt_bus=float(rec["awt_bus"]) if rec["awt_bus"] else None,
                 awt_tram=float(rec["awt_tram"]) if rec["awt_tram"] else None)
             groups.setdefault((row.scenario, row.controller), []).append(row)
-    out = in_dir / out_name
+    out = in_dir / "report.csv"
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["scenario", "controller", "seeds",

@@ -28,7 +28,7 @@ import csv
 import ctypes
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from . import env as envmod
 from .checkpoint import load_params, save_params
-from .encoder import encode_window, init_encoder, load_encoder
+from .encoder import encode_window, init_encoder
 from .env import N_ACTIONS, CorridorEnv, drive, feature_scales, obs_width
 from .nets import CriticNet, PolicyNet, act
 from .optim import Adam, clip_grad_norm
@@ -223,8 +223,7 @@ class TrainState:
 
 # -------------------------------------------------------------------- rollout
 
-def collect_rollout(env: CorridorEnv, state: TrainState, seconds: int,
-                    greedy: bool = False) -> TransitionBatch:
+def collect_rollout(env: CorridorEnv, state: TrainState, seconds: int) -> TransitionBatch:
     """Trigger-gated on-policy collection over `seconds` of world time."""
     cfg = state.cfg
     rows: list[dict] = []
@@ -258,7 +257,7 @@ def collect_rollout(env: CorridorEnv, state: TrainState, seconds: int,
             seen[world.t] = obs, critic_input
         obs, critic_input = seen[world.t]
         mask = env.mask_for(i)
-        a, _ = act(state.policy, obs[i], mask, state.rng, greedy=greedy)
+        a, _ = act(state.policy, obs[i], mask, state.rng)
         pending[i] = {"agent": i, "t": world.t, "obs": obs[i], "mask": mask,
                       "action": a, "critic_input": critic_input}
         return a
@@ -488,17 +487,16 @@ class _CriticChild:
         self.conn.close()
 
 
-def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig,
-              out_dir, log_name: str = "training_log.csv",
-              checkpoint_name: str = "model.ckpt") -> dict:
-    """Full training loop; writes the per-update CSV and a checkpoint."""
+def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig, out_dir) -> dict:
+    """Full training loop; writes the per-update CSV training_log.csv and
+    the checkpoint model.ckpt under `out_dir`."""
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     state = make_train_state(cfg, scenario, seed)
-    log_path = out_dir / log_name
-    ckpt_path = out_dir / checkpoint_name
+    log_path = out_dir / "training_log.csv"
+    ckpt_path = out_dir / "model.ckpt"
     history, aborted = [], []
     # no affinity call (not Linux): run in turn, as on one CPU
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -567,31 +565,24 @@ def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig,
 
 # ---------------------------------------------------------------- checkpoints
 
-_META_FLAGS = ("use_hypergraph", "use_dsha", "use_spatial", "use_temporal")
-_META_NUMS = ("gamma", "clip_eps", "entropy_coef", "ppo_epochs",
-              "minibatch_size", "grad_clip", "lr", "horizon_s", "hidden",
-              "d_model", "heads", "attn_tau", "window_depth",
-              "window_cadence_s", "return_scale")
+# a checkpoint's meta.* entries, in the order it stores them after the
+# arrays: every TrainConfig field and the agent count
+_META = ("use_hypergraph", "use_dsha", "use_spatial", "use_temporal",
+         "gamma", "clip_eps", "entropy_coef", "ppo_epochs", "minibatch_size",
+         "grad_clip", "lr", "horizon_s", "hidden", "d_model", "heads",
+         "attn_tau", "window_depth", "window_cadence_s", "return_scale",
+         "entropy_coef_final", "time_discount", "n_agents", "normalize_advantages")
 
 
 def save_checkpoint(state: TrainState, path) -> None:
-    named = dict(state.policy.params())
-    named["pi.input_scale"] = state.policy.input_scale
-    named.update(state.critic.params())
-    if state.encoder is not None:
-        named.update(state.encoder.tensors())
-    cfg = state.cfg
-    for flag in _META_FLAGS:
-        named[f"meta.{flag}"] = np.array(1.0 if getattr(cfg, flag) else 0.0)
-    for num in _META_NUMS:
-        named[f"meta.{num}"] = np.array(float(getattr(cfg, num)))
-    final = cfg.entropy_coef_final
-    named["meta.entropy_coef_final"] = np.array(
-        np.nan if final is None else float(final))
-    named["meta.time_discount"] = np.array(1.0 if cfg.time_discount else 0.0)
-    named["meta.n_agents"] = np.array(float(state.n_agents))
-    named["meta.normalize_advantages"] = np.array(
-        1.0 if cfg.normalize_advantages else 0.0)
+    """Write the optimizers' arrays (policy, input scale, critic, encoder)
+    and then _META, each value as a float and None as NaN."""
+    named = {**state.opt_actor.params, "pi.input_scale": state.policy.input_scale,
+             **state.opt_critic.params}
+    values = {**vars(state.cfg), "n_agents": state.n_agents}
+    for name in _META:
+        named[f"meta.{name}"] = np.array(np.nan if values[name] is None
+                                         else float(values[name]))
     save_params(path, named)
 
 
@@ -603,29 +594,25 @@ def load_checkpoint(path) -> TrainState:
 
 
 def _restore(named: dict[str, np.ndarray]) -> TrainState:
+    """The TrainState that save_checkpoint wrote, built from its config;
+    every array must have the shape that config gives it."""
+    meta = {name: float(named[f"meta.{name}"]) for name in _META}
     kwargs = {}
-    for flag in _META_FLAGS:
-        kwargs[flag] = bool(named[f"meta.{flag}"])
-    for num in _META_NUMS:
-        val = float(named[f"meta.{num}"])
-        kwargs[num] = int(val) if num in SIZES else val
-    kwargs["normalize_advantages"] = bool(named["meta.normalize_advantages"])
-    if "meta.entropy_coef_final" in named:
-        final = float(named["meta.entropy_coef_final"])
-        kwargs["entropy_coef_final"] = None if np.isnan(final) else final
-    if "meta.time_discount" in named:
-        kwargs["time_discount"] = bool(named["meta.time_discount"])
-    cfg = TrainConfig(**kwargs)
-    in_width = named["pi.W1"].shape[0]
-    n_agents = int(named["meta.n_agents"])
-    state = TrainState(cfg, in_width, n_agents, seed=0,
+    for f in fields(TrainConfig):
+        val = meta[f.name]
+        if isinstance(f.default, bool):
+            val = bool(val)
+        elif f.name in SIZES:
+            val = int(val)
+        elif f.default is None and np.isnan(val):
+            val = None
+        kwargs[f.name] = val
+    state = TrainState(TrainConfig(**kwargs), named["pi.W1"].shape[0],
+                       int(meta["n_agents"]), seed=0,
                        input_scale=named["pi.input_scale"])
-    for name, arr in {**state.policy.params(), **state.critic.params()}.items():
+    for name, arr in {**state.opt_actor.params, **state.opt_critic.params}.items():
+        if named[name].shape != arr.shape:
+            raise ValueError(f"checkpoint entry {name!r} has shape {named[name].shape}, "
+                             f"its config needs {arr.shape}")
         arr[...] = named[name]
-    if cfg.use_hypergraph:
-        enc_named = {k: v for k, v in named.items() if k.startswith("enc.")}
-        state.encoder = load_encoder(enc_named, tau=cfg.attn_tau)
-        critic_params = dict(state.critic.params())
-        critic_params.update(state.encoder.tensors())
-        state.opt_critic = Adam(critic_params, lr=cfg.lr)
     return state

@@ -31,8 +31,8 @@ from oracle import (Tensor, encode, finite_diff_check, hyperedge_embed, incidenc
 from stdsh.baselines import random_policy
 from stdsh.checkpoint import MAGIC as CHECKPOINT_MAGIC
 from stdsh.encoder import init_encoder
-from stdsh.env import (N_ACTIONS, RewardConfig, action_mask, compute_reward,
-                       decode_action, encode_action)
+from stdsh.env import (N_ACTIONS, W_LOCAL, W_NETWORK, action_mask,
+                       compute_reward, decode_action, encode_action)
 from stdsh.experiment import run_experiment
 from stdsh.metrics import MetricsLog
 from stdsh.nets import CriticNet
@@ -272,7 +272,6 @@ def test_criterion_05_simulator_conservation():
 def test_criterion_06_reward_oracle():
     """compute_reward against a plain-Python recount, exact equality."""
     rng = np.random.default_rng(3)
-    cfg = RewardConfig()
     mismatches = 0
     for _ in range(100):
         n = int(rng.integers(1, 7))
@@ -282,12 +281,12 @@ def test_criterion_06_reward_oracle():
             log.append(t, list(rng.integers(0, 40, size=n)),
                        list(rng.integers(0, 15, size=n)))
         i = int(rng.integers(0, n))
-        got = compute_reward(log, i, cfg)
+        got = compute_reward(log, i)
         total = 0.0
         for t in range(m):
             local = log.int_delayed[t][i]
             net = sum(log.int_delayed[t])
-            total += cfg.w1 * local + cfg.w2 * net
+            total += W_LOCAL * local + W_NETWORK * net
         expected = -total / m
         if got != expected:
             mismatches += 1

@@ -36,8 +36,6 @@ def test_webster_cycle_rejects_bad_input():
         webster_cycle([0.1, 0.1, 0.1])
     with pytest.raises(ValueError):
         webster_cycle([-0.1, 0.1, 0.1, 0.1])
-    with pytest.raises(ValueError):
-        webster_cycle([0.1] * 4, lost_time_s=0)
 
 
 def test_green_split_equal_ratios():

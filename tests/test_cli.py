@@ -57,8 +57,8 @@ def test_eval_zero_horizon_returns_error_code(tmp_path, capsys):
 def test_train_stops_cleanly_after_repeated_aborts(tmp_path, capsys, monkeypatch):
     rollout = trainer.collect_rollout
 
-    def rollout_with_nan_return(env, state, seconds, greedy=False):
-        batch = rollout(env, state, seconds, greedy)
+    def rollout_with_nan_return(env, state, seconds):
+        batch = rollout(env, state, seconds)
         batch.ret[0] = np.nan
         return batch
 

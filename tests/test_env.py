@@ -5,9 +5,9 @@ import pytest
 
 from stdsh.baselines import random_policy
 from stdsh.env import (MODES, N_ACTIONS, CorridorEnv, FeatureWindow,
-                       RewardConfig, action_mask, compute_reward,
-                       decode_action, drive, encode_action, feature_scales,
-                       obs_width, observe, prepare_node_features)
+                       action_mask, compute_reward, decode_action, drive,
+                       encode_action, feature_scales, obs_width, observe,
+                       prepare_node_features)
 from stdsh.metrics import MetricsLog
 from stdsh.sim import load_scenario
 from stdsh.sim.world import DWELLING, MOVING, QUEUED
@@ -233,23 +233,20 @@ def test_feature_scales_layout():
 def test_reward_example():
     # constant local 4 and network 10 over 10 s with equal halves gives -7
     log = make_window(2, [4] * 10, [6] * 10)
-    assert compute_reward(log, 0, RewardConfig()) == -7.0
+    assert compute_reward(log, 0) == -7.0
 
 
 def test_reward_zero_and_rejections():
     log = make_window(2, [0] * 5, [0] * 5)
-    assert compute_reward(log, 0, RewardConfig()) == 0.0
+    assert compute_reward(log, 0) == 0.0
     with pytest.raises(ValueError):
-        compute_reward(MetricsLog(n=2), 0, RewardConfig())
+        compute_reward(MetricsLog(n=2), 0)
     with pytest.raises(ValueError):
-        compute_reward(log, 5, RewardConfig())
-    with pytest.raises(ValueError):
-        RewardConfig(w1=-0.1)
+        compute_reward(log, 5)
 
 
 def test_reward_oracle_random_windows():
     rng = np.random.default_rng(7)
-    cfg = RewardConfig(w1=0.3, w2=0.7)
     for _ in range(100):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, 31))
@@ -258,19 +255,18 @@ def test_reward_oracle_random_windows():
         for t in range(m):
             log.append(t, rows[t].tolist(), [0] * n)
         i = int(rng.integers(0, n))
-        got = compute_reward(log, i, cfg)
-        want = -(0.3 * rows[:, i].sum() + 0.7 * rows.sum()) / m
+        got = compute_reward(log, i)
+        want = -(0.5 * rows[:, i].sum() + 0.5 * rows.sum()) / m
         assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_reward_monotone_in_each_count():
     base = make_window(2, [4, 4, 4], [6, 6, 6])
-    cfg = RewardConfig()
-    r0 = compute_reward(base, 0, cfg)
+    r0 = compute_reward(base, 0)
     bumped_local = make_window(2, [5, 4, 4], [6, 6, 6])
-    assert compute_reward(bumped_local, 0, cfg) < r0
+    assert compute_reward(bumped_local, 0) < r0
     bumped_far = make_window(2, [4, 4, 4], [7, 6, 6])
-    assert compute_reward(bumped_far, 0, cfg) < r0
+    assert compute_reward(bumped_far, 0) < r0
 
 
 # ----------------------------------------------------------- feature window
@@ -348,7 +344,7 @@ def test_corridor_env_wiring():
     assert world.controllers[0].stage == "amber"
     assert not env.mask_for(0)[:38].any()
     r = env.reward_between(0, 0, 10)
-    assert r == compute_reward(env.world.log.window(0, 10), 0, env.reward_cfg)
+    assert r == compute_reward(env.world.log.window(0, 10), 0)
     assert env.window.table().shape == (7, 6, 148)      # 5 prefill + t=5, 10
     assert env.window.start() == 2
 

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import multiprocessing
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from oracle import taped_encoder, window_op
 from stdsh import autodiff as ad
 from stdsh import env as envmod
 from stdsh import trainer
+from stdsh.checkpoint import load_params, save_params
 from stdsh.env import (CorridorEnv, action_mask, decode_action, feature_scales,
                        obs_width)
 from stdsh.trainer import (TrainConfig, TrainState, TransitionBatch,
@@ -442,8 +444,8 @@ def test_rollout_time_discount_uses_window_lengths():
 def test_training_log_records_an_aborted_update(tmp_path, monkeypatch):
     rollout = trainer.collect_rollout
 
-    def rollout_with_nan_return(env, state, seconds, greedy=False):
-        batch = rollout(env, state, seconds, greedy)
+    def rollout_with_nan_return(env, state, seconds):
+        batch = rollout(env, state, seconds)
         batch.ret[0] = np.nan
         return batch
 
@@ -462,8 +464,8 @@ def test_training_stops_after_repeated_aborts(tmp_path, monkeypatch):
     rollout = trainer.collect_rollout
     nan_episodes = set()
 
-    def rollout_with_nan_return(env, state, seconds, greedy=False):
-        batch = rollout(env, state, seconds, greedy)
+    def rollout_with_nan_return(env, state, seconds):
+        batch = rollout(env, state, seconds)
         if env.world.seed in nan_episodes:
             batch.ret[0] = np.nan
         return batch
@@ -531,8 +533,8 @@ def pinned_training(name, tmp_path, monkeypatch):
                       "one_sided_aborts": (0, 4)}[name]
     states, advantage_calls = [], []
 
-    def poisoned_rollout(env, state, seconds, greedy=False):
-        batch = rollout(env, state, seconds, greedy)
+    def poisoned_rollout(env, state, seconds):
+        batch = rollout(env, state, seconds)
         ep = env.world.seed - world_seed(seed, 0)
         if name == "nan_returns" and ep in (0, 3):
             batch.ret[0] = np.nan
@@ -643,10 +645,10 @@ def test_rollout_error_comes_after_the_previous_row(mode, tmp_path,
                                                    monkeypatch):
     rollout = trainer.collect_rollout
 
-    def fails_in_episode_1(env, state, seconds, greedy=False):
+    def fails_in_episode_1(env, state, seconds):
         if env.world.seed == world_seed(0, 1):
             raise RuntimeError("no road")
-        return rollout(env, state, seconds, greedy)
+        return rollout(env, state, seconds)
 
     mode(monkeypatch)
     monkeypatch.setattr(trainer, "collect_rollout", fails_in_episode_1)
@@ -754,6 +756,36 @@ def test_checkpoint_round_trip_preserves_behavior(tmp_path):
     va = evaluate_values(state, batch)
     vb = evaluate_values(clone, batch)
     assert np.array_equal(va, vb)
+
+
+def test_checkpoint_meta_covers_every_config_field():
+    # a field left out of _META would not survive a checkpoint
+    assert set(trainer._META) == {f.name for f in fields(TrainConfig)} | {"n_agents"}
+
+
+def _small_checkpoint(tmp_path):
+    cfg = TrainConfig(hidden=8, d_model=8, heads=4)
+    state = TrainState(cfg, in_width=12, n_agents=3, seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(state, path)
+    return path, load_params(path)
+
+
+def test_checkpoint_with_a_misshapen_array_is_rejected(tmp_path):
+    path, named = _small_checkpoint(tmp_path)
+    named["pi.W1"] = named["pi.W1"][:, :1]          # (12, 1) broadcasts to (12, 8)
+    save_params(path, named)
+    with pytest.raises(ValueError, match=r"'pi\.W1' has shape \(12, 1\)"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_missing_an_encoder_head_is_rejected(tmp_path):
+    path, named = _small_checkpoint(tmp_path)
+    for kind in "Wab":
+        del named[f"enc.{kind}.h4"]                 # meta.heads still reads 4
+    save_params(path, named)
+    with pytest.raises(ValueError, match=r"has no entry 'enc\.W\.h4'"):
+        load_checkpoint(path)
 
 
 # ------------------------------------------------------------------- bandit
