@@ -20,10 +20,10 @@ step) and each temporal edge a grid column (one intersection).
 encode_window uses that. It takes one snapshot table (S, n, d) and each
 row's window as t table rows, runs per-snapshot work (node scores, spatial
 edges) once per snapshot and per-window work (temporal edges, inter stage,
-readout) once per distinct window, and returns the embeddings with their
-hand-written backward. The reference for any incidence matrix is
-encode(X, H) in tests/oracle.py; encode_window must agree with it on every
-row, to rounding.
+readout) once per distinct window, BLOCK windows at a time, and returns
+the embeddings with their hand-written backward. The reference for any
+incidence matrix is encode(X, H) in tests/oracle.py; encode_window must
+agree with it on every row, to rounding.
 """
 
 from __future__ import annotations
@@ -94,6 +94,11 @@ def init_encoder(d: int, K: int, d_model: int, tau: float = 1.0,
 SPATIAL_AXIS = 2
 TEMPORAL_AXIS = 1
 
+# Grid rows (windows, or snapshots for the spatial family) per block of the
+# pooling, the readout and the backward's grid gathers: none of them builds
+# a whole (V, t, n, d) grid or (V, t*n, d_model) readout.
+BLOCK = 32
+
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
     e = np.exp(x - x.max(axis=axis, keepdims=True))
@@ -123,6 +128,14 @@ def _scatter(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
         (size,) + values.shape[index.ndim:])
 
 
+def _by_block(fn, shape) -> np.ndarray:
+    """A new array of `shape` whose rows blk are fn(blk), block by block."""
+    out = np.empty(shape)
+    for i in range(0, shape[0], BLOCK):
+        out[i:i + BLOCK] = fn(slice(i, i + BLOCK))
+    return out
+
+
 def encode_window(snapshots, windows, params: EncoderParams,
                   spatial: bool = True, temporal: bool = True,
                   uniform: bool = False):
@@ -135,9 +148,12 @@ def encode_window(snapshots, windows, params: EncoderParams,
     inter stage (a softmax over a node's own edges; beta = 1 with one
     family) and the max readout once per distinct window. Each edge
     embedding is projected once, Z[edge] @ Wo_k, since the node output
-    sum_f beta_f * Z[edge_f] feeds only the linear Wo. The hand-written
-    backward sums the gradients of a window's rows and of a snapshot's
-    windows into every enc.* array.
+    sum_f beta_f * Z[edge_f] feeds only the linear Wo. Pooling and readout
+    walk the grid BLOCK rows at a time, and the backward keeps only what it
+    reads: the attention weights, the pooled and projected edges (spatial
+    ones per snapshot) and each readout's first maximal node; it gathers
+    grid rows again, block by block. It sums the gradients of a window's
+    rows and of a snapshot's windows into every enc.* array.
 
     Args:
         snapshots: (S, n, d) node features of n intersections per snapshot.
@@ -181,49 +197,53 @@ def encode_window(snapshots, windows, params: EncoderParams,
         s = (X.reshape(S * n, d) @ wa).reshape(S, n, K) * inv
 
     # A family works on grids of table rows, one per spatial edge (S, 1, n, d)
-    # or per window (V, t, n, d); its edge arrays are (E, K, .), E = S or V*n.
-    # up() lifts them to window level (V, E_f, K, .), down() sums back.
+    # or per window (V, t, n, d), gathered one block of rows at a time; its
+    # edge arrays are (E, K, .), E = S or V*n. up() lifts them (or the rows
+    # blk of them) to window level (V, E_f, K, .), down() sums back.
     rows = {SPATIAL_AXIS: np.arange(S)[:, None], TEMPORAL_AXIS: win}
-    grids = [X[rows[ax]] for ax in axes]
 
-    def up(ax, A):
-        return A[win] if ax == SPATIAL_AXIS else A.reshape(V, n, *A.shape[1:])
+    def up(ax, A, blk=slice(None)):
+        return A[win[blk]] if ax == SPATIAL_AXIS else A.reshape(V, n, *A.shape[1:])[blk]
 
     def down(ax, A):
         return _scatter(win, A, S) if ax == SPATIAL_AXIS else A.reshape(-1, *A.shape[2:])
 
-    alpha = [np.full(gr.shape[:3] + (K,), 1.0 / gr.shape[ax]) if uniform
-             else _softmax(s[rows[ax]], ax) for gr, ax in zip(grids, axes)]
-    Xe = [_pool(al, gr, ax).reshape(-1, K, d)
-          for al, gr, ax in zip(alpha, grids, axes)]
+    alpha = [np.full((*rows[ax].shape, n, K), 1.0 / (t if ax == TEMPORAL_AXIS else n))
+             if uniform else _softmax(s[rows[ax]], ax) for ax in axes]
+    # a grid row pools into al.shape[3 - ax] edges of al.shape[ax] members
+    Xe = [_by_block(lambda blk: _pool(al[blk], X[rows[ax][blk]], ax),
+                    (len(al), al.shape[3 - ax], K, d)).reshape(-1, K, d)
+          for al, ax in zip(alpha, axes)]
     Z = [np.einsum("ekd,kdh->ekh", xe, W, optimize=True) for xe in Xe]
-    M = [up(ax, np.einsum("ekh,khm->ekm", z, Wo, optimize=True))
-         for z, ax in zip(Z, axes)]
+    M = [np.einsum("ekh,khm->ekm", z, Wo, optimize=True) for z in Z]
     if learned_beta:
         u = [np.expand_dims(up(ax, (z * b).sum(-1) * inv), ax)
              for z, ax in zip(Z, axes)]
         beta = _softmax(np.stack(np.broadcast_arrays(*u)), 0)
     else:
         beta = np.full((len(axes), V, t, n, K), 1.0 / len(axes))
-    Y = params.bo + sum(_to_nodes(beta[f], M[f], ax) for f, ax in enumerate(axes))
-    Y = Y.reshape(V, t * n, d_model)
-    top = Y.max(axis=1)
+    # each block's max readout and argmax's first node at each maximum, from
+    # a max over the node axis, far faster in numpy than argmax across it
+    top, first = np.empty((V, d_model)), np.empty((V, d_model), dtype=np.intp)
+    rank = np.arange(t * n, 0, -1, dtype=np.min_scalar_type(t * n))[:, None]
+    for i in range(0, V, BLOCK):
+        blk = slice(i, i + BLOCK)
+        Y = params.bo + sum(_to_nodes(beta[f, blk], up(ax, M[f], blk), ax)
+                            for f, ax in enumerate(axes))
+        Y = Y.reshape(-1, t * n, d_model)
+        top[blk] = Y.max(axis=1)
+        first[blk] = t * n - ((Y == top[blk, None]) * rank).max(axis=1)
 
     def backward(dg):
-        dY = np.zeros_like(Y)
-        # argmax's first node at each maximum, from a max over the node
-        # axis, which numpy reduces far faster than it takes argmax across it
-        rank = np.arange(t * n, 0, -1, dtype=np.min_scalar_type(t * n))[:, None]
-        top_rank = ((Y == top[:, None]) * rank).max(axis=1).astype(np.intp)
-        first = (t * n - top_rank)[:, None, :]
-        np.put_along_axis(dY, first, _scatter(row_win, dg, V)[:, None, :], axis=1)
+        dY = np.zeros((V, t * n, d_model))
+        np.put_along_axis(dY, first[:, None], _scatter(row_win, dg, V)[:, None], axis=1)
         dY = dY.reshape(V, t, n, d_model)
         dM = [down(ax, _pool(beta[f], dY, ax)) for f, ax in enumerate(axes)]
         dWo = sum(np.einsum("ekh,ekm->khm", z, dm, optimize=True)
                   for z, dm in zip(Z, dM))
         dZ = [np.einsum("ekm,khm->ekh", dm, Wo, optimize=True) for dm in dM]
         if learned_beta:
-            dbeta = np.stack([_to_nodes(dY, np.swapaxes(M[f], 2, 3), ax)
+            dbeta = np.stack([_to_nodes(dY, np.swapaxes(up(ax, M[f]), 2, 3), ax)
                               for f, ax in enumerate(axes)])
             dv = beta * (dbeta - (beta * dbeta).sum(0))
             du = [down(ax, dv[f].sum(ax) * inv) for f, ax in enumerate(axes)]
@@ -238,9 +258,14 @@ def encode_window(snapshots, windows, params: EncoderParams,
             da = [None] * K
         else:
             ds = 0.0
-            for al, gr, dz, ax in zip(alpha, grids, dZ, axes):
+            for al, dz, ax in zip(alpha, dZ, axes):
                 dxe = np.einsum("ekh,kdh->ekd", dz, W, optimize=True)
-                dal = _to_nodes(gr, dxe.reshape(len(gr), -1, K, d).swapaxes(2, 3), ax)
+                dxe = dxe.reshape(len(al), al.shape[3 - ax], K, d).swapaxes(2, 3)
+                # each grid row's nodes against its edges, as _to_nodes
+                # gives them, the grid gathered again block by block
+                dal = np.moveaxis(_by_block(
+                    lambda blk: np.moveaxis(X[rows[ax][blk]], ax, 2) @ dxe[blk],
+                    (len(al), al.shape[3 - ax], al.shape[ax], K)), 2, ax)
                 dal = al * (dal - (al * dal).sum(ax, keepdims=True))
                 ds = ds + _scatter(rows[ax], dal, S)            # (S, n, K)
             dwa = X.reshape(S * n, d).T @ (ds.reshape(S * n, K) * inv)

@@ -90,14 +90,19 @@ def encode_action(phase: int, green_s: int) -> int:
     return phase * GREENS_PER_PHASE + (green_s - MIN_GREEN_S)
 
 
+# per current phase, True where allowed: that phase's 38 entries are forbidden
+_MASKS = tuple(np.repeat(np.arange(N_PHASES) != p, GREENS_PER_PHASE)
+               for p in range(N_PHASES))
+for _mask in _MASKS:
+    _mask.flags.writeable = False
+
+
 def action_mask(current_phase: int) -> np.ndarray:
-    """True where allowed; the current phase's 38 entries are forbidden."""
+    """True where allowed; the current phase's 38 entries are forbidden.
+    The mask is shared and read-only."""
     if not (0 <= current_phase < N_PHASES):
         raise ValueError(f"phase must be in [0,{N_PHASES}), got {current_phase}")
-    mask = np.ones(N_ACTIONS, dtype=bool)
-    lo = current_phase * GREENS_PER_PHASE
-    mask[lo:lo + GREENS_PER_PHASE] = False
-    return mask
+    return _MASKS[current_phase]
 
 
 def drive(world: SimWorld, seconds: int, decide, after_step=None) -> None:

@@ -115,7 +115,7 @@ def _greedy(policy):
             # benchmark tracer's span) sees every call
             seen[:] = world.t, env.observe(world)
         mask = env.action_mask(world.controllers[i].phase)
-        return act(policy, seen[1][i], mask, None, greedy=True)[0]
+        return act(policy, seen[1][i], mask, None, greedy=True)
     return decide
 
 

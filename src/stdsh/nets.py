@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
 
 HIDDEN = 256
 
@@ -88,16 +87,16 @@ class CriticNet(_TwoLayer):
 
 
 def act(policy: PolicyNet, obs: np.ndarray, mask: np.ndarray, rng,
-        greedy: bool = False) -> tuple[int, float]:
-    """Sample (or argmax) one action from the masked categorical."""
+        greedy: bool = False) -> int:
+    """Sample (or argmax) one action from the masked categorical of one
+    forward, without a backward; autodiff.masked_log_softmax's probs."""
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (policy.n_actions,):
         raise ValueError(f"mask must have shape ({policy.n_actions},)")
     if not mask.any():
         raise ValueError("every action is masked")
-    logp, p = ad.masked_log_softmax(policy.forward(obs)[0], mask[None, :])
-    if greedy:
-        action = int(np.argmax(p[0]))
-    else:
-        action = int(rng.choice(policy.n_actions, p=p[0]))
-    return action, float(logp[0, action])
+    x = np.asarray(obs, dtype=float) * policy.input_scale
+    logits = np.tanh(x @ policy.W1 + policy.b1[0]) @ policy.W2 + policy.b2[0]
+    e = np.where(mask, np.exp(logits - np.where(mask, logits, -np.inf).max()), 0.0)
+    p = e / e.sum()
+    return int(np.argmax(p)) if greedy else int(rng.choice(policy.n_actions, p=p))

@@ -78,6 +78,10 @@ class TrainConfig:
     use_temporal: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         for size in SIZES:
             if getattr(self, size) < 1:
                 raise ValueError(f"{size} must be >= 1, got {getattr(self, size)}")
@@ -257,7 +261,7 @@ def collect_rollout(env: CorridorEnv, state: TrainState, seconds: int) -> Transi
             seen[world.t] = obs, critic_input
         obs, critic_input = seen[world.t]
         mask = env.mask_for(i)
-        a, _ = act(state.policy, obs[i], mask, state.rng)
+        a = act(state.policy, obs[i], mask, state.rng)
         pending[i] = {"agent": i, "t": world.t, "obs": obs[i], "mask": mask,
                       "action": a, "critic_input": critic_input}
         return a
@@ -595,7 +599,8 @@ def load_checkpoint(path) -> TrainState:
 
 def _restore(named: dict[str, np.ndarray]) -> TrainState:
     """The TrainState that save_checkpoint wrote, built from its config;
-    every array must have the shape that config gives it."""
+    every array must have the shape that config gives it, and the
+    checkpoint may hold no entry that config does not ask for."""
     meta = {name: float(named[f"meta.{name}"]) for name in _META}
     kwargs = {}
     for f in fields(TrainConfig):
@@ -610,9 +615,13 @@ def _restore(named: dict[str, np.ndarray]) -> TrainState:
     state = TrainState(TrainConfig(**kwargs), named["pi.W1"].shape[0],
                        int(meta["n_agents"]), seed=0,
                        input_scale=named["pi.input_scale"])
-    for name, arr in {**state.opt_actor.params, **state.opt_critic.params}.items():
+    arrays = {**state.opt_actor.params, **state.opt_critic.params}
+    for name, arr in arrays.items():
         if named[name].shape != arr.shape:
             raise ValueError(f"checkpoint entry {name!r} has shape {named[name].shape}, "
                              f"its config needs {arr.shape}")
         arr[...] = named[name]
+    unknown = sorted(set(named) - {*arrays, "pi.input_scale", *(f"meta.{m}" for m in _META)})
+    if unknown:
+        raise ValueError(f"checkpoint entries {unknown} are not in its config")
     return state

@@ -28,7 +28,7 @@ def run_bandit(seed: int, max_updates: int = 500, batch_size: int = 64,
     converged_at = None
     first_update_stats = None
     for update in range(max_updates):
-        acts = np.array([act(state.policy, obs, mask, state.rng)[0]
+        acts = np.array([act(state.policy, obs, mask, state.rng)
                          for _ in range(batch_size)])
         rewards = (acts == 0).astype(float)
         batch = TransitionBatch(

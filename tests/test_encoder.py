@@ -9,6 +9,7 @@ from oracle import (Tensor, clear_tape, concat, encode, finite_diff_check,
                     hyperedge_embed, incidence, inter_attention,
                     intra_attention, spatial_only, taped_encoder,
                     temporal_only, window_op)
+from stdsh import encoder as encmod
 from stdsh.encoder import EncoderParams, encode_window, init_encoder
 
 
@@ -457,3 +458,28 @@ def test_encode_window_overlapping_and_repeated_windows(config):
     assert np.abs(want["enc.Wo"]).max() > 0
     for name in want:
         assert np.max(np.abs(got[name] - want[name])) <= 1e-12, name
+
+
+@pytest.mark.parametrize("config", WINDOW_CONFIGS)
+def test_encode_window_is_the_same_at_any_block_size(config, monkeypatch):
+    # blocks only split stacked matmuls and gathers, so g and every gradient
+    # (bytes and memory order) are the same at any BLOCK: one window or one
+    # snapshot per block, 7, the default, and all of them in one block. The
+    # table opens with copies of one snapshot, as a rollout's does.
+    spatial, temporal, uniform = WINDOW_CONFIGS[config]
+    n, t, d, S, B = 4, 5, 8, 90, 120
+    rng = np.random.default_rng(17)
+    p = init_encoder(d, 4, 6, tau=0.7, rng=rng)
+    table = rng.normal(size=(S, n, d))
+    table[:t] = table[0]
+    windows = rng.integers(0, S - t + 1, size=B)[:, None] + np.arange(t)
+    dg = rng.normal(size=(B, 6))
+    assert S > len(np.unique(windows, axis=0)) > encmod.BLOCK
+    got = []
+    for block in (1, 7, encmod.BLOCK, S):
+        monkeypatch.setattr(encmod, "BLOCK", block)
+        g, backward = encode_window(table, windows, p, spatial=spatial,
+                                    temporal=temporal, uniform=uniform)
+        got.append([g.tobytes()] + [(name, grad.tobytes(), grad.strides)
+                                    for name, grad in backward(dg).items()])
+    assert all(run == got[0] for run in got[1:])

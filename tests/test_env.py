@@ -68,6 +68,14 @@ def test_action_mask_blocks_exactly_current_phase():
         action_mask(4)
 
 
+def test_action_masks_are_shared_and_read_only():
+    # one cached mask per phase: no caller can change another's mask
+    assert action_mask(np.int64(3)) is action_mask(3)
+    with pytest.raises(ValueError):
+        action_mask(1)[0] = False
+    assert action_mask(1)[0]
+
+
 def test_masked_sampling_never_repeats_phase():
     rng = np.random.default_rng(0)
     mask = action_mask(2)

@@ -41,9 +41,9 @@ def test_single_allowed_action_logp_is_exact_zero():
     mask = np.zeros(N_ACTIONS, dtype=bool)
     mask[17] = True
     for _ in range(3):
-        a, logp = act(policy, obs, mask, np.random.default_rng(1))
-        assert a == 17
-        assert logp == 0.0
+        assert act(policy, obs, mask, np.random.default_rng(1)) == 17
+    logp, _ = ad.masked_log_softmax(policy.forward(obs)[0], mask[None, :])
+    assert logp[0, 17] == 0.0
 
 
 def test_fresh_policy_is_near_uniform_over_allowed():
@@ -68,7 +68,7 @@ def test_sampling_frequencies_match_probabilities():
     draws = 60000
     counts = np.zeros(N_ACTIONS)
     for _ in range(draws):
-        a, _ = act(policy, obs, mask, rng)
+        a = act(policy, obs, mask, rng)
         counts[a] += 1
     assert counts[~mask].sum() == 0
     # total variation distance to the (near uniform) model distribution;
@@ -78,9 +78,20 @@ def test_sampling_frequencies_match_probabilities():
     assert tv < 0.03
 
 
+class RecordedChoice:
+    """A generator whose choice() records the probabilities it is given."""
+
+    def __init__(self, seed):
+        self.rng, self.p = np.random.default_rng(seed), None
+
+    def choice(self, n, p):
+        self.p = p
+        return self.rng.choice(n, p=p)
+
+
 def test_act_matches_the_tape_forward():
-    # act()'s logits, log-probs, probs and draws must equal the forward built
-    # on the reference tape bit for bit, greedy picks included
+    # act()'s logits, the probs it samples from and its draws must equal the
+    # forward built on the reference tape bit for bit, greedy picks included
     policy = fresh_policy(seed=3, input_scale=np.linspace(0.05, 1.0, 20))
     weights = tape.taped(policy.params())
     rng = np.random.default_rng(11)
@@ -90,21 +101,21 @@ def test_act_matches_the_tape_forward():
         with tape.no_grad():
             logits = tape.two_layer(obs[None, :] * policy.input_scale,
                                     *weights.values())
-            logp, probs = tape.masked_distribution(logits, mask)
+            _, probs = tape.masked_distribution(logits, mask)
         assert policy.forward(obs)[0].tolist() == logits.data.tolist()
         want = int(np.random.default_rng(k).choice(N_ACTIONS, p=probs.data[0]))
-        assert act(policy, obs, mask, np.random.default_rng(k)) == \
-            (want, float(logp.data[0, want]))
+        recorded = RecordedChoice(k)
+        assert act(policy, obs, mask, recorded) == want
+        assert recorded.p.tobytes() == probs.data[0].tobytes()
         best = int(np.argmax(probs.data[0]))
-        assert act(policy, obs, mask, None, greedy=True) == \
-            (best, float(logp.data[0, best]))
+        assert act(policy, obs, mask, None, greedy=True) == best
 
 
 def test_greedy_act_is_argmax_and_deterministic():
     policy = fresh_policy(seed=5)
     obs = np.random.default_rng(0).normal(size=20)
     mask = action_mask(1)
-    picks = {act(policy, obs, mask, np.random.default_rng(k), greedy=True)[0]
+    picks = {act(policy, obs, mask, np.random.default_rng(k), greedy=True)
              for k in range(5)}
     assert len(picks) == 1
     a = picks.pop()
