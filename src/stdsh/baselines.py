@@ -138,10 +138,11 @@ class FixedTimeController:
                 if not (MIN_GREEN_S <= g <= MAX_GREEN_S):
                     raise ValueError(f"green {g} outside [{MIN_GREEN_S},{MAX_GREEN_S}]")
 
-    def __call__(self, world: SimWorld, i: int) -> int:
-        """The next phase in the cycle with its planned green."""
-        nxt = (world.controllers[i].phase + 1) % N_PHASES
-        return encode_action(nxt, self.greens[i][nxt])
+    def __call__(self, world: SimWorld, due: list[int]) -> list[int]:
+        """Per due intersection, the next phase in its cycle with its
+        planned green."""
+        nxt = [(world.controllers[i].phase + 1) % N_PHASES for i in due]
+        return [encode_action(p, self.greens[i][p]) for i, p in zip(due, nxt)]
 
 
 def fixed_time_fswf(scenario, seed: int):

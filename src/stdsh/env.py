@@ -14,8 +14,8 @@ green seconds. The mask forbids exactly the 38 entries that repeat the
 running phase.
 
 Every controller, learned or not, runs through drive(): a
-(world, intersection) -> action callable consulted only when that
-intersection's green expires.
+(world, due) -> actions callable consulted once in each second in which
+some greens have expired, with those intersections in controller order.
 
 Reward over one decision window of m seconds averages the intersection's
 own delayed-passenger count and the network count, weighted and negated.
@@ -108,15 +108,19 @@ def action_mask(current_phase: int) -> np.ndarray:
 def drive(world: SimWorld, seconds: int, decide, after_step=None) -> None:
     """Step `world` for `seconds`; each agent acts when its green expires.
 
-    Before every step, each raised trigger is served with the action
-    `decide(world, i)` returns for intersection i; `after_step(world)`, if
-    given, runs after every step. A trigger the last step raises is left
-    for the next call, so drive(w, a) then drive(w, b) is drive(w, a + b).
+    Before every step that finds triggers raised, `decide(world, due)` is
+    called once with the due intersections in controller order and returns
+    one action each. A signal applied only stages amber at its own
+    intersection, so every agent of a second decides on the same world.
+    `after_step(world)`, if given, runs after every step. A trigger the
+    last step raises is left for the next call, so drive(w, a) then
+    drive(w, b) is drive(w, a + b).
     """
     for _ in range(seconds):
-        for i, ctrl in enumerate(world.controllers):
-            if ctrl.trigger:
-                world.apply_signal(i, *decode_action(decide(world, i)))
+        due = [i for i, ctrl in enumerate(world.controllers) if ctrl.trigger]
+        if due:
+            for i, a in zip(due, decide(world, due), strict=True):
+                world.apply_signal(i, *decode_action(a))
         world.step()
         if after_step is not None:
             after_step(world)
@@ -182,9 +186,9 @@ def prepare_node_features(raw: np.ndarray, n_lanes: int, heads: int) -> np.ndarr
 
 
 class CorridorEnv:
-    """World plus the bookkeeping the trainer needs: masks, per-window
-    rewards and, for the hypergraph critic, snapshots on a 5 s grid taken
-    by drive(env.world, ..., after_step=env.window.after_step)."""
+    """World plus the bookkeeping the trainer needs: per-window rewards
+    and, for the hypergraph critic, snapshots on a 5 s grid taken by
+    drive(env.world, ..., after_step=env.window.after_step)."""
 
     def __init__(self, config, seed: int, window_depth: int = 5,
                  window_cadence_s: int = 5):
@@ -196,9 +200,6 @@ class CorridorEnv:
     @property
     def n_agents(self) -> int:
         return self.world.net.n
-
-    def mask_for(self, intersection: int) -> np.ndarray:
-        return action_mask(self.world.controllers[intersection].phase)
 
     def reward_between(self, intersection: int, start_t: int, stop_t: int) -> float:
         return compute_reward(self.world.log.window(start_t, stop_t), intersection)

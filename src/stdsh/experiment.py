@@ -107,21 +107,19 @@ def run_experiment(scenario, controller: str, seed: int, horizon_s: int = 1800,
 
 
 def _greedy(policy):
-    seen = [None, None]     # second, observations: one state per second
-
-    def decide(world, i: int) -> int:
-        if seen[0] != world.t:
-            # env.observe is looked up at call time, so a patched one (the
-            # benchmark tracer's span) sees every call
-            seen[:] = world.t, env.observe(world)
-        mask = env.action_mask(world.controllers[i].phase)
-        return act(policy, seen[1][i], mask, None, greedy=True)
+    def decide(world, due: list[int]) -> list[int]:
+        # env.observe is looked up at call time, so a patched one (the
+        # benchmark tracer's span) sees every call
+        obs = env.observe(world)
+        return [act(policy, obs[i], env.action_mask(world.controllers[i].phase),
+                    None, greedy=True) for i in due]
     return decide
 
 
 def _uniform(rng):
-    def decide(world, i: int) -> int:
-        return random_policy(env.action_mask(world.controllers[i].phase), rng)
+    def decide(world, due: list[int]) -> list[int]:
+        return [random_policy(env.action_mask(world.controllers[i].phase), rng)
+                for i in due]
     return decide
 
 

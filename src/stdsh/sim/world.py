@@ -255,27 +255,22 @@ class SimWorld:
     def _due(self, first_s: int, headway_s: int) -> bool:
         return headway_s > 0 and self.t >= first_s and (self.t - first_s) % headway_s == 0
 
-    def _spawn_arrivals(self) -> int:
+    def _spawn_arrivals(self) -> None:
         cfg = self.cfg
         if self.t <= cfg.rates_settle_s:        # the rates still change with t
             self._arrival_p = [cfg.rate_veh_h(entry_id, self.t) / 3600.0
                                for entry_id, _ in self.net.entries]
-        count = 0
         for (_, link), p in zip(self.net.entries, self._arrival_p):
             if self._random() < p:
                 occ = 1 + self._poisson(cfg.car_occupancy_poisson_mean)
                 self._spawn_vehicle("car", occ, self._route(link))
-                count += 1
         if self._due(cfg.bus_first_departure_s, cfg.bus_headway_s):
             for entry in (self.net.approach(0, "W"), self.net.approach(self.net.n - 1, "E")):
                 self._spawn_vehicle("bus", cfg.bus_occupancy,
                                     self._route(entry, "road", "through"))
-                count += 1
         if self.net.tram_enabled and self._due(cfg.tram_first_departure_s, cfg.tram_headway_s):
             entry = self.net.approach(0, "W", "tram")
             self._spawn_vehicle("tram", cfg.tram_occupancy, self._route(entry, "tram", "through"))
-            count += 1
-        return count
 
     # ------------------------------------------------------------- dynamics
 
@@ -389,9 +384,9 @@ class SimWorld:
 
     # ------------------------------------------------------------- public API
 
-    def step(self) -> dict:
-        """Simulate one second; returns a small event record for this second."""
-        spawned = self._spawn_arrivals()
+    def step(self) -> None:
+        """Simulate one second and append its row to the metrics log."""
+        self._spawn_arrivals()
         self._move_vehicles()
         released = self._discharge()
         if released:
@@ -405,10 +400,7 @@ class SimWorld:
             raise RuntimeError(
                 f"conservation broken at t={self.t}: spawned {self.spawned_total} "
                 f"!= active {len(self.active)} + exited {self.exited_total}")
-        record = {"t": self.t, "spawned": spawned, "discharged": released,
-                  "delayed": sum(self.delayed_pax)}
         self.t += 1
-        return record
 
     def run(self, seconds: int) -> None:
         for _ in range(seconds):

@@ -14,12 +14,14 @@ one batched forward at the start of the update; collection keeps none.
 Identical inputs through an identical batched graph make the first
 epoch's ratios exactly one when the batch fits in a single minibatch.
 
-Only the value pass reads the critic, so where this process's CPUs fit
-two processes' BLAS threads train_run updates it in a forked child during
-the actor update and the next rollout. Before either update, train_run
-draws every epoch order of PPO and then of the critic, so an update that
-aborts early leaves orders unused but moves no later draw, and the forked
-and one-process paths write the same files.
+Only the value pass reads the critic, so train_run takes each episode's
+critic update in one place, after the actor update and the next rollout:
+where this process's CPUs fit two processes' BLAS threads it collects the
+update from a child forked before the value pass, and otherwise it runs
+the update there. Before either update, train_run draws every epoch order
+of PPO and then of the critic, so an update that aborts early leaves
+orders unused but moves no later draw, and the two paths write the same
+files.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from . import autodiff as ad
 from . import env as envmod
 from .checkpoint import load_params, save_params
 from .encoder import encode_window, init_encoder
-from .env import N_ACTIONS, CorridorEnv, drive, feature_scales, obs_width
+from .env import N_ACTIONS, CorridorEnv, action_mask, drive, feature_scales, obs_width
 from .nets import CriticNet, PolicyNet, act
 from .optim import Adam, clip_grad_norm
 from .sim.world import load_scenario
@@ -232,10 +234,6 @@ def collect_rollout(env: CorridorEnv, state: TrainState, seconds: int) -> Transi
     cfg = state.cfg
     rows: list[dict] = []
     pending: dict[int, dict] = {}
-    # a signal applied within a second only stages amber, so every agent
-    # deciding in one second sees the same observations: one entry, keyed
-    # by the second
-    seen: dict[int, tuple] = {}
 
     def close(i: int, done: bool) -> None:
         p = pending.pop(i)
@@ -244,27 +242,26 @@ def collect_rollout(env: CorridorEnv, state: TrainState, seconds: int) -> Transi
         p["done"] = done
         rows.append(p)
 
-    def decide(world, i: int) -> int:
-        if i in pending:
-            close(i, done=False)
-        if world.t not in seen:
-            # on the snapshot grid the window has just observed this state;
-            # envmod.observe is looked up at call time, so a patched one
-            # (the benchmark tracer's span) sees every call
-            on_grid = cfg.use_hypergraph and world.t % env.window.cadence_s == 0
-            obs = env.window.buf[-1] if on_grid else envmod.observe(world)
-            if cfg.use_hypergraph:
-                critic_input = env.window.start()
-            else:
-                critic_input = (obs * feature_scales(env.n_lanes)).mean(axis=0)
-            seen.clear()
-            seen[world.t] = obs, critic_input
-        obs, critic_input = seen[world.t]
-        mask = env.mask_for(i)
-        a = act(state.policy, obs[i], mask, state.rng)
-        pending[i] = {"agent": i, "t": world.t, "obs": obs[i], "mask": mask,
-                      "action": a, "critic_input": critic_input}
-        return a
+    def decide(world, due: list[int]) -> list[int]:
+        # on the snapshot grid the window has just observed this state;
+        # envmod.observe is looked up at call time, so a patched one (the
+        # benchmark tracer's span) sees every call
+        on_grid = cfg.use_hypergraph and world.t % env.window.cadence_s == 0
+        obs = env.window.buf[-1] if on_grid else envmod.observe(world)
+        if cfg.use_hypergraph:
+            critic_input = env.window.start()
+        else:
+            critic_input = (obs * state.policy.input_scale).mean(axis=0)
+        actions = []
+        for i in due:
+            if i in pending:
+                close(i, done=False)
+            mask = action_mask(world.controllers[i].phase)
+            a = act(state.policy, obs[i], mask, state.rng)
+            pending[i] = {"agent": i, "t": world.t, "obs": obs[i], "mask": mask,
+                          "action": a, "critic_input": critic_input}
+            actions.append(a)
+        return actions
 
     # only the hypergraph critic reads the snapshot window
     after_step = env.window.after_step if cfg.use_hypergraph else None
@@ -532,15 +529,15 @@ def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig, out_dir) -> 
                                  cfg.normalize_advantages)
                 astats = ppo_update(state, batch, adv, orders=ppo_orders,
                                     entropy_coef=cfg.entropy_coef_at(ep, episodes))
-                if child is None:
-                    cstats = critic_update(state, batch, critic_orders)
                 if ep + 1 < episodes:
                     try:
                         upcoming = rollout(ep + 1)
                     except Exception as exc:    # raised after this episode's row
                         upcoming = exc
-                if child is not None:
-                    cstats = child.result()
+                # the rollout reads only the policy and state.rng, and a critic
+                # update given its orders draws nothing
+                cstats = (child.result() if child is not None
+                          else critic_update(state, batch, critic_orders))
             finally:
                 if child is not None:
                     child.close()
@@ -608,6 +605,9 @@ def _restore(named: dict[str, np.ndarray]) -> TrainState:
         if isinstance(f.default, bool):
             val = bool(val)
         elif f.name in SIZES:
+            if not val.is_integer():
+                raise ValueError(f"checkpoint entry 'meta.{f.name}' must be a whole "
+                                 f"number, got {val}")
             val = int(val)
         elif f.default is None and np.isnan(val):
             val = None

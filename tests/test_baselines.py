@@ -120,7 +120,7 @@ def test_fixed_time_controller_cycles_phases():
         if sc.trigger:
             seen.append(sc.phase)
             nxt = (sc.phase + 1) % 4
-            assert decode_action(ctrl(world, 0)) == (nxt, greens[nxt])
+            assert decode_action(ctrl(world, [0])[0]) == (nxt, greens[nxt])
 
     drive(world, 200, ctrl, after_step=record)
     # initial phase 0 expires, then the plan serves 1, 2, 3, 0, ...

@@ -206,8 +206,8 @@ def test_observe_equals_per_lane_recount(scenario):
                                        and world.state[v] == QUEUED)
 
     check(world)
-    drive(world, 900, lambda w, i: random_policy(
-        action_mask(w.controllers[i].phase), rng), after_step=check)
+    drive(world, 900, lambda w, due: [random_policy(
+        action_mask(w.controllers[i].phase), rng) for i in due], after_step=check)
     assert all(seen.values()), seen
 
 
@@ -341,7 +341,7 @@ def test_corridor_env_wiring():
         world.step()
         env.window.after_step(world)
     assert triggered() == [0, 1, 2, 3, 4, 5]
-    assert (~env.mask_for(0)).sum() == 38
+    assert (~action_mask(world.controllers[0].phase)).sum() == 38
     phase, green = decode_action(38)                    # first P2 action
     assert (phase, green) == (1, 8)
     world.apply_signal(0, phase, green)
@@ -350,7 +350,7 @@ def test_corridor_env_wiring():
     world.step()
     env.window.after_step(world)
     assert world.controllers[0].stage == "amber"
-    assert not env.mask_for(0)[:38].any()
+    assert not action_mask(world.controllers[0].phase)[:38].any()
     r = env.reward_between(0, 0, 10)
     assert r == compute_reward(env.world.log.window(0, 10), 0)
     assert env.window.table().shape == (7, 6, 148)      # 5 prefill + t=5, 10
@@ -362,17 +362,17 @@ def test_corridor_env_wiring():
 T0 = QUIET + "[signal]\ninitial_green_s = 0\n"       # triggers raised at t=0
 
 
-def next_phase(world, i):
-    return encode_action((world.controllers[i].phase + 1) % 4, 8)
+def next_phase(world, due):
+    return [encode_action((world.controllers[i].phase + 1) % 4, 8) for i in due]
 
 
 def test_drive_serves_the_t0_trigger_first_and_nothing_after_the_last_step():
     world = load_scenario(T0, seed=0)
     calls = []
 
-    def decide(world, i):
-        calls.append((world.t, i))
-        return next_phase(world, i)
+    def decide(world, due):
+        calls.extend((world.t, i) for i in due)
+        return next_phase(world, due)
 
     # one decision takes 3 s amber + 2 s all-red + 8 s green: the next
     # triggers rise with the 13th step, the last one of this call
@@ -390,9 +390,9 @@ def test_drive_in_pieces_equals_one_call():
         world = load_scenario(1, seed=4)
         calls = []
 
-        def decide(world, i):
-            calls.append((world.t, i))
-            return next_phase(world, i)
+        def decide(world, due):
+            calls.extend((world.t, i) for i in due)
+            return next_phase(world, due)
 
         for seconds in pieces:
             drive(world, seconds, decide)
@@ -405,12 +405,73 @@ def test_drive_calls_after_step_once_per_second_before_serving():
     world = load_scenario(QUIET, seed=0)
     events = []
 
-    def decide(world, i):
-        events.append(("decide", world.t))
-        return next_phase(world, i)
+    def decide(world, due):
+        events.extend(("decide", world.t) for _ in due)
+        return next_phase(world, due)
 
     drive(world, 11, decide, after_step=lambda w: events.append(("after", w.t)))
     # the initial 10 s green expires with step 10; its triggers are served
     # after that step's hook and before step 11
     assert events == ([("after", t) for t in range(1, 11)]
                       + [("decide", 10)] * 6 + [("after", 11)])
+
+
+def test_drive_serves_each_seconds_triggers_in_one_call():
+    world = load_scenario(3, seed=5)
+    rng = np.random.default_rng(5)
+    calls = []
+    raised = [(0, [i for i, c in enumerate(world.controllers) if c.trigger])]
+
+    def decide(world, due):
+        calls.append((world.t, list(due)))
+        return [random_policy(action_mask(world.controllers[i].phase), rng) for i in due]
+
+    def record(world):
+        raised.append((world.t, [i for i, c in enumerate(world.controllers) if c.trigger]))
+
+    drive(world, 600, decide, after_step=record)
+    # every second that starts with raised triggers is served by one call
+    # with them in controller order; the last step's are left for later
+    assert calls == [(t, due) for t, due in raised[:-1] if due]
+    assert all(due for _, due in calls)
+    assert max(len(due) for _, due in calls) >= 2
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["one short", "one over"])
+def test_drive_rejects_a_wrong_number_of_actions(extra):
+    world = load_scenario(T0, seed=0)
+
+    def decide(world, due):
+        actions = next_phase(world, due)
+        return actions[:extra] if extra < 0 else actions + actions[:extra]
+
+    with pytest.raises(ValueError):
+        drive(world, 1, decide)
+
+
+def test_applying_a_signal_leaves_the_seconds_observation_and_masks(monkeypatch):
+    # the invariant that lets drive serve a second's triggers from one
+    # observation: a signal applied only stages amber at its intersection
+    world = load_scenario(3, seed=9)
+    rng = np.random.default_rng(9)
+    seen = {}
+    checked = []
+    apply_signal = type(world).apply_signal
+
+    def masks(world, due):
+        return [action_mask(world.controllers[i].phase).tobytes() for i in due]
+
+    def decide(world, due):
+        seen.update(t=world.t, due=due, obs=observe(world).tobytes(), masks=masks(world, due))
+        return [random_policy(action_mask(world.controllers[i].phase), rng) for i in due]
+
+    def checked_apply(world, i, phase, green):
+        apply_signal(world, i, phase, green)
+        if world.t == seen["t"] and len(seen["due"]) >= 2:
+            assert observe(world).tobytes() == seen["obs"]
+            assert masks(world, seen["due"]) == seen["masks"]
+            checked.append(i)
+
+    monkeypatch.setattr(type(world), "apply_signal", checked_apply)
+    drive(world, 900, decide)
+    assert len(checked) > 20

@@ -367,7 +367,11 @@ def free_world_digests() -> dict:
     world = load_scenario(FREE_WORLD["scenario"], FREE_WORLD["seed"])
     records, obs = [], {}
     for _ in range(FREE_WORLD["seconds"]):
-        rec = world.step()
+        t, spawned, discharged = world.t, world.spawned_total, len(world.discharge_events)
+        world.step()
+        rec = {"t": t, "spawned": world.spawned_total - spawned,
+               "discharged": len(world.discharge_events) - discharged,
+               "delayed": world.log.net_delayed[-1]}
         records.append(tuple((key, int(value)) for key, value in rec.items()))
         if world.t in FREE_WORLD["observe_at"]:
             obs[f"observe_{world.t}"] = _array_sha(
@@ -396,10 +400,13 @@ def edge_world_digests(name: str, scenario: int) -> dict:
     rng = np.random.default_rng(EDGE_SEED)
     seen = hashlib.sha256()
 
-    def decide(world, i):
-        row = np.asarray(observe(world)[i], dtype=np.float64)
-        seen.update(f"{world.t}:{i}:".encode() + row.tobytes())
-        return random_policy(action_mask(world.controllers[i].phase), rng)
+    def decide(world, due):
+        obs = np.asarray(observe(world), dtype=np.float64)
+        actions = []
+        for i in due:
+            seen.update(f"{world.t}:{i}:".encode() + obs[i].tobytes())
+            actions.append(random_policy(action_mask(world.controllers[i].phase), rng))
+        return actions
 
     drive(world, HORIZON_S, decide)
     log = world.log

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -826,6 +827,22 @@ def test_checkpoint_with_a_non_finite_config_value_is_rejected(tmp_path):
     save_params(path, named)
     with pytest.raises(ValueError, match="^lr must be finite, got nan$"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("heads", [np.nan, 4.5], ids=["nan", "fraction"])
+def test_checkpoint_with_a_fractional_size_is_rejected(tmp_path, heads):
+    path, named = _small_checkpoint(tmp_path)
+    named["meta.heads"] = np.array(heads)
+    save_params(path, named)
+    with pytest.raises(ValueError, match=rf"^checkpoint entry 'meta\.heads' must be a "
+                                         rf"whole number, got {heads}$"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name", ["stdsh_full", "mappo_hg_off"])
+def test_committed_checkpoints_load(name):
+    state = load_checkpoint(Path(__file__).parent / "_artifacts" / name / "model.ckpt")
+    assert state.cfg.use_hypergraph == (name == "stdsh_full")
 
 
 def test_checkpoint_with_entries_its_config_lacks_is_rejected(tmp_path):
