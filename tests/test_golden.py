@@ -13,10 +13,12 @@ counts, the discharge events and observe() at three instants. Edge worlds
 pin scenarios 1 and 3 under random control with configs where a
 per-second and an event-driven movement model could part ways: moving
 vehicles below the delay threshold (on every link, or on tram links
-only), a one-second tram dwell, links crossed in one second, speeds
-and lengths whose per-second steps are not round numbers, and car
+only); a one-second tram dwell; links crossed in one second; speeds
+and lengths whose per-second steps are not round numbers; car
 occupancies drawn with a Poisson mean of 0 (no draw) and of 12 (numpy's
-rejection sampler rather than its multiplication method). Each is pinned
+rejection sampler rather than its multiplication method); and saturation
+flows of 0.7 veh/s (leftover credit outlives an emptied queue) and
+2.5 veh/s (several releases from one lane in one second). Each is pinned
 by its metrics table, completed trips, discharge events and observe()
 at every decision.
 
@@ -60,6 +62,8 @@ EDGE_CONFIGS = {
                    "link_length_m": 257.0},
     "no_riders": {"car_occupancy_poisson_mean": 0.0},
     "full_cars": {"car_occupancy_poisson_mean": 12.0},
+    "credit_carry": {"saturation_veh_s": 0.7},
+    "multi_release": {"saturation_veh_s": 2.5},
 }
 EDGE_WORLDS = [(name, s) for name in EDGE_CONFIGS for s in (1, 3)]
 EDGE_SEED = 20_001
@@ -317,6 +321,30 @@ GOLDEN_EDGE_WORLDS = {
         "completed": "2e2d7c8ffdeb4885e5f08fff8eeb521fa634127a48becd0d97373cf16ffa02fc",
         "discharge_events": "97db7d852b3c8b8bd0ffb763377036370e5d0e4a2780442afc1f5cb0a933acaa",
         "observe": "26ed92ee622d6db89d5e8cdf55039fe9c330308a0796f947ba2a3bed0ea099dd",
+    },
+    "credit_carry-1": {
+        "log": "00dee7e245b930204f61785f6178aaad57a99b12b4eaecfb87d554956414e8bc",
+        "completed": "73fa201e7963971a86bdb6af12b042947cfcc936ae70fbd0223d971d8aa4f73c",
+        "discharge_events": "f8418075cd4a0a4747d6b040c78ecde42d01ee9fc86aac3815e038daaa1847eb",
+        "observe": "c9b9d61766e8a122be7f791b5a956e83a4b960cc0b58b681136c188c38bf21d3",
+    },
+    "credit_carry-3": {
+        "log": "c452071e23538f5fc4c94b623578cb5922cddb6a38a7f6c7d13399137e71ddca",
+        "completed": "a35eeec4b59611e5422dcd0ac0e53e891c5e2a28961b4894c9255c2367032bc1",
+        "discharge_events": "4da85b91f8f8fa7ae1f41e17a5d65502599b23208424d1698255f73f1f03b44b",
+        "observe": "c0be52a33ca1faca045d6f8437e3cabaad8d67ce41015b5675a9d33c3906ced0",
+    },
+    "multi_release-1": {
+        "log": "fa3c099e4c00479dd2afa5b9baf42fa9f33d013327e20a660577f66ed2f95943",
+        "completed": "8e75c07c39e42b3998f53cb439a9358fbebaaf0c68554d6095a8687e72c0cab6",
+        "discharge_events": "34dcc1d67cc026fbfc56e3e0fa12a0a751821c4d66e47b060ac852a6da704414",
+        "observe": "98f27a322516947ad7ba5353fbff8642f0a2ceeaa0da77af04775bdf966c2ddf",
+    },
+    "multi_release-3": {
+        "log": "cfd0f7ce4397a9a75b40d91683b7fe760c08ee9e5c9673e7e996c912d16cbe00",
+        "completed": "3866f672f7c35e0225e208f5cf82cd685cdb5c9042ad9b209e23067d3132abad",
+        "discharge_events": "55075e8329b6d86f3b24f6ad3abea3c4acb5f3e313d9923465d421dfb3561df4",
+        "observe": "3a1950a29e303801f9ae6499bd358eddd3efcaed342599900114615c4b076d7d",
     },
 }
 
