@@ -30,13 +30,15 @@ class CompletedTrip:
 class MetricsLog:
     """Integer table, one row per second, with the columns of the metrics
     CSV: t, network delayed, network queued, then delayed and queued per
-    intersection. `table` is the filled part of a buffer grown by doubling;
-    the named fields are its columns and `window` is a run of its rows,
-    all views."""
+    intersection. `append` buffers its rows; reading `table` or `window`
+    writes them into the filled part of a buffer grown by doubling. The
+    named fields are the table's columns and `window` is a run of its
+    rows, all views."""
 
     def __init__(self, n: int):
         self.n = n
-        self._rows = self.table = np.zeros((0, 3 + 2 * n), dtype=np.int64)
+        self._rows = self._table = np.zeros((0, 3 + 2 * n), dtype=np.int64)
+        self._pending: list[tuple] = []
         self.completed: list[CompletedTrip] = []
 
     seconds = property(lambda self: self.table[:, 0])
@@ -46,14 +48,23 @@ class MetricsLog:
     int_queued = property(lambda self: self.table[:, 3 + self.n:])
 
     def append(self, t: int, int_delayed, int_queued) -> None:
-        k = len(self.table)
-        if k and t <= self.table[-1, 0]:
-            raise ValueError(f"seconds must increase: {t} after {self.table[-1, 0]}")
-        if k == len(self._rows):     # a window's buffer is its parent's: copy
-            self._rows = np.concatenate([self.table, np.zeros((max(64, k), 3 + 2 * self.n),
-                                                              dtype=np.int64)])
-        self.table = self._rows[:k + 1]
-        self.table[k] = (t, sum(int_delayed), sum(int_queued), *int_delayed, *int_queued)
+        last = self._pending[-1][0] if self._pending else \
+            self._table[-1, 0] if len(self._table) else None
+        if last is not None and t <= last:
+            raise ValueError(f"seconds must increase: {t} after {last}")
+        self._pending.append((t, sum(int_delayed), sum(int_queued), *int_delayed, *int_queued))
+
+    @property
+    def table(self) -> np.ndarray:
+        if self._pending:
+            k, m = len(self._table), len(self._pending)
+            if k + m > len(self._rows):     # a window's buffer is its parent's: copy
+                self._rows = np.concatenate([self._table, np.zeros(
+                    (max(64, k + m), 3 + 2 * self.n), dtype=np.int64)])
+            self._rows[k:k + m] = self._pending
+            self._table = self._rows[:k + m]
+            self._pending = []
+        return self._table
 
     def complete(self, mode: str, waiting_s: int, spawn_t: int, exit_t: int) -> None:
         self.completed.append(CompletedTrip(mode, waiting_s, spawn_t, exit_t))
@@ -62,11 +73,11 @@ class MetricsLog:
         """Seconds with start <= t < stop; completion records are not sliced."""
         lo, hi = np.searchsorted(self.seconds, (start, stop))
         out = MetricsLog(n=self.n)
-        out._rows = out.table = self.table[lo:max(lo, hi)]
+        out._rows = out._table = self.table[lo:max(lo, hi)]
         return out
 
     def __len__(self) -> int:
-        return len(self.table)
+        return len(self._table) + len(self._pending)
 
 
 def anp(log: MetricsLog, horizon: int) -> float:
@@ -110,6 +121,6 @@ def write_heatmap_csv(log: MetricsLog, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "metric"] + [f"i{k + 1}" for k in range(n)] + ["network"])
-        for t, delayed, queued, *per in log.table.tolist():
-            w.writerow([t, "delayed_passengers"] + per[:n] + [delayed])
-            w.writerow([t, "queue_veh"] + per[n:] + [queued])
+        w.writerows(row for t, delayed, queued, *per in log.table.tolist()
+                    for row in ([t, "delayed_passengers"] + per[:n] + [delayed],
+                                [t, "queue_veh"] + per[n:] + [queued]))

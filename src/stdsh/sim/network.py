@@ -57,17 +57,14 @@ class Lane:
     """One incoming lane; the world keeps its queue, moving count and credit
     meter under `slot`, the lane's position in Network.all_lanes()."""
 
-    __slots__ = ("link", "index", "allowed", "slot")
+    __slots__ = ("link", "index", "allowed", "slot", "key")
 
     def __init__(self, link: "Link", index: int, allowed):
         self.link = link
         self.index = index
         self.allowed = frozenset(allowed)
         self.slot = -1
-
-    @property
-    def key(self):
-        return (self.link.node, self.link.arm, self.link.kind, self.index)
+        self.key = (link.node, link.arm, link.kind, index)
 
 
 class Link:

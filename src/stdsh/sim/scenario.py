@@ -100,6 +100,12 @@ class ScenarioConfig:
                 base *= self.skew_multiplier
         return base
 
+    def rates_veh_h(self, entry_ids, t: int) -> list[float]:
+        """rate_veh_h of each entry at second t; the ramp is every entry's."""
+        if self.scenario_id == 2:
+            return [self.rate_veh_h(entry_ids[0], t)] * len(entry_ids)
+        return [self.rate_veh_h(entry_id, t) for entry_id in entry_ids]
+
     @property
     def rates_settle_s(self) -> int:
         """Second from which rate_veh_h no longer changes with t."""
@@ -188,6 +194,15 @@ def _validate(cfg: ScenarioConfig) -> None:
                  "car_occupancy_poisson_mean"):
         if getattr(cfg, name) < 0:
             bad(name, "must be >= 0")
+    # one uniform draw per entry and second: at most one car, 3600 veh/h
+    peaks = {"car_rate_veh_h": cfg.car_rate_veh_h,
+             "ramp_to_veh_h": cfg.ramp_to_veh_h if cfg.scenario_id == 2 else 0,
+             "skew_multiplier": cfg.car_rate_veh_h * cfg.skew_multiplier
+             if cfg.scenario_id in (4, 5) else 0}
+    for name, peak in peaks.items():
+        if peak > 3600:
+            bad(name, f"peak arrival rate {peak:g} veh/h is above one car per entry "
+                      "and second (3600 veh/h)")
     for name in ("bus_headway_s", "tram_headway_s", "tram_stop_dwell_s",
                  "initial_green_s", "bus_first_departure_s", "tram_first_departure_s"):
         if getattr(cfg, name) < 0:

@@ -7,9 +7,11 @@ advance the signal staging timers, then record the per-second metrics row.
 
 Discharge uses a saturation-credit meter per lane: every green second with
 a permitted head vehicle adds `saturation_veh_s` of credit and each whole
-unit of credit releases one vehicle; the credit resets whenever the lane
-is not being served (amber, all-red, empty, or blocked head). Nothing ever
-discharges outside green.
+unit of credit releases one vehicle. Credit carries over only from a
+second in which the lane accrued; after any second that did not serve it
+(amber, all-red, empty, or blocked head) the lane starts again from 0. So
+each second visits only the queued lanes its greens serve, and a meter is
+never reset. Nothing ever discharges outside green.
 
 A green that expires raises the controller trigger and then simply keeps
 running until a new decision is applied, so step() is total: a world with
@@ -25,12 +27,15 @@ counters per intersection, changed only at transitions: the occupancy of
 delayed vehicles (queued, or moving slower than `speed_threshold_kmh`)
 and the number of queued road vehicles.
 
-A vehicle is an id, its spawn order. numpy arrays grown by doubling hold
-`slot` (lane index in net.all_lanes()), `mode` (1 + index in MODES),
-`state` (MOVING, QUEUED, DWELLING, EXITED) and `occupancy`; `active`, the
-ascending live ids, is a view that steps rewrite in place (copy it to
-keep it); scalars read one at a time are lists. Per lane slot the world
-keeps a deque of queued ids, a count still rolling and a credit meter.
+A vehicle is an id, its spawn order; the hot path reads its values one
+at a time from lists. The statement that sets `_slot` (lane index in
+net.all_lanes()), `_mode` (1 + index in MODES), `_state` (MOVING, QUEUED,
+DWELLING, EXITED) or `_occupancy` also sets the numpy array of the same
+name without the underscore, grown by doubling; only gathers over many
+ids read those. `active`, the ascending live ids, is a view that steps
+rewrite in place (copy it to keep it); it is compacted only in a second
+in which some vehicle left. Per lane slot the world keeps a deque of
+queued ids, a count still rolling and a credit meter.
 """
 
 from __future__ import annotations
@@ -57,8 +62,10 @@ MOVING, QUEUED, DWELLING, EXITED = range(4)
 _VEHICLE_ARRAYS = (("slot", np.intp), ("mode", np.int8), ("state", np.int8),
                    ("occupancy", np.int64), ("_live", np.intp))
 # entered: the second before the leg's first move; due: its next event;
-# since: start of the open delayed spell (None: none), added to waiting at its end
-_VEHICLE_LISTS = ("routes", "leg", "entered", "due", "since", "waiting", "spawn_t")
+# since: start of the open delayed spell (None: none), added to waiting at its
+# end; heading: the current leg's movement; _slot.._occupancy: the arrays' values
+_VEHICLE_LISTS = ("routes", "leg", "entered", "due", "since", "waiting", "spawn_t",
+                  "heading", "_slot", "_mode", "_state", "_occupancy")
 
 
 def leg_positions(speed_mps: float, length: float, stop: float, dwell: int):
@@ -141,18 +148,18 @@ class SimWorld:
         self.exited_total = 0
         self.log = MetricsLog(n=cfg.intersections)
         self.discharge_events: list[tuple[int, int, str]] = []
-        self._node_lanes = [self.net.lanes_of(k) for k in range(self.net.n)]
         # per intersection and phase: (slot, movements it lets go) of each
         # lane allowing a movement the phase permits; a vehicle only ever
         # joins a lane that allows its movement, so no other lane can go
         self.served = [[[(lane.slot, goes) for lane in lanes
                           if (goes := frozenset(mv for mv in lane.allowed
                                                 if permits(phase, lane.link.arm, mv)))]
-                         for phase in range(N_PHASES)] for lanes in self._node_lanes]
+                         for phase in range(N_PHASES)]
+                        for lanes in map(self.net.lanes_of, range(self.net.n))]
         lanes = self.net.all_lanes()
         self.lane_entry_counts = {lane.key: 0 for lane in lanes}
         links = [lane.link for lane in lanes]
-        self.lane_node = np.array([l.node for l in links])
+        self.lane_node = [l.node for l in links]
         self.lane_speed_kmh = np.array([l.speed_kmh for l in links])
         self.leg_args = [(l.speed_kmh / 3.6, l.length, l.stop_pos, l.stop_dwell)
                          for l in links]
@@ -167,7 +174,9 @@ class SimWorld:
         self.lane_slow = (self.lane_speed_kmh < cfg.speed_threshold_kmh).tolist()
         self.queues = [deque() for _ in lanes]
         self.moving = [0] * len(lanes)
-        self.credit = [0.0] * len(lanes)
+        # a lane's credit counts only if it accrued in the second before
+        self._credit = [0.0] * len(lanes)
+        self._accrued = [-1] * len(lanes)
         self.calendar: dict[int, list[int]] = {}
         self.delayed_pax = [0] * self.net.n
         self.queued_road = [0] * self.net.n
@@ -222,12 +231,13 @@ class SimWorld:
         # least committed lane (queued or still rolling), kerb lane on ties
         best, best_load = None, 0
         for lane in link.lanes:
-            load = len(self.queues[lane.slot]) + self.moving[lane.slot]
+            s = lane.slot
+            load = len(self.queues[s]) + self.moving[s]
             if movement in lane.allowed and (best is None or load < best_load):
                 best, best_load = lane, load
-        s = best.slot
-        self.slot[v] = s
-        self.state[v] = MOVING
+        s = self._slot[v] = self.slot[v] = best.slot
+        self._state[v] = self.state[v] = MOVING
+        self.heading[v] = movement
         self.moving[s] += 1
         self.lane_entry_counts[best.key] += 1
         self.entered[v] = entered
@@ -241,9 +251,20 @@ class SimWorld:
             for name, _ in _VEHICLE_ARRAYS:
                 old = getattr(self, name)
                 setattr(self, name, np.concatenate([old, np.zeros_like(old)]))
-        for name, value in zip(_VEHICLE_LISTS, (route, 0, 0, None, None, 0, self.t)):
-            getattr(self, name).append(value)
-        self.mode[v] = MODES.index(mode) + 1
+        code = MODES.index(mode) + 1
+        self.routes.append(route)
+        self.leg.append(0)
+        self.entered.append(0)
+        self.due.append(None)
+        self.since.append(None)
+        self.waiting.append(0)
+        self.spawn_t.append(self.t)
+        self.heading.append(None)
+        self._slot.append(0)
+        self._state.append(MOVING)
+        self._mode.append(code)
+        self._occupancy.append(occupancy)
+        self.mode[v] = code
         self.occupancy[v] = occupancy
         link, mv = route[0]
         self._enter(v, link, mv, self.t - 1)
@@ -258,8 +279,8 @@ class SimWorld:
     def _spawn_arrivals(self) -> None:
         cfg = self.cfg
         if self.t <= cfg.rates_settle_s:        # the rates still change with t
-            self._arrival_p = [cfg.rate_veh_h(entry_id, self.t) / 3600.0
-                               for entry_id, _ in self.net.entries]
+            self._arrival_p = [rate / 3600.0 for rate in cfg.rates_veh_h(
+                [entry_id for entry_id, _ in self.net.entries], self.t)]
         for (_, link), p in zip(self.net.entries, self._arrival_p):
             if self._random() < p:
                 occ = 1 + self._poisson(cfg.car_occupancy_poisson_mean)
@@ -286,8 +307,8 @@ class SimWorld:
         if not on:
             self.waiting[v] += self.t - self.since[v]
         self.since[v] = self.t if on else None
-        occ = int(self.occupancy[v])
-        self.delayed_pax[self.lane_node[self.slot[v]]] += occ if on else -occ
+        occ = self._occupancy[v]
+        self.delayed_pax[self.lane_node[self._slot[v]]] += occ if on else -occ
 
     def _move_vehicles(self) -> None:
         """Handle this second's due events in id order."""
@@ -295,14 +316,14 @@ class SimWorld:
         for v in sorted(self.calendar.pop(t, ())):
             if self.due[v] != t:        # placed in its queue ahead of time
                 continue
-            s = self.slot[v]
+            s = self._slot[v]
             _, dwell, line = self.plan[s]
-            if self.state[v] == DWELLING:       # dwell over: rolls on next second
-                self.state[v] = MOVING
+            if self._state[v] == DWELLING:      # dwell over: rolls on next second
+                self._state[v] = self.state[v] = MOVING
                 self._delay(v, self.lane_slow[s])
                 self._schedule(v, self.entered[v] + line)
             elif t - self.entered[v] < line:    # at the tram stop
-                self.state[v] = DWELLING        # scheduled service, not delay
+                self._state[v] = self.state[v] = DWELLING    # scheduled service, not delay
                 self._delay(v, False)
                 self._schedule(v, t + dwell)
             else:
@@ -310,19 +331,19 @@ class SimWorld:
 
     def _join_queue(self, v: int) -> None:
         """v reaches its lane's stop line now and queues there, delayed."""
-        s = self.slot[v]
+        s = self._slot[v]
         self.due[v] = None
-        self.state[v] = QUEUED
+        self._state[v] = self.state[v] = QUEUED
         self.moving[s] -= 1
         self.queues[s].append(v)
         self._delay(v, True)
-        if self.mode[v] != TRAM:
+        if self._mode[v] != TRAM:
             self.queued_road[self.lane_node[s]] += 1
 
     def position(self, v: int) -> float:
         """Meters along a live vehicle's current link."""
-        args = self.leg_args[self.slot[v]]
-        if self.state[v] == QUEUED:
+        args = self.leg_args[self._slot[v]]
+        if self._state[v] == QUEUED:
             return args[1]
         return next(islice(leg_positions(*args), self.t - 1 - self.entered[v], None))
 
@@ -331,56 +352,49 @@ class SimWorld:
         since = self.since[v]
         return self.waiting[v] + (0 if since is None else self.t - since)
 
-    def _heading(self, v: int) -> str:
-        return self.routes[v][self.leg[v]][1]
+    def credit(self, s: int) -> float:
+        """Lane slot s's saturation credit going into the next second."""
+        return self._credit[s] if self._accrued[s] == self.t - 1 else 0.0
 
-    def _discharge(self) -> int:
-        sat = self.cfg.saturation_veh_s
-        credit = self.credit
-        released = 0
+    def _discharge(self) -> None:
+        t, sat, heading = self.t, self.cfg.saturation_veh_s, self.heading
         for ctrl in self.controllers:
             if ctrl.stage != "green":
-                for lane in self._node_lanes[ctrl.intersection]:
-                    credit[lane.slot] = 0.0
                 continue
-            # a lane the phase cannot serve holds no credit: amber zeroed
-            # it, and a head that may not go adds none
+            # a lane the phase cannot serve did not accrue last second:
+            # amber came between, or its head may not go
             for s, goes in self.served[ctrl.intersection][ctrl.phase]:
                 queue = self.queues[s]
-                if not (queue and self._heading(queue[0]) in goes):
-                    credit[s] = 0.0
+                if not (queue and heading[queue[0]] in goes):
                     continue
-                credit[s] += sat
-                while credit[s] >= 1.0:
-                    credit[s] -= 1.0
+                credit = (self._credit[s] if self._accrued[s] == t - 1 else 0.0) + sat
+                self._accrued[s] = t
+                while credit >= 1.0:
+                    credit -= 1.0
                     v = queue.popleft()
-                    self.discharge_events.append((self.t, ctrl.intersection, ctrl.stage))
+                    self.discharge_events.append((t, ctrl.intersection, ctrl.stage))
                     self._advance_leg(v)
-                    released += 1
-                    if not (queue and self._heading(queue[0]) in goes):
+                    if not (queue and heading[queue[0]] in goes):
                         break
-        return released
+                self._credit[s] = credit
 
     def _advance_leg(self, v: int) -> None:
         self._delay(v, False)
-        if self.mode[v] != TRAM:
-            self.queued_road[self.lane_node[self.slot[v]]] -= 1
-        self.leg[v] += 1
+        if self._mode[v] != TRAM:
+            self.queued_road[self.lane_node[self._slot[v]]] -= 1
+        leg = self.leg[v] = self.leg[v] + 1
         route = self.routes[v]
-        if self.leg[v] >= len(route):
-            self.state[v] = EXITED
+        if leg >= len(route):
+            self._state[v] = self.state[v] = EXITED
             self.exited_total += 1
-            self.log.complete(MODES[self.mode[v] - 1], self.waiting[v],
+            self.log.complete(MODES[self._mode[v] - 1], self.waiting[v],
                               self.spawn_t[v], self.t)
             return
-        self._enter(v, *route[self.leg[v]], self.t)
+        self._enter(v, *route[leg], self.t)
 
     def speed_kmh(self, state: np.ndarray, slot: np.ndarray) -> np.ndarray:
         """Speeds by state and lane slot: link free-flow while moving, else 0."""
         return np.where(state == MOVING, self.lane_speed_kmh[slot], 0.0)
-
-    def _record_metrics(self) -> None:
-        self.log.append(self.t, self.delayed_pax, self.queued_road)
 
     # ------------------------------------------------------------- public API
 
@@ -388,14 +402,15 @@ class SimWorld:
         """Simulate one second and append its row to the metrics log."""
         self._spawn_arrivals()
         self._move_vehicles()
-        released = self._discharge()
-        if released:
+        exited = self.exited_total
+        self._discharge()
+        if self.exited_total > exited:
             live = self.active[self.state[self.active] != EXITED]
             self._live[:len(live)] = live
             self.active = self._live[:len(live)]
         for ctrl in self.controllers:
             ctrl.advance()
-        self._record_metrics()
+        self.log.append(self.t, self.delayed_pax, self.queued_road)
         if self.spawned_total != len(self.active) + self.exited_total:
             raise RuntimeError(
                 f"conservation broken at t={self.t}: spawned {self.spawned_total} "

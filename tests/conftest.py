@@ -1,13 +1,44 @@
 """Session header: what the training pins depend on.
 
-The hypergraph-on training pins in test_trainer.py hold only at the BLAS
-thread count they were taken at, so the header names numpy, its BLAS, the
-threads that BLAS runs per call and the CPUs this process may use.
+The hypergraph-on training pins in test_trainer.py hold only for the
+arithmetic they were taken on, so the header names numpy, its BLAS, the
+OpenBLAS kernel (corename) in use, numpy's top enabled x86 dispatch
+group, the threads that BLAS runs per call and the CPUs this process
+may use. A pin that fails on another host then names what it ran on.
 """
 
+import ctypes
 import os
 
 import numpy as np
+
+
+def _openblas_corename() -> str:
+    """The kernel the loaded OpenBLAS picked, found as trainer._blas_threads
+    finds the library; "unknown" without one."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {ln.split(maxsplit=5)[5].strip() for ln in fh
+                    if "openblas" in ln.lower() and ".so" in ln}
+    except OSError:
+        return "unknown"
+    for lib in map(ctypes.CDLL, sorted(libs)):
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            if hasattr(lib, name):
+                fn = getattr(lib, name)
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return "unknown"
+
+
+def _x86_dispatch_group() -> str:
+    """numpy's highest enabled X86_V* group ("none" off x86)."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:             # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return next((g for g in ("X86_V4", "X86_V3", "X86_V2") if __cpu_features__.get(g)),
+                "none")
 
 
 def pytest_report_header(config):
@@ -22,5 +53,6 @@ def pytest_report_header(config):
     except ImportError:             # stdsh not on the path: the tests say so
         threads = "unknown"
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else "unknown"
-    return (f"numpy {np.__version__}, BLAS {blas}, BLAS threads {threads}, "
+    return (f"numpy {np.__version__}, BLAS {blas}, OpenBLAS core {_openblas_corename()}, "
+            f"numpy dispatch {_x86_dispatch_group()}, BLAS threads {threads}, "
             f"CPUs in affinity {cpus}")

@@ -90,6 +90,39 @@ def test_window_is_a_view_and_copies_before_it_grows():
         log.append(3, [0], [0])
 
 
+def test_buffered_rows_read_like_an_eager_table():
+    # appends interleaved at random with every read that writes the
+    # buffered rows out: table, window and len see what a table filled
+    # row by row holds, and a window's rows never move
+    rng = np.random.default_rng(4)
+    n, log, rows, t = 3, MetricsLog(n=3), [], 0
+    windows = []
+    for _ in range(400):
+        t += int(rng.integers(1, 4))
+        d, q = rng.integers(0, 50, n).tolist(), rng.integers(0, 9, n).tolist()
+        log.append(t, d, q)
+        rows.append([t, sum(d), sum(q), *d, *q])
+        read = rng.integers(0, 6)
+        if read == 0:
+            assert log.table.tolist() == rows
+        elif read == 1:
+            assert len(log) == len(rows)
+        elif read == 2:
+            lo, hi = sorted(rng.integers(0, t + 2, 2).tolist())
+            win = log.window(lo, hi)
+            expect = [r for r in rows if lo <= r[0] < hi]
+            assert win.table.tolist() == expect and len(win) == len(expect)
+            windows.append((win, expect))
+    assert log.table.tolist() == rows and len(log) == len(rows)
+    assert log.int_queued.tolist() == [r[3 + n:] for r in rows]
+    assert all(win.table.tolist() == expect for win, expect in windows)
+    with pytest.raises(ValueError, match="increase"):       # after a written row
+        log.append(t, [0] * n, [0] * n)
+    log.append(t + 1, [0] * n, [0] * n)
+    with pytest.raises(ValueError, match="increase"):       # after a buffered one
+        log.append(t + 1, [0] * n, [0] * n)
+
+
 def test_oracle_recount_from_sim():
     world = load_scenario(1, seed=2)
     world.run(300)

@@ -22,15 +22,19 @@ def quiet_world(extra: str = "", seed: int = 0) -> SimWorld:
 
 def inject_queued(world, node, arm, movement, count, occupancy=1, lane_index=None):
     """Place `count` vehicles directly at the stop line, all in one lane if
-    `lane_index` is given (the credit meter is per lane)."""
+    `lane_index` is given (the credit meter is per lane). The world's own
+    spawn, lane choice and queueing place them; a lane is forced by making
+    the others look fully committed while the vehicle picks."""
     link = world.net.approach(node, arm)
+    others = [lane.slot for lane in link.lanes
+              if lane_index is not None and lane.index != lane_index]
     made = []
     for _ in range(count):
+        for s in others:
+            world.moving[s] += 10**6
         v = world._spawn_vehicle("car", occupancy, [(link, movement)])
-        if lane_index is not None and world.slot[v] != link.lanes[lane_index].slot:
-            world.moving[world.slot[v]] -= 1
-            world.slot[v] = link.lanes[lane_index].slot
-            world.moving[world.slot[v]] += 1
+        for s in others:
+            world.moving[s] -= 10**6
         world._join_queue(v)
         made.append(v)
     return made
@@ -145,6 +149,31 @@ def test_saturation_credit_releases_every_two_seconds():
     assert world.exited_total == 3     # single-intersection route, one leg
 
 
+@pytest.mark.parametrize("sat, released, credit", [
+    # credit left when the queue empties (t=5) lasts into t=6 only, and
+    # the vehicle queued at t=7 starts from 0
+    (0.7, [0, 1, 1, 0, 1, 1, 0, 0], [0.7, 0.4, 0.1, 0.8, 0.5, 0.2, 0.0, 0.7]),
+    # two releases from one lane in one second, then a whole unit left over
+    (2.5, [2, 2, 0, 0, 0, 0, 0, 1], [0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.5]),
+])
+def test_credit_carries_over_only_from_the_second_before(sat, released, credit):
+    world = quiet_world("[network]\nintersections = 1\ntram_enabled = false\n"
+                        f"saturation_veh_s = {sat}\n"
+                        "[signal]\ninitial_phase = P3\ninitial_green_s = 45\n")
+    slot = world.net.approach(0, "W").lanes[0].slot
+    inject_queued(world, 0, "W", "through", 4, lane_index=0)
+    seen_released, seen_credit = [], []
+    for t in range(8):
+        if t == 7:
+            inject_queued(world, 0, "W", "through", 1, lane_index=0)
+        before = len(world.discharge_events)
+        world.step()
+        seen_released.append(len(world.discharge_events) - before)
+        seen_credit.append(world.credit(slot))
+    assert seen_released == released
+    assert seen_credit == pytest.approx(credit, abs=1e-12)
+
+
 def test_no_discharge_when_phase_does_not_permit():
     # P1 serves N-S; a W-arm through queue must sit still
     world = quiet_world("[network]\nintersections = 1\ntram_enabled = false\n"
@@ -153,7 +182,7 @@ def test_no_discharge_when_phase_does_not_permit():
     world.run(20)
     assert world.exited_total == 0
     lane = world.net.approach(0, "W").lanes[0]
-    assert world.credit[lane.slot] == 0.0   # blocked head resets the meter
+    assert world.credit(lane.slot) == 0.0   # a blocked head accrues nothing
 
 
 def test_blocked_head_blocks_lane():
@@ -337,6 +366,24 @@ def test_bookkeeping_matches_an_independent_recount(scenario):
     assert all(seen.values()), seen
 
 
+def test_active_and_vehicle_arrays_follow_every_step():
+    # active is compacted only in seconds in which some vehicle left, and
+    # the arrays observe() gathers from hold the same values as the lists
+    world = load_scenario(3, seed=23)
+    rng = np.random.default_rng(23)
+
+    def check(world):
+        n = world.spawned_total
+        live = [v for v in range(n) if world.state[v] != EXITED]
+        assert world.active.tolist() == live
+        for name in ("slot", "mode", "state", "occupancy"):
+            assert getattr(world, name)[:n].tolist() == getattr(world, f"_{name}")
+
+    drive(world, 600, lambda w, due: [random_policy(
+        action_mask(w.controllers[i].phase), rng) for i in due], after_step=check)
+    assert world.exited_total > 0
+
+
 # ---------------------------------------------------------------- transit
 
 def test_bus_and_tram_schedules():
@@ -408,6 +455,11 @@ def test_config_error_reporting():
     ("[scenario]\nramp_to_veh_h = -5", "ramp_to_veh_h"),
     ("[demand]\ntram_occupancy = 0", "tram_occupancy"),
     ("[demand]\nbus_occupancy = 0", "bus_occupancy"),
+    # one draw per entry and second: no more than 3600 veh/h at any entry
+    ("[demand]\ncar_rate_veh_h = 5000", "car_rate_veh_h"),
+    ("[scenario]\nid = 2\nramp_to_veh_h = 3601", "ramp_to_veh_h"),
+    ("[demand]\ncar_rate_veh_h = 3000\n[scenario]\nid = 5\nskew_multiplier = 1.6",
+     "skew_multiplier"),
 ])
 def test_config_rejects_bad_values_naming_the_field(line, field):
     with pytest.raises(ConfigError, match=f"field '{field}'"):
