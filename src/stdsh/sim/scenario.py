@@ -87,28 +87,22 @@ class ScenarioConfig:
     skew_intersection: int = 3
     speed_threshold_kmh: float = 5.0
 
-    def rate_veh_h(self, entry_id: str, t: int) -> float:
-        """Car arrival rate for one entry at simulation second t."""
+    def rates_veh_h(self, entry_ids, t: int) -> list[float]:
+        """Car arrival rate of each entry at simulation second t."""
         base = self.car_rate_veh_h
         if self.scenario_id == 2:
             frac = min(1.0, t / float(max(1, self.ramp_duration_s)))
             base = base + (self.ramp_to_veh_h - base) * frac
-        if self.scenario_id in (4, 5):
-            own = entry_id in (f"N{self.skew_intersection}", f"S{self.skew_intersection}")
-            # 4: everything heading for the hotspot; 5: the hotspot emptying out
-            if own == (self.scenario_id == 5):
-                base *= self.skew_multiplier
-        return base
-
-    def rates_veh_h(self, entry_ids, t: int) -> list[float]:
-        """rate_veh_h of each entry at second t; the ramp is every entry's."""
-        if self.scenario_id == 2:
-            return [self.rate_veh_h(entry_ids[0], t)] * len(entry_ids)
-        return [self.rate_veh_h(entry_id, t) for entry_id in entry_ids]
+        if self.scenario_id not in (4, 5):
+            return [base] * len(entry_ids)
+        hotspot = (f"N{self.skew_intersection}", f"S{self.skew_intersection}")
+        # 4: everything heading for the hotspot; 5: the hotspot emptying out
+        return [base * self.skew_multiplier if (entry_id in hotspot) == (self.scenario_id == 5)
+                else base for entry_id in entry_ids]
 
     @property
     def rates_settle_s(self) -> int:
-        """Second from which rate_veh_h no longer changes with t."""
+        """Second from which rates_veh_h no longer changes with t."""
         return max(1, self.ramp_duration_s) if self.scenario_id == 2 else 0
 
 

@@ -367,7 +367,7 @@ class SimWorld:
                 queue = self.queues[s]
                 if not (queue and heading[queue[0]] in goes):
                     continue
-                credit = (self._credit[s] if self._accrued[s] == t - 1 else 0.0) + sat
+                credit = self.credit(s) + sat
                 self._accrued[s] = t
                 while credit >= 1.0:
                     credit -= 1.0

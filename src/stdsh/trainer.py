@@ -432,16 +432,22 @@ class TrainingStopped(RuntimeError):
     """Training gave up after MAX_ABORTS_IN_A_ROW aborted updates."""
 
 
-def _blas_threads() -> int | None:
-    """Threads per call of the OpenBLAS numpy loaded; None if none is found."""
+def _openblas_function(*names):
+    """The first of `names` that the OpenBLAS numpy loaded exports; None if none is found."""
     with open("/proc/self/maps") as fh:
         libs = {ln.split(maxsplit=5)[5].strip() for ln in fh
                 if "openblas" in ln.lower() and ".so" in ln}
     for lib in map(ctypes.CDLL, sorted(libs)):
-        for name in ("scipy_openblas_get_num_threads64_",
-                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        for name in names:
             if hasattr(lib, name):
-                return getattr(lib, name)()
+                return getattr(lib, name)
+
+
+def _blas_threads() -> int | None:
+    """Threads per call of the OpenBLAS numpy loaded; None if none is found."""
+    fn = _openblas_function("scipy_openblas_get_num_threads64_",
+                            "openblas_get_num_threads64_", "openblas_get_num_threads")
+    return None if fn is None else fn()
 
 
 class _CriticChild:

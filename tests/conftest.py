@@ -14,21 +14,13 @@ import numpy as np
 
 
 def _openblas_corename() -> str:
-    """The kernel the loaded OpenBLAS picked, found as trainer._blas_threads
-    finds the library; "unknown" without one."""
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = {ln.split(maxsplit=5)[5].strip() for ln in fh
-                    if "openblas" in ln.lower() and ".so" in ln}
-    except OSError:
+    """The kernel the loaded OpenBLAS picked; "unknown" without one."""
+    from stdsh.trainer import _openblas_function
+    fn = _openblas_function("scipy_openblas_get_corename64_", "openblas_get_corename")
+    if fn is None:
         return "unknown"
-    for lib in map(ctypes.CDLL, sorted(libs)):
-        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
-            if hasattr(lib, name):
-                fn = getattr(lib, name)
-                fn.restype = ctypes.c_char_p
-                return fn().decode()
-    return "unknown"
+    fn.restype = ctypes.c_char_p
+    return fn().decode()
 
 
 def _x86_dispatch_group() -> str:
@@ -49,10 +41,10 @@ def pytest_report_header(config):
         blas = "unknown"
     try:
         from stdsh.trainer import _blas_threads
-        threads = _blas_threads()
+        threads, core = _blas_threads(), _openblas_corename()
     except ImportError:             # stdsh not on the path: the tests say so
-        threads = "unknown"
+        threads = core = "unknown"
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else "unknown"
-    return (f"numpy {np.__version__}, BLAS {blas}, OpenBLAS core {_openblas_corename()}, "
+    return (f"numpy {np.__version__}, BLAS {blas}, OpenBLAS core {core}, "
             f"numpy dispatch {_x86_dispatch_group()}, BLAS threads {threads}, "
             f"CPUs in affinity {cpus}")
