@@ -88,7 +88,7 @@ def random_policy(mask: np.ndarray, rng) -> int:
     allowed = np.flatnonzero(mask)
     if len(allowed) == 0:
         raise ValueError("every action is masked")
-    return int(rng.choice(allowed))
+    return int(allowed[rng.integers(len(allowed))])
 
 
 # ------------------------------------------------------------------ fixed time

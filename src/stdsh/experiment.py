@@ -132,23 +132,46 @@ def _append_summary(path: Path, row: SummaryRow) -> None:
         w.writerow(row.as_csv_row())
 
 
+def _float_or_none(text: str) -> float | None:
+    return float(text) if text else None
+
+
+_PARSERS = (str, str, int, int, float, float, _float_or_none, _float_or_none)
+
+
+def _summary_row(fields: list[str], where: str) -> SummaryRow:
+    """One summary.csv record, read field by field in SUMMARY_HEADER order."""
+    if len(fields) != len(SUMMARY_HEADER):
+        raise ValueError(f"{where}: {len(fields)} fields, expected {len(SUMMARY_HEADER)}")
+    values = []
+    for name, parse, text in zip(SUMMARY_HEADER, _PARSERS, fields):
+        try:
+            values.append(parse(text))
+        except ValueError:
+            raise ValueError(f"{where}, column {name!r}: cannot read {text!r}") from None
+    return SummaryRow(*values)
+
+
 def report(in_dir) -> Path:
     """Aggregate summary.csv into per-(scenario, controller) seed means,
-    written to report.csv beside it."""
+    written to report.csv beside it. A header other than SUMMARY_HEADER or a
+    field that does not parse raises ValueError naming the file and line."""
     in_dir = Path(in_dir)
     src = in_dir / "summary.csv"
     if not src.exists():
         raise ValueError(f"no summary.csv under {in_dir}")
     groups: dict[tuple, list[SummaryRow]] = {}
     with open(src, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            row = SummaryRow(
-                scenario=rec["scenario"], controller=rec["controller"],
-                seed=int(rec["seed"]), horizon_s=int(rec["horizon_s"]),
-                anp=float(rec["anp"]), aql=float(rec["aql"]),
-                awt_bus=float(rec["awt_bus"]) if rec["awt_bus"] else None,
-                awt_tram=float(rec["awt_tram"]) if rec["awt_tram"] else None)
-            groups.setdefault((row.scenario, row.controller), []).append(row)
+        records = csv.reader(fh)
+        head = next(records, [])
+        if head != SUMMARY_HEADER:
+            missing = [c for c in SUMMARY_HEADER if c not in head]
+            raise ValueError(f"{src} line 1: header must be {','.join(SUMMARY_HEADER)}"
+                             + (f"; column {missing[0]!r} is missing" if missing else ""))
+        for rec in records:
+            if rec:
+                row = _summary_row(rec, f"{src} line {records.line_num}")
+                groups.setdefault((row.scenario, row.controller), []).append(row)
     out = in_dir / "report.csv"
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -9,11 +9,16 @@ summary metrics are pure functions of a log:
     anp  - average delayed passengers per second over a horizon
     aql  - time-average queued road vehicles
     awt  - mean waiting of completed vehicles of one mode (None if none)
+
+The two CSV writers emit the bytes of `csv.writer`'s default dialect:
+comma-separated, unquoted, every line ending in "\\r\\n". Each writes its
+header line, then its whole body from one %-format over the table's
+integers: the metrics file one row per second, the heatmap file a
+delayed_passengers row and a queue_veh row per second.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,23 +109,29 @@ def awt(log: MetricsLog, mode: str) -> float | None:
     return sum(waits) / float(len(waits))
 
 
+def _write_csv(path, head: list[str], row: str, values: list, rows: int) -> None:
+    """A header line, then the body as one %-format: `row` once per row."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(head) + "\r\n")
+        fh.write((row * rows) % tuple(values))
+
+
 def write_metrics_csv(log: MetricsLog, path) -> None:
     """Per-second log: t,delayed_passengers,queue_veh,<per-intersection columns>."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        head = ["t", "delayed_passengers", "queue_veh"]
-        head += [f"delayed_i{k + 1}" for k in range(log.n)]
-        head += [f"queue_i{k + 1}" for k in range(log.n)]
-        w.writerow(head)
-        w.writerows(log.table.tolist())
+    n, table = log.n, log.table
+    head = ["t", "delayed_passengers", "queue_veh"]
+    head += [f"delayed_i{k + 1}" for k in range(n)]
+    head += [f"queue_i{k + 1}" for k in range(n)]
+    _write_csv(path, head, ",".join(["%d"] * (3 + 2 * n)) + "\r\n",
+               table.ravel().tolist(), len(table))
 
 
 def write_heatmap_csv(log: MetricsLog, path) -> None:
-    """Long-format per-second series: t,metric,i1..i{n},network."""
-    n = log.n
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "metric"] + [f"i{k + 1}" for k in range(n)] + ["network"])
-        w.writerows(row for t, delayed, queued, *per in log.table.tolist()
-                    for row in ([t, "delayed_passengers"] + per[:n] + [delayed],
-                                [t, "queue_veh"] + per[n:] + [queued]))
+    """Long-format per-second series: t,metric,i1..i{n},network, one
+    delayed_passengers and one queue_veh row per second."""
+    n, table = log.n, log.table
+    cols = [0, *range(3, 3 + n), 1, 0, *range(3 + n, 3 + 2 * n), 2]
+    tail = ",%d" * (n + 1) + "\r\n"
+    _write_csv(path, ["t", "metric"] + [f"i{k + 1}" for k in range(n)] + ["network"],
+               "%d,delayed_passengers" + tail + "%d,queue_veh" + tail,
+               table[:, cols].ravel().tolist(), len(table))

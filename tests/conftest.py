@@ -5,10 +5,13 @@ arithmetic they were taken on, so the header names numpy, its BLAS, the
 OpenBLAS kernel (corename) in use, numpy's top enabled x86 dispatch
 group, the threads that BLAS runs per call and the CPUs this process
 may use. A pin that fails on another host then names what it ran on.
+It also says whether bytecode writing is off (PYTHONDONTWRITEBYTECODE or
+-B), which makes every interpreter start compile stdsh again.
 """
 
 import ctypes
 import os
+import sys
 
 import numpy as np
 
@@ -47,4 +50,5 @@ def pytest_report_header(config):
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else "unknown"
     return (f"numpy {np.__version__}, BLAS {blas}, OpenBLAS core {core}, "
             f"numpy dispatch {_x86_dispatch_group()}, BLAS threads {threads}, "
-            f"CPUs in affinity {cpus}")
+            f"CPUs in affinity {cpus}, "
+            f"bytecode writing {'off' if sys.flags.dont_write_bytecode else 'on'}")

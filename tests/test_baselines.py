@@ -7,7 +7,7 @@ from stdsh.baselines import (FixedTimeController, LOST_TIME_S, MAX_CYCLE_S,
                              MIN_CYCLE_S, fixed_time_fswf, green_split,
                              measure_flow_ratios, random_policy, webster_cycle,
                              webster_plan)
-from stdsh.env import N_ACTIONS, action_mask, decode_action, drive
+from stdsh.env import N_ACTIONS, N_PHASES, action_mask, decode_action, drive
 from stdsh.sim import load_scenario, resolve_config
 
 QUIET = "[demand]\ncar_rate_veh_h = 0\nbus_headway_s = 0\ntram_headway_s = 0\n"
@@ -95,6 +95,19 @@ def test_random_policy_urn():
     assert counts[~mask].sum() == 0
     freq = counts[mask] / 30000
     assert np.all(np.abs(freq - 1.0 / 114) < 5e-3)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_random_policy_draws_what_rng_choice_draws(seed):
+    # the random cells' golden digests rest on this stream
+    masks = [action_mask(p) for p in range(N_PHASES)]
+    masks += [np.ones(N_ACTIONS, dtype=bool), np.arange(N_ACTIONS) == 99,
+              np.random.default_rng(seed).random(N_ACTIONS) < 0.1]
+    ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    for k in range(600):
+        mask = masks[k % len(masks)]
+        assert random_policy(mask, ours) == twin.choice(np.flatnonzero(mask))
+    assert ours.random() == twin.random()
 
 
 def test_random_policy_single_choice_and_rejections():

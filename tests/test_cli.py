@@ -1,6 +1,7 @@
 """End-to-end command line flows on short budgets."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -108,6 +109,19 @@ def test_train_eval_report_round_trip(tmp_path, capsys):
     assert (run_dir / "report.csv").exists()
     out = capsys.readouterr().out
     assert "report.csv" in out
+
+
+@pytest.mark.parametrize("text, message", [
+    ("scenario,controller,seed\r\n1,fswf,0\r\n", "line 1: .*column 'horizon_s' is missing"),
+    ("scenario,controller,seed,horizon_s,anp,aql,awt_bus,awt_tram\r\n"
+     "1,fswf,0,300,1.0,2.0,,\r\n1,fswf,x,300,1.0,2.0,,\r\n", "line 3, column 'seed'"),
+])
+def test_report_of_a_malformed_summary_returns_error_code(tmp_path, capsys, text, message):
+    (tmp_path / "summary.csv").write_text(text)
+    assert main(["report", "--in", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'summary.csv'}")
+    assert re.search(message, err)
 
 
 def test_profile_writes_the_hot_path(tmp_path, capsys):

@@ -179,6 +179,29 @@ def test_report_requires_summary(tmp_path):
         report(tmp_path)
 
 
+def test_report_rejects_a_header_without_a_column(tmp_path):
+    (tmp_path / "summary.csv").write_text(
+        "scenario,controller,seed,horizon_s,anp,aql,awt_bus\r\n"
+        "1,fswf,0,300,1.0,2.0,3.0\r\n")
+    with pytest.raises(ValueError, match=r"summary\.csv line 1: .*column 'awt_tram'"):
+        report(tmp_path)
+
+
+@pytest.mark.parametrize("line, column", [
+    ("1,fswf,x,300,1.0,2.0,,", "seed"),
+    ("1,fswf,0,300,1.0,much,,", "aql"),
+    ("1,fswf,0,300,1.0,2.0,,3.0,4.0", None),
+])
+def test_report_rejects_a_bad_row_naming_line_and_column(tmp_path, line, column):
+    good = "1,fswf,1,300,1.0,2.0,,"
+    (tmp_path / "summary.csv").write_text(
+        "\r\n".join([",".join(SUMMARY_HEADER), good, line, good]) + "\r\n")
+    where = r"summary\.csv line 3" + (f", column '{column}'" if column else ": 9 fields")
+    with pytest.raises(ValueError, match=where):
+        report(tmp_path)
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_summary_row_formats_cells():
     row = SummaryRow("1", "fswf", 0, 1800, 1.5, 2.25, None, 3.125)
     cells = row.as_csv_row()

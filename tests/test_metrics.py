@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from stdsh.experiment import run_experiment
 from stdsh.metrics import (CompletedTrip, MetricsLog, anp, aql, awt,
                            write_heatmap_csv, write_metrics_csv)
 from stdsh.sim import load_scenario
@@ -156,6 +157,45 @@ def test_heatmap_csv_schema(tmp_path):
     assert rows[1] == ["0", "delayed_passengers", "1", "0", "1"]
     assert rows[2] == ["0", "queue_veh", "1", "1", "2"]
     assert len(rows) == 1 + 2 * len(log)
+
+
+def oracle_metrics_csv(log, path):
+    """The row-by-row csv.writer version the writers must match byte for byte."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "delayed_passengers", "queue_veh"]
+                   + [f"delayed_i{k + 1}" for k in range(log.n)]
+                   + [f"queue_i{k + 1}" for k in range(log.n)])
+        w.writerows(log.table.tolist())
+
+
+def oracle_heatmap_csv(log, path):
+    n = log.n
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "metric"] + [f"i{k + 1}" for k in range(n)] + ["network"])
+        for t, delayed, queued, *per in log.table.tolist():
+            w.writerow([t, "delayed_passengers"] + per[:n] + [delayed])
+            w.writerow([t, "queue_veh"] + per[n:] + [queued])
+
+
+def scenario_3_random_log():
+    return run_experiment(3, "random", seed=4, horizon_s=1800)[1]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: MetricsLog(n=3),
+    lambda: make_log([[4], [0], [7]], [[1], [0], [2]]),
+    lambda: make_log([[0, 0, 2**31 + 1], [2**40, 0, 0]], [[2**33, 0, 0], [0, 0, 2**31]]),
+    scenario_3_random_log,
+], ids=["empty", "one_intersection", "zeros_and_above_2_31", "scenario_3_random"])
+def test_writers_match_the_csv_writer_oracle(tmp_path, make):
+    log = make()
+    for write, oracle in ((write_metrics_csv, oracle_metrics_csv),
+                          (write_heatmap_csv, oracle_heatmap_csv)):
+        write(log, tmp_path / "ours.csv")
+        oracle(log, tmp_path / "oracle.csv")
+        assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 def test_completed_trip_fields():

@@ -384,6 +384,28 @@ def test_active_and_vehicle_arrays_follow_every_step():
     assert world.exited_total > 0
 
 
+@pytest.mark.parametrize("seed", [0, 1, 5, 11])
+def test_buffered_draws_follow_a_fresh_generator(seed):
+    # each op is a uniform draw (None) or a Poisson draw of that mean; the
+    # world's buffered draws must equal a fresh generator's, draw for draw
+    world = quiet_world(seed=seed)
+    assert world._draws.__length_hint__() == 0      # nothing drawn ahead yet
+    twin = np.random.default_rng(seed)
+    means = (0, 0.5, 3, 9.999, 10, 12, 55.5)
+    ops = [None] * 1100 + [12]                      # two 512-draw blocks, 436 ahead
+    ops += [None] * 511 + [55.5]                    # rewind one draw ahead
+    ops += [None] * 512 + [10]                      # rewind at a block's end
+    ops += [10, 12, 0, 0, None]                     # rewind with nothing ahead
+    ops += [None if u < 0.4 else means[int(u * 100) % len(means)]
+            for u in np.random.default_rng(1000 + seed).random(3000).tolist()]
+    for k, mean in enumerate(ops):
+        if mean is None:
+            assert world._random() == twin.random(), k
+        else:
+            assert world._poisson(mean) == twin.poisson(mean), (k, mean)
+    assert world._random() == twin.random()
+
+
 # ---------------------------------------------------------------- transit
 
 def test_bus_and_tram_schedules():
