@@ -64,6 +64,8 @@ def load_params(path) -> dict[str, np.ndarray]:
     while pos < len(blob):
         (name_len,) = struct.unpack("<H", take(2))
         name = take(name_len).decode("utf-8")
+        if name in out:
+            raise ValueError(f"checkpoint {path} repeats entry {name!r}")
         (rank,) = struct.unpack("<B", take(1))
         dims = [struct.unpack("<I", take(4))[0] for _ in range(rank)]
         count = int(np.prod(dims)) if dims else 1

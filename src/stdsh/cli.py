@@ -37,6 +37,12 @@ def _scenario_arg(text: str):
     return path
 
 
+def _seed_arg(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _ablation_arg(text: str) -> dict:
     flags = {}
     for part in text.split(","):
@@ -59,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--ablation", type=_ablation_arg, default={},
                          help="comma list of components to disable "
                               "(hg,dsha,she,the)")
-    p_train.add_argument("--seed", type=int, default=0)
+    p_train.add_argument("--seed", type=_seed_arg, default=0)
     p_train.add_argument("--out", type=Path, required=True)
     p_train.add_argument("--episodes", type=int, default=200)
 
@@ -67,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", type=Path, default=None)
     p_eval.add_argument("--scenario", type=_scenario_arg, required=True)
     p_eval.add_argument("--controller", choices=CONTROLLERS, required=True)
-    p_eval.add_argument("--seed", type=int, default=0)
+    p_eval.add_argument("--seed", type=_seed_arg, default=0)
     p_eval.add_argument("--horizon", type=int, default=1800)
     p_eval.add_argument("--out", type=Path, default=None,
                         help="directory for metrics/heatmap/summary CSVs")
@@ -92,7 +98,7 @@ def main(argv=None) -> int:
             raise ValueError("--profile needs --out: profile.txt is written there")
         profiler = cProfile.Profile()
         code = profiler.runcall(_dispatch, args)
-    except (ValueError, ConfigError, TrainingStopped) as exc:
+    except (ValueError, OSError, ConfigError, TrainingStopped) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     with open(args.out / "profile.txt", "w") as fh:

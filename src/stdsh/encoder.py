@@ -21,7 +21,8 @@ encode_window uses that. It takes one snapshot table (S, n, d) and each
 row's window as t table rows, runs per-snapshot work (node scores, spatial
 edges) once per snapshot and per-window work (temporal edges, inter stage,
 readout) once per distinct window, BLOCK windows at a time, and returns
-the embeddings with their hand-written backward. The reference for any
+the embeddings with their hand-written backward, or with grad=False none
+and nothing kept for one; a backward runs once. The reference for any
 incidence matrix is encode(X, H) in tests/oracle.py; encode_window must
 agree with it on every row, to rounding.
 """
@@ -138,7 +139,7 @@ def _by_block(fn, shape) -> np.ndarray:
 
 def encode_window(snapshots, windows, params: EncoderParams,
                   spatial: bool = True, temporal: bool = True,
-                  uniform: bool = False):
+                  uniform: bool = False, grad: bool = True):
     """Graph embeddings of a batch of critic windows, and their backward.
 
     Row r's g is what the reference encode(X, H) of tests/oracle.py returns
@@ -149,10 +150,11 @@ def encode_window(snapshots, windows, params: EncoderParams,
     family) and the max readout once per distinct window. Each edge
     embedding is projected once, Z[edge] @ Wo_k, since the node output
     sum_f beta_f * Z[edge_f] feeds only the linear Wo. Pooling and readout
-    walk the grid BLOCK rows at a time, and the backward keeps only what it
-    reads: the attention weights, the pooled and projected edges (spatial
-    ones per snapshot) and each readout's first maximal node; it gathers
-    grid rows again, block by block. It sums the gradients of a window's
+    walk the grid BLOCK rows at a time, and the call keeps only what its
+    backward reads: the attention weights, the pooled and projected edges
+    (spatial ones per snapshot) and each readout's first maximal node; the
+    backward gathers grid rows again, block by block, and lets the pooled
+    edges go once dW has read them. It sums the gradients of a window's
     rows and of a snapshot's windows into every enc.* array.
 
     Args:
@@ -161,6 +163,8 @@ def encode_window(snapshots, windows, params: EncoderParams,
         params: encoder parameters; d must equal params.d.
         spatial, temporal: which hyperedge families the graph has.
         uniform: replace both attention stages with plain averaging.
+        grad: False for no backward: each family's pooled edges go as soon
+            as Z is projected from them, and g is the same to the byte.
 
     Returns:
         (g, backward). g, (B, d_model): each row's max over its window's
@@ -168,7 +172,8 @@ def encode_window(snapshots, windows, params: EncoderParams,
         oracle's does. backward(dg) gives the gradients for dg = d loss / d g
         by enc.* name, in params.tensors() order, leaving out enc.a.* and
         enc.b.* where uniform attention has none and enc.b.* where one
-        family leaves beta = 1.
+        family leaves beta = 1. It runs once: a second call raises
+        RuntimeError. With grad=False the backward is None.
     """
     X = np.asarray(snapshots, dtype=np.float64)
     windows = np.asarray(windows)
@@ -210,11 +215,15 @@ def encode_window(snapshots, windows, params: EncoderParams,
 
     alpha = [np.full((*rows[ax].shape, n, K), 1.0 / (t if ax == TEMPORAL_AXIS else n))
              if uniform else _softmax(s[rows[ax]], ax) for ax in axes]
-    # a grid row pools into al.shape[3 - ax] edges of al.shape[ax] members
-    Xe = [_by_block(lambda blk: _pool(al[blk], X[rows[ax][blk]], ax),
-                    (len(al), al.shape[3 - ax], K, d)).reshape(-1, K, d)
-          for al, ax in zip(alpha, axes)]
-    Z = [np.einsum("ekd,kdh->ekh", xe, W, optimize=True) for xe in Xe]
+    # a grid row pools into al.shape[3 - ax] edges of al.shape[ax] members;
+    # only the backward's dW reads them again once Z is projected
+    Xe, Z = [], []
+    for al, ax in zip(alpha, axes):
+        Xe.append(_by_block(lambda blk: _pool(al[blk], X[rows[ax][blk]], ax),
+                            (len(al), al.shape[3 - ax], K, d)).reshape(-1, K, d))
+        Z.append(np.einsum("ekd,kdh->ekh", Xe[-1], W, optimize=True))
+        if not grad:
+            Xe.pop()
     M = [np.einsum("ekh,khm->ekm", z, Wo, optimize=True) for z in Z]
     if learned_beta:
         u = [np.expand_dims(up(ax, (z * b).sum(-1) * inv), ax)
@@ -235,6 +244,8 @@ def encode_window(snapshots, windows, params: EncoderParams,
         first[blk] = t * n - ((Y == top[blk, None]) * rank).max(axis=1)
 
     def backward(dg):
+        if not Xe:
+            raise RuntimeError("encode_window's backward runs once; its pooled rows are gone")
         dY = np.zeros((V, t * n, d_model))
         np.put_along_axis(dY, first[:, None], _scatter(row_win, dg, V)[:, None], axis=1)
         dY = dY.reshape(V, t, n, d_model)
@@ -254,6 +265,7 @@ def encode_window(snapshots, windows, params: EncoderParams,
             db = [None] * K
         dW = sum(np.einsum("ekd,ekh->kdh", xe, dz, optimize=True)
                  for xe, dz in zip(Xe, dZ))
+        Xe.clear()                      # dW read them last; dxe is as large
         if uniform:
             da = [None] * K
         else:
@@ -276,4 +288,4 @@ def encode_window(snapshots, windows, params: EncoderParams,
         return {name: np.ascontiguousarray(g)
                 for name, g in zip(params.tensors(), grads) if g is not None}
 
-    return top[row_win], backward
+    return top[row_win], backward if grad else None

@@ -205,20 +205,23 @@ class TrainState:
             critic_params.update(self.encoder.tensors())
         self.opt_critic = Adam(critic_params, lr=cfg.lr)
 
-    def critic_values(self, batch: TransitionBatch, rows):
+    def critic_values(self, batch: TransitionBatch, rows, grad: bool = True):
         """(len(rows), 1) values and their backward: dv -> the gradients of
         the critic and, with the hypergraph on, of the encoder, by name in
-        opt_critic's order."""
+        opt_critic's order. With grad=False the backward is None and the
+        encoder keeps nothing for it."""
         cfg = self.cfg
         if not cfg.use_hypergraph:
             v, backward = self.critic.forward(batch.critic_input[rows])
-            return v, lambda dv: backward(dv)[0]
+            return v, (lambda dv: backward(dv)[0]) if grad else None
         windows = batch.critic_input[rows, None] + np.arange(cfg.window_depth)
         g, encoder_backward = encode_window(batch.snapshots, windows, self.encoder,
                                             spatial=cfg.use_spatial,
                                             temporal=cfg.use_temporal,
-                                            uniform=not cfg.use_dsha)
+                                            uniform=not cfg.use_dsha, grad=grad)
         v, critic_backward = self.critic.forward(g)
+        if not grad:
+            return v, None
 
         def backward(dv):
             grads, dg = critic_backward(dv)
@@ -300,7 +303,7 @@ def _build_batch(rows: list[dict], gamma: float,
 
 
 def evaluate_values(state: TrainState, batch: TransitionBatch) -> np.ndarray:
-    return state.critic_values(batch, np.arange(len(batch)))[0][:, 0].copy()
+    return state.critic_values(batch, np.arange(len(batch)), grad=False)[0][:, 0].copy()
 
 
 # -------------------------------------------------------------------- updates
@@ -434,10 +437,14 @@ class TrainingStopped(RuntimeError):
 
 def _openblas_function(*names):
     """The first of `names` that the OpenBLAS numpy loaded exports; None if none is found."""
-    with open("/proc/self/maps") as fh:
-        libs = {ln.split(maxsplit=5)[5].strip() for ln in fh
-                if "openblas" in ln.lower() and ".so" in ln}
-    for lib in map(ctypes.CDLL, sorted(libs)):
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {ln.split(maxsplit=5)[5].strip() for ln in fh
+                    if "openblas" in ln.lower() and ".so" in ln}
+        libs = [ctypes.CDLL(path) for path in sorted(libs)]
+    except OSError:                 # no /proc/self/maps (not Linux), or no library
+        return None
+    for lib in libs:
         for name in names:
             if hasattr(lib, name):
                 return getattr(lib, name)

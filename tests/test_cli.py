@@ -47,6 +47,38 @@ def test_train_without_episodes_returns_error_code(tmp_path, capsys, episodes):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_negative_seed_is_rejected_naming_the_flag(tmp_path, capsys, command):
+    args = {"train": ["train", "--scenario", "1", "--out", str(tmp_path / "run")],
+            "eval": ["eval", "--scenario", "1", "--controller", "fswf"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("args", [["--scenario", "{dir}", "--controller", "fswf"],
+                                  ["--scenario", "1", "--controller", "stdsh",
+                                   "--checkpoint", "{dir}"]],
+                         ids=["scenario", "checkpoint"])
+def test_eval_of_a_directory_returns_error_code(tmp_path, capsys, args):
+    rc = main(["eval", "--horizon", "60", *(a.format(dir=tmp_path) for a in args)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("under", ["file", "file/run"])
+def test_train_out_under_a_file_returns_error_code(tmp_path, capsys, under):
+    (tmp_path / "file").write_text("")
+    rc = main(["train", "--scenario", "1", "--ablation", "hg", "--episodes", "1",
+               "--out", str(tmp_path / under)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(tmp_path / "file") in err
+
+
 def test_eval_zero_horizon_returns_error_code(tmp_path, capsys):
     rc = main(["eval", "--scenario", "1", "--controller", "fswf",
                "--horizon", "0", "--out", str(tmp_path)])

@@ -465,7 +465,9 @@ def test_encode_window_is_the_same_at_any_block_size(config, monkeypatch):
     # blocks only split stacked matmuls and gathers, so g and every gradient
     # (bytes and memory order) are the same at any BLOCK: one window or one
     # snapshot per block, 7, the default, and all of them in one block. The
-    # table opens with copies of one snapshot, as a rollout's does.
+    # table opens with copies of one snapshot, as a rollout's does. A
+    # backward runs once (it lets the pooled edges go), and without grad
+    # there is none and g is the same to the byte.
     spatial, temporal, uniform = WINDOW_CONFIGS[config]
     n, t, d, S, B = 4, 5, 8, 90, 120
     rng = np.random.default_rng(17)
@@ -482,4 +484,9 @@ def test_encode_window_is_the_same_at_any_block_size(config, monkeypatch):
                                     temporal=temporal, uniform=uniform)
         got.append([g.tobytes()] + [(name, grad.tobytes(), grad.strides)
                                     for name, grad in backward(dg).items()])
+        with pytest.raises(RuntimeError, match="runs once"):
+            backward(dg)
+        g, backward = encode_window(table, windows, p, spatial=spatial,
+                                    temporal=temporal, uniform=uniform, grad=False)
+        assert backward is None and g.tobytes() == got[-1][0]
     assert all(run == got[0] for run in got[1:])

@@ -90,3 +90,14 @@ def test_checkpoint_truncated(tmp_path):
     path.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(ValueError):
         load_params(path)
+
+
+def test_checkpoint_repeated_entry_is_rejected(tmp_path):
+    # two rank-0 entries both named "x": the second must not replace the first
+    def entry(value):
+        return struct.pack("<H", 1) + b"x" + struct.pack("<Bd", 0, value)
+
+    path = tmp_path / "twice.ckpt"
+    path.write_bytes(MAGIC + entry(1.0) + entry(2.0))
+    with pytest.raises(ValueError, match=f"{path}.*repeats entry 'x'"):
+        load_params(path)

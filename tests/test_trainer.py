@@ -344,25 +344,47 @@ def test_hand_gradients_match_the_tape(config, kind):
     assert_same_gradients(got, weights)
 
 
-def test_value_pass_peak_memory_is_bounded():
-    # encode_window builds its window grid and readout BLOCK windows at a
-    # time and keeps only what its backward reads. On this rollout (347 rows,
-    # 230 distinct windows over 365 snapshots of 6 x 148 features) the value
-    # pass peaked at 32.9 MB of traced allocations when encode_window built
-    # them whole, and peaks at 16.0 MB blocked (numpy 2.4)
+@pytest.fixture(scope="module")
+def scenario1_rollout():
+    """An 1800 s scenario-1 rollout: 347 rows, 230 distinct windows over
+    365 snapshots of 6 x 148 features."""
     cfg = corridor_train_config()
     state = trainer.make_train_state(cfg, 1, seed=3)
     env = CorridorEnv(1, 11, cfg.window_depth, cfg.window_cadence_s)
     batch = collect_rollout(env, state, 1800)
     assert batch.snapshots.shape == (365, 6, 148)
+    return cfg, batch
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes of traced allocations while fn() runs, above its start."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        evaluate_values(state, batch)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20
+
+
+def test_value_pass_peak_memory_is_bounded(scenario1_rollout):
+    # encode_window builds its window grid and readout BLOCK windows at a
+    # time, and without grad drops each family's pooled edges once Z is
+    # projected from them. On this rollout the value pass peaked at 32.9 MiB
+    # of traced allocations when encode_window built them whole, 16.0 MiB
+    # blocked while it kept the pooled edges, and 9.2 MiB now (numpy 2.4)
+    cfg, batch = scenario1_rollout
+    state = trainer.make_train_state(cfg, 1, seed=3)
+    assert traced_peak(lambda: evaluate_values(state, batch)) < 12 * 2**20
+
+
+def test_critic_update_peak_memory_is_bounded(scenario1_rollout):
+    # each minibatch's backward lets its pooled edges go once dW has read
+    # them, before the as large dxe: 29.5 MiB of traced allocations while
+    # the backward kept them, 24.2 MiB now (numpy 2.4)
+    cfg, batch = scenario1_rollout
+    state = trainer.make_train_state(cfg, 1, seed=3)
+    assert traced_peak(lambda: critic_update(state, batch)) < 27 * 2**20
 
 
 # ------------------------------------------------------------------ rollout
@@ -603,6 +625,21 @@ def pinned_training(name, tmp_path, monkeypatch):
                  if path.exists() else "-"
                  for path in (tmp_path / "training_log.csv",
                               tmp_path / "model.ckpt"))
+
+
+def test_blas_lookup_without_proc_maps_finds_nothing(monkeypatch):
+    # off Linux there is no /proc/self/maps: the lookup, the thread count
+    # and the pytest header all go on without the library
+    import conftest
+
+    def no_maps(path, *args, **kwargs):
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(trainer, "open", no_maps, raising=False)
+    assert trainer._openblas_function("openblas_get_num_threads") is None
+    assert trainer._blas_threads() is None
+    header = conftest.pytest_report_header(None)
+    assert "OpenBLAS core unknown" in header and "BLAS threads None" in header
 
 
 def one_cpu(monkeypatch):
