@@ -36,14 +36,15 @@ def masked_log_softmax(x: np.ndarray, mask: np.ndarray):
     return logp, p
 
 
-def ppo_loss(logits, mask, action, old_logp, adv, clip_eps: float,
+def ppo_loss(logits, mask, action, old_logp, adv, eps: float,
              entropy_coef: float):
     """Negative clipped surrogate minus the weighted mean entropy.
 
     Args:
         logits: (B, A) actor outputs; mask: (B, A) allowed actions.
         action: (B,) taken actions; old_logp: (B,) their log-probs at the
-            start of the update; adv: (B,) advantages.
+            start of the update; adv: (B,) advantages. The surrogate
+            clips ratios to [1 - eps, 1 + eps].
 
     Returns:
         (loss, ratio, surrogate, entropy, backward): backward() is
@@ -53,7 +54,7 @@ def ppo_loss(logits, mask, action, old_logp, adv, clip_eps: float,
     rows = np.arange(n)
     logp, p = masked_log_softmax(logits, mask)
     ratio = np.exp(logp[rows, action] - old_logp)
-    lo, hi = 1.0 - clip_eps, 1.0 + clip_eps
+    lo, hi = 1.0 - eps, 1.0 + eps
     clipped = np.clip(ratio, lo, hi)
     m1, m2 = ratio * adv, clipped * adv
     surrogate = np.minimum(m1, m2).sum() * (1.0 / n)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .experiment import CONTROLLERS, report, run_experiment
 from .sim import ConfigError
-from .trainer import TrainingStopped, corridor_train_config, train_run
+from .trainer import TrainConfig, TrainingStopped, train_run
 
 ABLATIONS = {"hg": "use_hypergraph", "dsha": "use_dsha",
              "she": "use_spatial", "the": "use_temporal"}
@@ -108,7 +108,7 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "train":
-        cfg = corridor_train_config(**args.ablation)
+        cfg = TrainConfig(**args.ablation)
         out = train_run(args.scenario, args.seed, args.episodes, cfg, args.out)
         last = out["history"][-1]
         print(f"trained {args.episodes} episodes in {out['wall_s']:.0f}s; "

@@ -8,7 +8,7 @@ incident edges (inter stage, normalized along incidence rows), and pull the
 edge embeddings back to the nodes. Head outputs are concatenated in head
 order, projected to d_model with W_o/b_o, and max-pooled over nodes into
 the graph embedding g. Both softmax stages subtract the per-group max
-before exponentiation and divide scores by a temperature tau.
+before exponentiation, at temperature 1.
 
 Setting uniform=True replaces both attention stages with plain averaging
 (over members / over incident edges) while keeping the projections, so the
@@ -37,12 +37,11 @@ import numpy as np
 
 @dataclass
 class EncoderParams:
-    """Learnable arrays plus the fixed head count K and temperature tau."""
+    """Learnable arrays plus the fixed head count K."""
 
     K: int
     d: int
     d_model: int
-    tau: float
     W: list = field(default_factory=list)    # K of (d, d_h)
     a: list = field(default_factory=list)    # K of (d_h, 1)
     b: list = field(default_factory=list)    # K of (d_h, 1)
@@ -65,17 +64,15 @@ class EncoderParams:
         return out
 
 
-def init_encoder(d: int, K: int, d_model: int, tau: float = 1.0,
+def init_encoder(d: int, K: int, d_model: int,
                  rng: np.random.Generator | None = None) -> EncoderParams:
     if K < 1 or d < 1 or d_model < 1:
         raise ValueError(f"bad encoder dims d={d}, K={K}, d_model={d_model}")
     if d % K != 0:
         raise ValueError(f"d={d} not divisible by K={K}; pad the features first")
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
     rng = rng or np.random.default_rng(0)
     d_h = d // K
-    p = EncoderParams(K=K, d=d, d_model=d_model, tau=float(tau))
+    p = EncoderParams(K=K, d=d, d_model=d_model)
     for _ in range(K):
         p.W.append(rng.normal(0.0, (1.0 / d) ** 0.5, (d, d_h)))
         p.a.append(rng.normal(0.0, (1.0 / d_h) ** 0.5, (d_h, 1)))
@@ -191,7 +188,6 @@ def encode_window(snapshots, windows, params: EncoderParams,
         raise ValueError("at least one hyperedge family must stay enabled")
     win, row_win = np.unique(windows, axis=0, return_inverse=True)
     (V, t), row_win = win.shape, row_win.reshape(-1)
-    inv = 1.0 / params.tau
     W = np.stack(params.W)                                    # (K, d, d_h)
     a = np.stack([v[:, 0] for v in params.a])                 # (K, d_h)
     b = np.stack([v[:, 0] for v in params.b])
@@ -199,7 +195,7 @@ def encode_window(snapshots, windows, params: EncoderParams,
     learned_beta = not uniform and len(axes) == 2
     if not uniform:
         wa = np.einsum("kdh,kh->dk", W, a)                    # x.W_k.a_k = x.wa_k
-        s = (X.reshape(S * n, d) @ wa).reshape(S, n, K) * inv
+        s = (X.reshape(S * n, d) @ wa).reshape(S, n, K)
 
     # A family works on grids of table rows, one per spatial edge (S, 1, n, d)
     # or per window (V, t, n, d), gathered one block of rows at a time; its
@@ -226,7 +222,7 @@ def encode_window(snapshots, windows, params: EncoderParams,
             Xe.pop()
     M = [np.einsum("ekh,khm->ekm", z, Wo, optimize=True) for z in Z]
     if learned_beta:
-        u = [np.expand_dims(up(ax, (z * b).sum(-1) * inv), ax)
+        u = [np.expand_dims(up(ax, (z * b).sum(-1)), ax)
              for z, ax in zip(Z, axes)]
         beta = _softmax(np.stack(np.broadcast_arrays(*u)), 0)
     else:
@@ -257,7 +253,7 @@ def encode_window(snapshots, windows, params: EncoderParams,
             dbeta = np.stack([_to_nodes(dY, np.swapaxes(up(ax, M[f]), 2, 3), ax)
                               for f, ax in enumerate(axes)])
             dv = beta * (dbeta - (beta * dbeta).sum(0))
-            du = [down(ax, dv[f].sum(ax) * inv) for f, ax in enumerate(axes)]
+            du = [down(ax, dv[f].sum(ax)) for f, ax in enumerate(axes)]
             dZ = [dz + duf[..., None] * b for dz, duf in zip(dZ, du)]
             db = list(sum(np.einsum("ek,ekh->kh", duf, z)
                           for duf, z in zip(du, Z))[..., None])
@@ -280,7 +276,7 @@ def encode_window(snapshots, windows, params: EncoderParams,
                     (len(al), al.shape[3 - ax], al.shape[ax], K)), 2, ax)
                 dal = al * (dal - (al * dal).sum(ax, keepdims=True))
                 ds = ds + _scatter(rows[ax], dal, S)            # (S, n, K)
-            dwa = X.reshape(S * n, d).T @ (ds.reshape(S * n, K) * inv)
+            dwa = X.reshape(S * n, d).T @ ds.reshape(S * n, K)
             dW += np.einsum("dk,kh->kdh", dwa, a)
             da = list(np.einsum("kdh,dk->kh", W, dwa)[..., None])
         grads = [g for h in range(K) for g in (dW[h], da[h], db[h])]

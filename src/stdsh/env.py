@@ -146,30 +146,30 @@ def compute_reward(window: MetricsLog, intersection: int) -> float:
 
 # ----------------------------------------------------- critic feature window
 
+# the critic's window: this many snapshots, one every this many seconds
+WINDOW_DEPTH, WINDOW_CADENCE_S = 5, 5
+
+
 class FeatureWindow:
     """Episode table of observation snapshots behind the critic's windows.
 
-    A snapshot is taken every `cadence_s` seconds of world time and appended
-    once. The table starts with `depth` copies of the initial observation,
-    so the current window, the `depth` latest snapshots oldest first, is
-    always table rows start() .. start() + depth - 1.
+    A snapshot is taken every WINDOW_CADENCE_S seconds of world time and
+    appended once. The table starts with WINDOW_DEPTH copies of the initial
+    observation, so the current window, the WINDOW_DEPTH latest snapshots
+    oldest first, is always table rows start() .. start() + WINDOW_DEPTH - 1.
     """
 
-    def __init__(self, world: SimWorld, depth: int = 5, cadence_s: int = 5):
-        if depth < 1 or cadence_s < 1:
-            raise ValueError("window depth and cadence must be >= 1")
-        self.depth = depth
-        self.cadence_s = cadence_s
-        self.buf = [observe(world)] * depth
+    def __init__(self, world: SimWorld):
+        self.buf = [observe(world)] * WINDOW_DEPTH
 
     def after_step(self, world: SimWorld) -> None:
         """Call once after every world.step(); samples on the cadence grid."""
-        if world.t % self.cadence_s == 0:
+        if world.t % WINDOW_CADENCE_S == 0:
             self.buf.append(observe(world))
 
     def start(self) -> int:
         """Table row of the current window's oldest snapshot."""
-        return len(self.buf) - self.depth
+        return len(self.buf) - WINDOW_DEPTH
 
     def table(self) -> np.ndarray:
         """(S, n, 16*L + 4) raw snapshots, oldest first."""
@@ -187,14 +187,13 @@ def prepare_node_features(raw: np.ndarray, n_lanes: int, heads: int) -> np.ndarr
 
 class CorridorEnv:
     """World plus the bookkeeping the trainer needs: per-window rewards
-    and, for the hypergraph critic, snapshots on a 5 s grid taken by
-    drive(env.world, ..., after_step=env.window.after_step)."""
+    and, for the hypergraph critic, snapshots on the WINDOW_CADENCE_S grid
+    taken by drive(env.world, ..., after_step=env.window.after_step)."""
 
-    def __init__(self, config, seed: int, window_depth: int = 5,
-                 window_cadence_s: int = 5):
+    def __init__(self, config, seed: int):
         from .sim.world import load_scenario
         self.world = load_scenario(config, seed)
-        self.window = FeatureWindow(self.world, window_depth, window_cadence_s)
+        self.window = FeatureWindow(self.world)
         self.n_lanes = len(self.world.net.lanes_of(0))
 
     @property

@@ -30,6 +30,7 @@ import csv
 import ctypes
 import os
 import time
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -48,32 +49,40 @@ from .sim.world import load_scenario
 # train_run stops after this many aborted updates in a row (off TrainConfig's fingerprint)
 MAX_ABORTS_IN_A_ROW = 3
 
+# PPO's surrogate clip range and the global gradient-norm cap of both updates
+CLIP_EPS, GRAD_CLIP = 0.2, 0.5
+
 # TrainConfig's integer sizes: each must be >= 1, and checkpoints store them as floats
-SIZES = ("ppo_epochs", "minibatch_size", "horizon_s", "hidden", "d_model",
-         "heads", "window_depth", "window_cadence_s")
+SIZES = ("ppo_epochs", "minibatch_size", "horizon_s", "hidden", "d_model", "heads")
 
 
 @dataclass
 class TrainConfig:
-    gamma: float = 0.98
-    time_discount: bool = False  # gamma is per second, not per decision
-    clip_eps: float = 0.2
+    """Training recipe; the defaults are the corridor recipe.
+
+    Discounting runs per second of world time rather than per decision, so
+    a 45 s green is charged for the whole queueing tail it causes instead
+    of hiding it behind one step; 0.99 per second keeps the credit horizon
+    near 100 s, about two cycles. The annealed entropy keeps the low-demand
+    phases explored long enough for their payoff to show, and the critic
+    regresses scaled returns so its targets sit within reach of clipped
+    Adam steps. PPO's clip range and gradient clip, its advantage
+    normalization and the critic's window are constants, not fields.
+    """
+
+    gamma: float = 0.99
+    time_discount: bool = True   # gamma is per second, not per decision
     entropy_coef: float = 0.01
-    entropy_coef_final: float | None = None   # linear anneal target, None = constant
+    entropy_coef_final: float | None = 0.002  # linear anneal target, None = constant
     ppo_epochs: int = 4
     minibatch_size: int = 256
-    grad_clip: float = 0.5
-    lr: float = 3e-4
+    lr: float = 1e-3
     horizon_s: int = 1800
-    normalize_advantages: bool = True
-    return_scale: float = 1.0    # critic regresses return_scale * R
+    return_scale: float = 2e-4   # critic regresses return_scale * R
 
     hidden: int = 256
     d_model: int = 64
     heads: int = 4
-    attn_tau: float = 1.0
-    window_depth: int = 5
-    window_cadence_s: int = 5
     use_hypergraph: bool = True
     use_dsha: bool = True
     use_spatial: bool = True
@@ -89,10 +98,8 @@ class TrainConfig:
                 raise ValueError(f"{size} must be >= 1, got {getattr(self, size)}")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError(f"gamma must be in (0,1), got {self.gamma}")
-        if self.clip_eps <= 0:
-            raise ValueError("clip_eps must be > 0")
-        if self.entropy_coef < 0 or self.grad_clip <= 0 or self.lr <= 0:
-            raise ValueError("entropy_coef >= 0, grad_clip > 0, lr > 0 required")
+        if self.entropy_coef < 0 or self.lr <= 0:
+            raise ValueError("entropy_coef >= 0 and lr > 0 required")
         if self.entropy_coef_final is not None and self.entropy_coef_final < 0:
             raise ValueError("entropy_coef_final must be >= 0")
         if self.return_scale <= 0:
@@ -192,8 +199,7 @@ class TrainState:
                                 hidden=cfg.hidden, input_scale=input_scale)
         if cfg.use_hypergraph:
             pad = (-in_width) % cfg.heads
-            self.encoder = init_encoder(in_width + pad, cfg.heads, cfg.d_model,
-                                        tau=cfg.attn_tau, rng=self.rng)
+            self.encoder = init_encoder(in_width + pad, cfg.heads, cfg.d_model, rng=self.rng)
             critic_in = cfg.d_model
         else:
             self.encoder = None
@@ -214,7 +220,7 @@ class TrainState:
         if not cfg.use_hypergraph:
             v, backward = self.critic.forward(batch.critic_input[rows])
             return v, (lambda dv: backward(dv)[0]) if grad else None
-        windows = batch.critic_input[rows, None] + np.arange(cfg.window_depth)
+        windows = batch.critic_input[rows, None] + np.arange(envmod.WINDOW_DEPTH)
         g, encoder_backward = encode_window(batch.snapshots, windows, self.encoder,
                                             spatial=cfg.use_spatial,
                                             temporal=cfg.use_temporal,
@@ -249,7 +255,7 @@ def collect_rollout(env: CorridorEnv, state: TrainState, seconds: int) -> Transi
         # on the snapshot grid the window has just observed this state;
         # envmod.observe is looked up at call time, so a patched one (the
         # benchmark tracer's span) sees every call
-        on_grid = cfg.use_hypergraph and world.t % env.window.cadence_s == 0
+        on_grid = cfg.use_hypergraph and world.t % envmod.WINDOW_CADENCE_S == 0
         obs = env.window.buf[-1] if on_grid else envmod.observe(world)
         if cfg.use_hypergraph:
             critic_input = env.window.start()
@@ -345,7 +351,7 @@ def ppo_update(state: TrainState, batch: TransitionBatch,
             logits, policy_backward = policy.forward(batch.obs[rows])
             loss, ratio, surrogate, ent, backward = ad.ppo_loss(
                 logits, batch.mask[rows], batch.action[rows], old[rows], adv[rows],
-                cfg.clip_eps, entropy_coef)
+                CLIP_EPS, entropy_coef)
             if epoch == 0:
                 stats["ratio_min"] = min(stats["ratio_min"], ratio.min())
                 stats["ratio_max"] = max(stats["ratio_max"], ratio.max())
@@ -359,7 +365,7 @@ def ppo_update(state: TrainState, batch: TransitionBatch,
             steps += 1
             grads = policy_backward(backward())[0]
             # a NaN input row can leave the loss finite and its gradients not
-            norm = clip_grad_norm(grads, cfg.grad_clip)
+            norm = clip_grad_norm(grads, GRAD_CLIP)
             if not np.isfinite(norm):
                 stats["aborted"] = True
                 return stats
@@ -391,7 +397,7 @@ def critic_update(state: TrainState, batch: TransitionBatch,
             loss_sum += float(loss)
             steps += 1
             grads = values_backward(backward())
-            norm = clip_grad_norm(grads, cfg.grad_clip)
+            norm = clip_grad_norm(grads, GRAD_CLIP)
             if not np.isfinite(norm):
                 stats["aborted"] = True
                 return stats
@@ -404,20 +410,8 @@ def critic_update(state: TrainState, batch: TransitionBatch,
 # ----------------------------------------------------------------- train loop
 
 def corridor_train_config(**overrides) -> TrainConfig:
-    """Training recipe for the corridor scenarios.
-
-    Discounting runs per second of world time rather than per decision, so
-    a 45 s green is charged for the whole queueing tail it causes instead
-    of hiding it behind one step; 0.99 per second keeps the credit horizon
-    near 100 s, about two cycles. The annealed entropy keeps the low-demand
-    phases explored long enough for their payoff to show, and the critic
-    regresses scaled returns so its targets sit within reach of clipped
-    Adam steps.
-    """
-    base = dict(gamma=0.99, time_discount=True, lr=1e-3, entropy_coef=0.01,
-                entropy_coef_final=0.002, return_scale=2e-4)
-    base.update(overrides)
-    return TrainConfig(**base)
+    """TrainConfig(**overrides); kept for callers written against this name."""
+    return TrainConfig(**overrides)
 
 
 def world_seed(base_seed: int, episode: int) -> int:
@@ -518,8 +512,8 @@ def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig, out_dir) -> 
     t0 = time.perf_counter()
 
     def rollout(ep: int) -> TransitionBatch:
-        batch = collect_rollout(CorridorEnv(scenario, world_seed(seed, ep), cfg.window_depth,
-                                            cfg.window_cadence_s), state, cfg.horizon_s)
+        batch = collect_rollout(CorridorEnv(scenario, world_seed(seed, ep)), state,
+                                cfg.horizon_s)
         if len(batch) == 0:
             raise RuntimeError(f"episode {ep}: no decisions collected")
         return batch
@@ -538,8 +532,7 @@ def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig, out_dir) -> 
                 # value head lives in return_scale units; normalization keeps
                 # the actor's gradient invariant to the choice of scale
                 values = evaluate_values(state, batch)
-                adv = advantages(batch.ret * cfg.return_scale, values,
-                                 cfg.normalize_advantages)
+                adv = advantages(batch.ret * cfg.return_scale, values)
                 astats = ppo_update(state, batch, adv, orders=ppo_orders,
                                     entropy_coef=cfg.entropy_coef_at(ep, episodes))
                 if ep + 1 < episodes:
@@ -582,10 +575,9 @@ def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig, out_dir) -> 
 # a checkpoint's meta.* entries, in the order it stores them after the
 # arrays: every TrainConfig field and the agent count
 _META = ("use_hypergraph", "use_dsha", "use_spatial", "use_temporal",
-         "gamma", "clip_eps", "entropy_coef", "ppo_epochs", "minibatch_size",
-         "grad_clip", "lr", "horizon_s", "hidden", "d_model", "heads",
-         "attn_tau", "window_depth", "window_cadence_s", "return_scale",
-         "entropy_coef_final", "time_discount", "n_agents", "normalize_advantages")
+         "gamma", "entropy_coef", "ppo_epochs", "minibatch_size", "lr",
+         "horizon_s", "hidden", "d_model", "heads", "return_scale",
+         "entropy_coef_final", "time_discount", "n_agents")
 
 
 def save_checkpoint(state: TrainState, path) -> None:
@@ -612,7 +604,7 @@ def _restore(named: dict[str, np.ndarray]) -> TrainState:
     every array must have the shape that config gives it, and the
     checkpoint may hold no entry that config does not ask for."""
     meta = {name: float(named[f"meta.{name}"]) for name in _META}
-    kwargs = {}
+    hints, kwargs = typing.get_type_hints(TrainConfig), {}
     for f in fields(TrainConfig):
         val = meta[f.name]
         if isinstance(f.default, bool):
@@ -622,8 +614,8 @@ def _restore(named: dict[str, np.ndarray]) -> TrainState:
                 raise ValueError(f"checkpoint entry 'meta.{f.name}' must be a whole "
                                  f"number, got {val}")
             val = int(val)
-        elif f.default is None and np.isnan(val):
-            val = None
+        elif np.isnan(val) and type(None) in typing.get_args(hints[f.name]):
+            val = None              # a field that may be None, saved as NaN
         kwargs[f.name] = val
     state = TrainState(TrainConfig(**kwargs), named["pi.W1"].shape[0],
                        int(meta["n_agents"]), seed=0,

@@ -14,7 +14,8 @@ in two families: t spatial edges (all intersections at one step; columns
 
 encode(X, H) takes any binary incidence H (N x E) and follows Bai et al.,
 "Hypergraph Convolution and Hypergraph Attention", Pattern Recognition
-2021. Per head h, with X_h = X W_h and temperature tau:
+2021. Per head h, with X_h = X W_h and temperature tau (encode uses 1,
+as the program does):
 
     intra stage  alpha[i,e] = softmax over members i of e of (x_i^h a_h) / tau
     embedding    z_e        = sum_i alpha[i,e] x_i^h
@@ -540,9 +541,9 @@ def encode(X, H: np.ndarray, params: EncoderParams,
             Z = hyperedge_embed(Tensor(_uniform_weights(H, axis=0)), X_h)
             beta = Tensor(_uniform_weights(H, axis=1))
         else:
-            alpha = intra_attention(X_h, H, params.a[h], params.tau)
+            alpha = intra_attention(X_h, H, params.a[h], 1.0)
             Z = hyperedge_embed(alpha, X_h)
-            beta = inter_attention(Z, H, params.b[h], params.tau)
+            beta = inter_attention(Z, H, params.b[h], 1.0)
         heads.append(matmul(beta, Z))       # (N, d_h) updated nodes
     cat = heads[0] if len(heads) == 1 else concat(heads, axis=1)
     Y = add(matmul(cat, params.Wo), params.bo)

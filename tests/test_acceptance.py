@@ -9,7 +9,8 @@ history in run.json). run.json holds a fingerprint of the training inputs
 and the sha256 of each file a criterion reads; an entry whose files are
 missing or altered, or whose fingerprint differs from the one asked for, is
 retrained. Delete an entry's run.json to force its rebuild; a full rebuild
-takes about 35 minutes on 2 cores.
+with OPENBLAS_NUM_THREADS=1, the arithmetic the committed entries hold,
+took 149 s on 2 cores.
 """
 
 import dataclasses
@@ -26,6 +27,7 @@ import pytest
 
 import oracle as tape
 from bandit import run_bandit
+from conftest import _openblas_corename, _x86_dispatch_group
 from oracle import (Tensor, encode, finite_diff_check, hyperedge_embed, incidence,
                     inter_attention, intra_attention, taped, taped_encoder)
 from stdsh.baselines import random_policy
@@ -37,7 +39,7 @@ from stdsh.experiment import run_experiment
 from stdsh.metrics import MetricsLog
 from stdsh.nets import CriticNet
 from stdsh.sim import load_scenario, scenario_config_text
-from stdsh.trainer import corridor_train_config, train_run
+from stdsh.trainer import TrainConfig, _blas_threads, train_run
 
 ARTIFACTS = Path(__file__).parent / "_artifacts"
 
@@ -80,7 +82,9 @@ def training_fingerprint(episodes: int, cfg) -> dict:
 
 
 def provenance() -> dict:
-    """Where a training ran; recorded for the reader, never matched."""
+    """Where a training ran and on which arithmetic (BLAS threads, OpenBLAS
+    kernel, numpy's x86 dispatch group); recorded for the reader, never
+    matched."""
     try:
         rev = subprocess.run(
             ["git", "describe", "--always", "--dirty", "--abbrev=12"],
@@ -90,7 +94,8 @@ def provenance() -> dict:
         rev = "unknown"
     return {"git_revision": rev, "host": platform.node() or "unknown",
             "cores": os.cpu_count(), "python": platform.python_version(),
-            "numpy": np.__version__}
+            "numpy": np.__version__, "blas_threads": _blas_threads(),
+            "openblas_core": _openblas_corename(), "numpy_dispatch": _x86_dispatch_group()}
 
 
 def cache_hit(meta: dict, fingerprint: dict, out_dir: Path,
@@ -120,7 +125,7 @@ def cached_training(name: str, episodes: int, files: tuple[str, ...] = (),
     """
     out_dir = root / name
     meta_path = out_dir / "run.json"
-    cfg = corridor_train_config(**cfg_overrides)
+    cfg = TrainConfig(**cfg_overrides)
     fingerprint = training_fingerprint(episodes, cfg)
     if meta_path.exists():
         meta = json.loads(meta_path.read_text())
@@ -156,12 +161,12 @@ def test_criterion_01_encoder_normalization():
             X = Tensor(rng.normal(size=(n * t, d)))
             for h in range(K):
                 X_h = tape.matmul(X, Tensor(params.W[h]))
-                alpha = intra_attention(X_h, H, Tensor(params.a[h]), params.tau).data
+                alpha = intra_attention(X_h, H, Tensor(params.a[h]), 1.0).data
                 col = alpha.sum(axis=0)
                 worst = max(worst, np.abs(col - 1.0).max())
                 assert np.all(alpha[H == 0] == 0.0)
                 Z = hyperedge_embed(Tensor(alpha), X_h)
-                beta = inter_attention(Z, H, Tensor(params.b[h]), params.tau).data
+                beta = inter_attention(Z, H, Tensor(params.b[h]), 1.0).data
                 row = beta.sum(axis=1)
                 worst = max(worst, np.abs(row - 1.0).max())
                 assert np.all(beta[H == 0] == 0.0)
@@ -396,8 +401,9 @@ def test_criterion_10_budget(stdsh_run):
     report_line(10, "budget", ok,
                 f"{EPISODES} episodes in {train_wall:.0f}s (< 7200) "
                 f"trained at {prov['git_revision']} on {prov['host']} "
-                f"({prov['cores']} cores, Python {prov['python']}, "
-                f"numpy {prov['numpy']}), eval cell {eval_wall:.1f}s (< 60)")
+                f"({prov['cores']} cores, Python {prov['python']}, numpy {prov['numpy']} "
+                f"{prov['numpy_dispatch']}, OpenBLAS {prov['openblas_core']}, "
+                f"BLAS threads {prov['blas_threads']}), eval cell {eval_wall:.1f}s (< 60)")
     assert ok
 
 

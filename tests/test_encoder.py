@@ -19,7 +19,7 @@ def manual_encode(X, H, p):
     heads = []
     for h in range(p.K):
         Xh = X @ p.W[h]
-        s = (Xh @ p.a[h]).ravel() / p.tau
+        s = (Xh @ p.a[h]).ravel()
         alpha = np.zeros((N, E))
         for e in range(E):
             mem = np.nonzero(H[:, e])[0]
@@ -29,7 +29,7 @@ def manual_encode(X, H, p):
         for e in range(E):
             for i in range(N):
                 Z[e] += alpha[i, e] * Xh[i]
-        ts = (Z @ p.b[h]).ravel() / p.tau
+        ts = (Z @ p.b[h]).ravel()
         beta = np.zeros((N, E))
         for i in range(N):
             inc = np.nonzero(H[i])[0]
@@ -40,9 +40,9 @@ def manual_encode(X, H, p):
     return Y, Y.max(axis=0, keepdims=True)
 
 
-def _params_with(values, d, K, d_model, tau=1.0):
+def _params_with(values, d, K, d_model):
     rng = np.random.default_rng(values)
-    return init_encoder(d, K, d_model, tau=tau, rng=rng)
+    return init_encoder(d, K, d_model, rng=rng)
 
 
 def test_intra_single_member_edge():
@@ -137,7 +137,7 @@ def test_encode_single_node_returns_row():
 
 def test_encode_identity_chain():
     # one node, one head, every weight 1, bias 0: g collapses to the input
-    p = EncoderParams(K=1, d=1, d_model=1, tau=1.0)
+    p = EncoderParams(K=1, d=1, d_model=1)
     p.W = [Tensor(np.ones((1, 1)), requires_grad=True)]
     p.a = [Tensor(np.ones((1, 1)), requires_grad=True)]
     p.b = [Tensor(np.ones((1, 1)), requires_grad=True)]
@@ -154,7 +154,7 @@ def test_encode_matches_loop_oracle():
     for n, t, K in [(2, 3, 1), (3, 2, 2), (4, 5, 4)]:
         d = 4 * K
         H = incidence(n, t)
-        p = init_encoder(d, K, 6, tau=0.7, rng=rng)
+        p = init_encoder(d, K, 6, rng=rng)
         X = rng.normal(size=(n * t, d))
         Y, g = encode(X, H, p)
         Ym, gm = manual_encode(X, H, p)
@@ -174,11 +174,11 @@ def test_normalization_random_instances():
         X = Tensor(rng.normal(size=(n * t, d)))
         for h in range(K):
             Xh = tape.matmul(X, Tensor(p.W[h]))
-            alpha = intra_attention(Xh, H, Tensor(p.a[h]), p.tau).data
+            alpha = intra_attention(Xh, H, Tensor(p.a[h]), 1.0).data
             assert np.all(np.abs(alpha.sum(axis=0) - 1.0) < 1e-12)
             assert np.all(alpha[H == 0] == 0.0)
             Z = hyperedge_embed(Tensor(alpha), Xh)
-            beta = inter_attention(Z, H, Tensor(p.b[h]), p.tau).data
+            beta = inter_attention(Z, H, Tensor(p.b[h]), 1.0).data
             assert np.all(np.abs(beta.sum(axis=1) - 1.0) < 1e-12)
             assert np.all(beta[H == 0] == 0.0)
 
@@ -201,14 +201,14 @@ def test_score_shift_invariance_and_scale_sensitivity():
     p = init_encoder(4, 1, 3, rng=rng)
     X = Tensor(rng.normal(size=(4, 4)))
     Xh = tape.matmul(X, Tensor(p.W[0]))
-    alpha = intra_attention(Xh, H, Tensor(p.a[0]), p.tau).data
+    alpha = intra_attention(Xh, H, Tensor(p.a[0]), 1.0).data
     # additive shift of every node score leaves both softmax stages unchanged
     s = tape.matmul(Xh, Tensor(p.a[0]))
     S = tape.matmul(tape.add(s, Tensor(np.full((4, 1), 11.0))), Tensor(np.ones((1, 4))))
     alpha_shift = tape.masked_softmax(S, H > 0, axis=0).data
     assert np.allclose(alpha, alpha_shift, atol=1e-12)
     # multiplicative scaling of a changes alpha (scores are not all equal)
-    alpha2 = intra_attention(Xh, H, Tensor(p.a[0] * 2.0), p.tau).data
+    alpha2 = intra_attention(Xh, H, Tensor(p.a[0] * 2.0), 1.0).data
     assert not np.allclose(alpha, alpha2, atol=1e-6)
 
 
@@ -259,8 +259,6 @@ def test_encode_rejects_mismatched_width():
 def test_init_rejects_indivisible_width():
     with pytest.raises(ValueError):
         init_encoder(5, 2, 4)
-    with pytest.raises(ValueError):
-        init_encoder(4, 2, 4, tau=0.0)
 
 
 # ------------------------------------------------ fused window encoder
@@ -298,7 +296,7 @@ def _grads(p):
 def test_encode_window_matches_per_row_encode(config, n, t):
     spatial, temporal, uniform = WINDOW_CONFIGS[config]
     rng = np.random.default_rng(40 + n)
-    p = taped_encoder(init_encoder(8, 4, 6, tau=0.7, rng=rng))
+    p = taped_encoder(init_encoder(8, 4, 6, rng=rng))
     X = rng.normal(size=(5, n * t, 8))
     v = Tensor(rng.normal(size=(6, 1)))
     H = _window_incidence(n, t, spatial, temporal)
@@ -328,7 +326,7 @@ def test_encode_window_readout_invariance(config, n, t):
     # of the window steps, or of both, leaves every row's g unchanged
     spatial, temporal, uniform = WINDOW_CONFIGS[config]
     rng = np.random.default_rng(70 + n)
-    p = init_encoder(8, 4, 6, tau=0.7, rng=rng)
+    p = init_encoder(8, 4, 6, rng=rng)
     X = rng.normal(size=(5, n * t, 8))
     grid = X.reshape(5, t, n, 8)
     g0 = encode_window(*_as_table(X, n, t), p, spatial=spatial,
@@ -430,7 +428,7 @@ def test_encode_window_overlapping_and_repeated_windows(config):
     spatial, temporal, uniform = WINDOW_CONFIGS[config]
     n, t, d = 4, 5, 8
     rng = np.random.default_rng(90)
-    p = taped_encoder(init_encoder(d, 4, 6, tau=0.7, rng=rng))
+    p = taped_encoder(init_encoder(d, 4, 6, rng=rng))
     first = rng.normal(size=(n, d))
     table = np.concatenate([np.repeat(first[None], t, axis=0),
                             rng.normal(size=(9, n, d))])
@@ -471,7 +469,7 @@ def test_encode_window_is_the_same_at_any_block_size(config, monkeypatch):
     spatial, temporal, uniform = WINDOW_CONFIGS[config]
     n, t, d, S, B = 4, 5, 8, 90, 120
     rng = np.random.default_rng(17)
-    p = init_encoder(d, 4, 6, tau=0.7, rng=rng)
+    p = init_encoder(d, 4, 6, rng=rng)
     table = rng.normal(size=(S, n, d))
     table[:t] = table[0]
     windows = rng.integers(0, S - t + 1, size=B)[:, None] + np.arange(t)

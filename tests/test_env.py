@@ -281,7 +281,7 @@ def test_reward_monotone_in_each_count():
 
 def test_window_prefill_and_order():
     world = load_scenario(1, seed=4)
-    win = FeatureWindow(world, depth=5, cadence_s=5)
+    win = FeatureWindow(world)
     table = win.table()
     n = world.net.n
     assert table.shape == (5, n, 148)
@@ -295,7 +295,7 @@ def test_window_prefill_and_order():
 
 def test_window_cadence_and_rotation():
     world = load_scenario(3, seed=4)
-    win = FeatureWindow(world, depth=5, cadence_s=5)
+    win = FeatureWindow(world)
     before = win.table()
     for _ in range(4):
         world.step()
@@ -310,13 +310,11 @@ def test_window_cadence_and_rotation():
     now = observe(world)
     assert np.array_equal(X[4], now)                    # newest in last block
     assert np.array_equal(X[:4], before[1:])            # window slid by one
-    with pytest.raises(ValueError):
-        FeatureWindow(world, depth=0)
 
 
 def test_prepare_node_features_scales_and_pads():
     world = load_scenario(1, seed=0)
-    win = FeatureWindow(world, depth=5, cadence_s=5)
+    win = FeatureWindow(world)
     X = prepare_node_features(win.table(), n_lanes=9, heads=4)
     assert X.shape == (5, 6, 148)                       # 148 already divides by 4
     raw = win.table()

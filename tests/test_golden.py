@@ -37,11 +37,10 @@ import numpy as np
 import pytest
 
 from stdsh.baselines import random_policy
-from stdsh.env import CorridorEnv, action_mask, drive, observe
+from stdsh.env import WINDOW_DEPTH, CorridorEnv, action_mask, drive, observe
 from stdsh.experiment import run_experiment
 from stdsh.sim import load_scenario, resolve_config
-from stdsh.trainer import (collect_rollout, corridor_train_config,
-                           make_train_state, world_seed)
+from stdsh.trainer import TrainConfig, collect_rollout, make_train_state, world_seed
 
 HORIZON_S = 1800
 ROLLOUT_S = 600
@@ -173,9 +172,9 @@ GOLDEN_CELLS = {
         "summary": "a43f876e5d91708fd44ede42999b15953ca5ef0194f2246a69a8bce41db76e6c",
     },
     "1-stdsh-100": {
-        "metrics": "98276046e8351c25dc4ee07fe5af518a6afcb60a9e878ee74e0f6f8b25e57f6d",
-        "heatmap": "bac439979066fd68576fab20b6bffddd4ca978e9ca800eb0b33579b17bcee090",
-        "summary": "f86b9eebabd6a68f9be7e0b8006057d92df671067e53aee8793b7b4d60f02a34",
+        "metrics": "329f6c8e3ee91ce4fce7c73225960aac3d2c02fd2ec0772890f286f7d5912fdd",
+        "heatmap": "c936b2c781734c026dc6bf63e4ac76111f38cca9c3be85fa06eb89d98089658c",
+        "summary": "5034a34c78a02cd4de8b6ca9c1165b5c6547fc291d07bf3fb362d74ea81cd976",
     },
     "1-mappo-100": {
         "metrics": "bd605a414055e1cc174cfc1f3b68a10aa4d44a548a0fc6c700a45f058754393b",
@@ -183,9 +182,9 @@ GOLDEN_CELLS = {
         "summary": "d10fca7242bd2d5bfe7fb9b4efb69b32bd402435eac5a65aa0e4cb1b045eed05",
     },
     "3-stdsh-100": {
-        "metrics": "966bf4e9295e983d6094d136220d389c8585a60e4787fb7b056a508e536c2c2c",
-        "heatmap": "2dd308f11b353bb9a388146f3280b645ddf8162369af95075c58f948591f1d0d",
-        "summary": "b2706b068e60f7fdf827282ce2ad9095e86a7bce2c23df969fdf20ab856f869a",
+        "metrics": "994c48cdc9906da62e5a18764db2b83c35c8ebe3d7d0dff792df0931b8e58e95",
+        "heatmap": "d2fc6ad47f8e98cd66e93666d09914177e82a0fe6351033433c90e47427e6320",
+        "summary": "1bc22ca2fb1cee72f155d76dd2ce0fbf8d4ca671a02cc07ef6a4a703196e6adb",
     },
     "3-mappo-100": {
         "metrics": "bfcb74ad32816800b6ade0d449a0a489f293cd7f04f0b149089342dfbe3a372d",
@@ -365,15 +364,13 @@ def cell_digests(scenario: int, controller: str, seed: int, out_dir) -> dict:
 
 
 def rollout_digests(use_hypergraph: bool) -> dict:
-    cfg = corridor_train_config(use_hypergraph=use_hypergraph,
-                                horizon_s=ROLLOUT_S)
+    cfg = TrainConfig(use_hypergraph=use_hypergraph, horizon_s=ROLLOUT_S)
     state = make_train_state(cfg, 1, seed=0)
-    env = CorridorEnv(1, seed=world_seed(0, 0), window_depth=cfg.window_depth,
-                      window_cadence_s=cfg.window_cadence_s)
+    env = CorridorEnv(1, seed=world_seed(0, 0))
     batch = collect_rollout(env, state, ROLLOUT_S)
     if use_hypergraph:
         # each row's window, materialized from the table as (t*n, d)
-        windows = batch.critic_input[:, None] + np.arange(cfg.window_depth)
+        windows = batch.critic_input[:, None] + np.arange(WINDOW_DEPTH)
         batch.critic_input = batch.snapshots[windows].reshape(
             len(batch), -1, batch.snapshots.shape[-1])
     out = {}

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import multiprocessing
 import os
+import re
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -18,13 +19,12 @@ from stdsh import autodiff as ad
 from stdsh import env as envmod
 from stdsh import trainer
 from stdsh.checkpoint import load_params, save_params
-from stdsh.env import (CorridorEnv, action_mask, decode_action, feature_scales,
-                       obs_width)
-from stdsh.trainer import (TrainConfig, TrainState, TransitionBatch,
-                           advantages, collect_rollout, corridor_train_config,
-                           critic_update, evaluate_values, load_checkpoint,
-                           ppo_update, returns, save_checkpoint, train_run,
-                           world_seed)
+from stdsh.env import (WINDOW_CADENCE_S, WINDOW_DEPTH, CorridorEnv, action_mask,
+                       decode_action, feature_scales, obs_width)
+from stdsh.trainer import (CLIP_EPS, TrainConfig, TrainState, TransitionBatch,
+                           advantages, collect_rollout, critic_update,
+                           evaluate_values, load_checkpoint, ppo_update, returns,
+                           save_checkpoint, train_run, world_seed)
 
 
 def small_cfg(**kw):
@@ -141,8 +141,8 @@ def test_train_config_validation():
     TrainConfig(use_hypergraph=False, use_spatial=False, use_temporal=False)
 
 
-@pytest.mark.parametrize("name", ["lr", "clip_eps", "grad_clip", "entropy_coef",
-                                  "entropy_coef_final", "return_scale", "attn_tau"])
+@pytest.mark.parametrize("name", ["lr", "entropy_coef", "entropy_coef_final",
+                                  "return_scale"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_train_config_rejects_non_finite_values(name, value):
     # NaN fails every `<= 0` check, so each field needs its own finite test
@@ -152,8 +152,7 @@ def test_train_config_rejects_non_finite_values(name, value):
 
 
 @pytest.mark.parametrize("size", ["ppo_epochs", "minibatch_size", "horizon_s",
-                                  "hidden", "d_model", "heads", "window_depth",
-                                  "window_cadence_s"])
+                                  "hidden", "d_model", "heads"])
 @pytest.mark.parametrize("value", [0, -1])
 def test_train_config_rejects_sizes_below_one(size, value):
     with pytest.raises(ValueError, match=f"^{size} must be >= 1, got {value}$"):
@@ -165,7 +164,7 @@ def test_entropy_coef_schedule():
     assert cfg.entropy_coef_at(0, 11) == 0.01
     assert abs(cfg.entropy_coef_at(10, 11) - 0.002) < 1e-15
     assert abs(cfg.entropy_coef_at(5, 11) - 0.006) < 1e-15
-    const = TrainConfig(entropy_coef=0.01)
+    const = TrainConfig(entropy_coef=0.01, entropy_coef_final=None)
     assert const.entropy_coef_at(7, 100) == 0.01
 
 
@@ -213,7 +212,7 @@ def test_critic_update_moves_only_critic_parameters():
 
 
 def test_critic_loss_zero_when_predictions_match_targets():
-    cfg = small_cfg(ppo_epochs=1)
+    cfg = small_cfg(ppo_epochs=1, return_scale=1.0)
     state = TrainState(cfg, in_width=10, n_agents=1, seed=5)
     batch = synthetic_batch(state, seed=6)
     batch.ret = evaluate_values(state, batch) / cfg.return_scale
@@ -273,7 +272,7 @@ def gradient_case(config, kind):
     if cfg.use_hypergraph:
         first = rng.normal(size=(1, env.n_agents, state.encoder.d))
         batch.snapshots = np.concatenate(
-            [first.repeat(cfg.window_depth, axis=0),
+            [first.repeat(WINDOW_DEPTH, axis=0),
              rng.normal(size=(12, env.n_agents, state.encoder.d))])
         batch.critic_input = rng.integers(0, 13, size=B)
         batch.critic_input[0] = 0
@@ -311,12 +310,12 @@ def test_hand_gradients_match_the_tape(config, kind):
     adv = rng.normal(size=len(batch))
     adv[rows[:4]] = 0.0
     actor = (batch.mask[rows], batch.action[rows], old[rows], adv[rows],
-             cfg.clip_eps, 0.01)
+             CLIP_EPS, 0.01)
 
     logits, policy_backward = policy.forward(batch.obs[rows])
     loss, ratio, _, _, backward = ad.ppo_loss(logits, *actor)
     got = policy_backward(backward())[0]
-    clipped = np.abs(ratio - 1.0) > cfg.clip_eps
+    clipped = np.abs(ratio - 1.0) > CLIP_EPS
     assert 0 < clipped.sum() < len(rows) and not batch.mask[rows].all()
     weights = tape.taped(policy.params())
     tape.clear_tape()
@@ -334,7 +333,7 @@ def test_hand_gradients_match_the_tape(config, kind):
     x = batch.critic_input[rows]
     if cfg.use_hypergraph:
         encoder = taped_encoder(state.encoder)
-        x = window_op(batch.snapshots, x[:, None] + np.arange(cfg.window_depth),
+        x = window_op(batch.snapshots, x[:, None] + np.arange(WINDOW_DEPTH),
                       encoder, spatial=cfg.use_spatial, temporal=cfg.use_temporal,
                       uniform=not cfg.use_dsha)
         weights.update(encoder.tensors())
@@ -348,9 +347,9 @@ def test_hand_gradients_match_the_tape(config, kind):
 def scenario1_rollout():
     """An 1800 s scenario-1 rollout: 347 rows, 230 distinct windows over
     365 snapshots of 6 x 148 features."""
-    cfg = corridor_train_config()
+    cfg = TrainConfig()
     state = trainer.make_train_state(cfg, 1, seed=3)
-    env = CorridorEnv(1, 11, cfg.window_depth, cfg.window_cadence_s)
+    env = CorridorEnv(1, 11)
     batch = collect_rollout(env, state, 1800)
     assert batch.snapshots.shape == (365, 6, 148)
     return cfg, batch
@@ -455,21 +454,21 @@ def test_rollout_observes_once_per_decided_second(monkeypatch,
     # a decided second on the snapshot grid reads the snapshot
     assert len(observed) == len(set(observed))
     assert set(seconds) <= set(observed)
-    on_grid = np.sum(seconds % cfg.window_cadence_s == 0)
+    on_grid = np.sum(seconds % WINDOW_CADENCE_S == 0)
     assert on_grid > 0
     # the table gains one entry per cadence second and none per decision
-    snapshots = 900 // cfg.window_cadence_s if use_hypergraph else 0
+    snapshots = 900 // WINDOW_CADENCE_S if use_hypergraph else 0
     assert len(observed) == snapshots + len(seconds) - bool(snapshots) * on_grid
-    assert len(env.window.table()) == cfg.window_depth + snapshots
+    assert len(env.window.table()) == WINDOW_DEPTH + snapshots
     if use_hypergraph:
-        assert batch.snapshots.shape == (cfg.window_depth + snapshots,
+        assert batch.snapshots.shape == (WINDOW_DEPTH + snapshots,
                                          env.n_agents, 148)
         assert np.array_equal(batch.critic_input,
-                              batch.t // cfg.window_cadence_s)
+                              batch.t // WINDOW_CADENCE_S)
 
 
 def test_rollout_returns_are_per_agent_suffix_sums():
-    cfg = small_cfg(gamma=0.9)
+    cfg = small_cfg(gamma=0.9, time_discount=False)
     env = CorridorEnv(1, seed=1)
     state = TrainState(cfg, in_width=obs_width(env.n_lanes), n_agents=env.n_agents,
                        seed=1)
@@ -542,7 +541,7 @@ def test_training_stops_after_repeated_aborts(tmp_path, monkeypatch):
 
 
 def test_identical_trainings_write_identical_files(tmp_path):
-    cfg = corridor_train_config(horizon_s=300)
+    cfg = TrainConfig(horizon_s=300)
     assert cfg.use_hypergraph
     for run in ("a", "b"):
         train_run(1, 3, 2, cfg, tmp_path / run)
@@ -556,11 +555,11 @@ def test_identical_trainings_write_identical_files(tmp_path):
 # the run stops before its checkpoint
 PINNED_TRAININGS = {
     "clean": ("e2e623b884324421dd367ec49c4c2bfa172f1c16b3336b1e85abaa49f72969a9",
-              "7acddde85bbdf832d4aca96bc55da29d2d0362e41aac01f1576b9b630dac0217"),
+              "f245d65a08c1faeab826a48d2bfb6cd57c289b945edb9e02fa0a2f5696fcfd89"),
     "flat": ("32ce7d31785512cd47a7441ea42c838cd6dd247d1067610f0d9853fcd65b2854",
-             "80326d07c8c72199d1909376c41c2bf3f9d3bb2ce6d831f882f7820d31c5bcee"),
+             "8c9e5b27031e08989147d8744916dc9cd4b404409d9edd7679856dcbea03e261"),
     "nan_returns": ("0a8c13de86bd336f4416d0baf6e7cf4980bae7bce3fedf23372535952986de9f",
-                    "6d1d5f5db06da42a2f47273a605106b73d43bf9207ea5123e8556354150af94a"),
+                    "20365eb61f281abba970b30f84307b0e2c554e5dad492164e7b361ab4caf186e"),
     "one_sided_aborts": ("d55a17a145c6588be5bb5f44f73f8b556ce211d91c237b51ae8c8d57b2775b3b",
                          "-"),
 }
@@ -580,7 +579,7 @@ def pinned_training(name, tmp_path, monkeypatch):
     aborts again at its first step while its actor update runs, and that
     third abort in a row stops the training before episode 3.
     """
-    cfg = corridor_train_config(horizon_s=300, use_hypergraph=name != "flat")
+    cfg = TrainConfig(horizon_s=300, use_hypergraph=name != "flat")
     rollout, clip, make, advantage = (
         trainer.collect_rollout, trainer.clip_grad_norm,
         trainer.make_train_state, trainer.advantages)
@@ -806,26 +805,27 @@ def test_epoch_orders_are_that_many_shuffles():
 # -------------------------------------------------------------- checkpoints
 
 def test_checkpoint_round_trip_preserves_behavior(tmp_path):
-    cfg = TrainConfig(hidden=32, d_model=8, heads=4, entropy_coef_final=0.003,
-                      return_scale=1e-3, gamma=0.9)
-    env = CorridorEnv(1, seed=2)
-    from stdsh.env import feature_scales
-    state = TrainState(cfg, in_width=obs_width(env.n_lanes), n_agents=env.n_agents,
-                       seed=2, input_scale=feature_scales(env.n_lanes))
-    batch = collect_rollout(env, state, 200)
-    adv = advantages(batch.ret, evaluate_values(state, batch))
-    ppo_update(state, batch, adv)
-    critic_update(state, batch)
+    # None is saved as NaN, and a field that may be None reads it back as None
+    for entropy_coef_final in (0.003, None):
+        cfg = TrainConfig(hidden=32, d_model=8, heads=4, return_scale=1e-3, gamma=0.9,
+                          entropy_coef_final=entropy_coef_final)
+        env = CorridorEnv(1, seed=2)
+        state = TrainState(cfg, in_width=obs_width(env.n_lanes), n_agents=env.n_agents,
+                           seed=2, input_scale=feature_scales(env.n_lanes))
+        batch = collect_rollout(env, state, 200)
+        adv = advantages(batch.ret, evaluate_values(state, batch))
+        ppo_update(state, batch, adv)
+        critic_update(state, batch)
 
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(state, path)
-    clone = load_checkpoint(path)
-    assert clone.cfg == cfg
-    assert np.array_equal(state.policy.forward(batch.obs)[0],
-                          clone.policy.forward(batch.obs)[0])
-    va = evaluate_values(state, batch)
-    vb = evaluate_values(clone, batch)
-    assert np.array_equal(va, vb)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(state, path)
+        clone = load_checkpoint(path)
+        assert clone.cfg == cfg
+        assert np.array_equal(state.policy.forward(batch.obs)[0],
+                              clone.policy.forward(batch.obs)[0])
+        va = evaluate_values(state, batch)
+        vb = evaluate_values(clone, batch)
+        assert np.array_equal(va, vb)
 
 
 def test_checkpoint_meta_covers_every_config_field():
@@ -882,13 +882,21 @@ def test_committed_checkpoints_load(name):
     assert state.cfg.use_hypergraph == (name == "stdsh_full")
 
 
+# the config entries a checkpoint held before its clip range, gradient clip,
+# advantage normalization, attention temperature and window became constants
+OLD_LAYOUT = {"attn_tau": 1.0, "clip_eps": 0.2, "grad_clip": 0.5,
+              "normalize_advantages": 1.0, "window_cadence_s": 5.0, "window_depth": 5.0}
+
+
 def test_checkpoint_with_entries_its_config_lacks_is_rejected(tmp_path):
     path, named = _small_checkpoint(tmp_path)
-    named["enc.W.h5"] = named["enc.W.h4"]           # meta.heads still reads 4
-    named["junk"] = np.zeros(3)
-    save_params(path, named)
-    with pytest.raises(ValueError, match=r"\['enc\.W\.h5', 'junk'\] are not in its config"):
-        load_checkpoint(path)
+    for extra in ({"enc.W.h5": named["enc.W.h4"],      # meta.heads still reads 4
+                   "junk": np.zeros(3)},
+                  {f"meta.{name}": np.array(value) for name, value in OLD_LAYOUT.items()}):
+        save_params(path, {**named, **extra})
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{sorted(extra)} are not in its config")):
+            load_checkpoint(path)
 
 
 # ------------------------------------------------------------------- bandit
