@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--profile", action="store_true",
                        help="write a cProfile top-30 by cumulative time to "
                             "profile.txt in --out (timings vary run to run); "
-                            "critic updates that train runs in a child "
+                            "critic updates that train runs in its worker "
                             "process show up as the wait for it")
 
     p_report = sub.add_parser("report", help="aggregate summary.csv")

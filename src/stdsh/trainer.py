@@ -17,15 +17,16 @@ epoch's ratios exactly one when the batch fits in a single minibatch.
 Only the value pass reads the critic, so train_run takes each episode's
 critic update in one place, after the actor update and the next rollout:
 where this process's CPUs fit two processes' BLAS threads it collects the
-update from a child forked before the value pass, and otherwise it runs
-the update there. Before either update, train_run draws every epoch order
-of PPO and then of the critic, so an update that aborts early leaves
-orders unused but moves no later draw, and the two paths write the same
-files.
+update from one worker forked after the first rollout, which keeps the
+critic, the encoder and their Adam state, and otherwise it runs the update
+there. Before either update, train_run draws every epoch order of PPO and
+then of the critic, so an update that aborts early leaves orders unused
+but moves no later draw, and the two paths write the same files.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import ctypes
 import os
@@ -380,7 +381,7 @@ def critic_update(state: TrainState, batch: TransitionBatch,
                   orders=None) -> dict:
     """Half-MSE return regression; trains the encoder when hypergraph is on."""
     cfg = state.cfg
-    B = len(batch)
+    B = len(batch.ret)
     if B == 0:
         raise ValueError("empty batch")
     stats = {"aborted": False, "critic_loss": 0.0, "grad_norm": 0.0}
@@ -409,9 +410,7 @@ def critic_update(state: TrainState, batch: TransitionBatch,
 
 # ----------------------------------------------------------------- train loop
 
-def corridor_train_config(**overrides) -> TrainConfig:
-    """TrainConfig(**overrides); kept for callers written against this name."""
-    return TrainConfig(**overrides)
+corridor_train_config = TrainConfig     # kept for callers written against this name
 
 
 def world_seed(base_seed: int, episode: int) -> int:
@@ -451,46 +450,72 @@ def _blas_threads() -> int | None:
     return None if fn is None else fn()
 
 
-class _CriticChild:
-    """critic_update(state, batch, orders) of one episode in a forked child."""
+class _CriticWorker:
+    """critic_update(state, batch, orders) of every episode in one forked
+    process, which keeps the critic, the encoder and their Adam state."""
 
-    def __init__(self, state: TrainState, batch, orders, episode: int):
+    def __init__(self, state: TrainState):
         import multiprocessing      # 8 ms of start-up that evaluation never needs
-        self.state, self.episode = state, episode
-        self.conn, sender = multiprocessing.Pipe(duplex=False)
+        self.state, self.episode = state, 0
+        self.conn, conn = multiprocessing.Pipe()
         self.proc = multiprocessing.get_context("fork").Process(
-            target=self._run, args=(sender, batch, orders), daemon=True)
+            target=self._serve, args=(conn,), daemon=True)
         self.proc.start()
-        sender.close()
+        conn.close()
 
-    def _run(self, conn, batch, orders) -> None:
+    def _serve(self, conn) -> None:
         # os._exit: nothing inherited (the log's buffer, stdio) is flushed twice
+        self.conn.close()
+        opt = self.state.opt_critic
         try:
-            stats, opt = critic_update(self.state, batch, orders), self.state.opt_critic
-            conn.send((stats, [*opt.params.values(), *opt._m, *opt._v], opt.t))
+            mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+            if mallopt is not None:     # glibc keeps what it frees (README, Training)
+                mallopt(-3, 32 << 20)       # M_MMAP_THRESHOLD, its 64-bit ceiling
+                mallopt(-1, 2**31 - 1)      # M_TRIM_THRESHOLD, INT_MAX
+            for batch, orders in iter(conn.recv, None):
+                t0 = time.perf_counter()
+                stats = critic_update(self.state, batch, orders)
+                conn.send(([*opt.params.values()], stats, time.perf_counter() - t0))
+            conn.send(([*opt._m, *opt._v], opt.t))
         except BaseException as exc:    # re-raised by result(); unpicklable: EOF
             conn.send(exc)
         finally:
             os._exit(0)
 
-    def result(self) -> dict:
-        """Wait for the child; install its critic, encoder and Adam state."""
+    def submit(self, batch: TransitionBatch, orders, episode: int) -> None:
+        """Send the worker what critic_update reads of `batch`, and its orders."""
+        self.episode = episode
+        self.conn.send((TransitionBatch(ret=batch.ret, critic_input=batch.critic_input,
+                                        snapshots=batch.snapshots), orders))
+
+    def result(self, arrays=None) -> tuple:
+        """Copy the next message's arrays to `arrays` (default: critic's); return the rest."""
         try:
             msg = self.conn.recv()
         except EOFError:
             self.proc.join()
-            raise RuntimeError(f"episode {self.episode}: the critic update's child "
-                               f"exited with {self.proc.exitcode} before its result") from None
+            raise RuntimeError(f"episode {self.episode}: the critic worker exited "
+                               f"with {self.proc.exitcode} before its result") from None
         if isinstance(msg, BaseException):
             raise msg
-        opt = self.state.opt_critic
-        for dst, src in zip([*opt.params.values(), *opt._m, *opt._v], msg[1]):
+        for dst, src in zip(arrays or self.state.opt_critic.params.values(), msg[0]):
             dst[...] = src
-        opt.t = msg[2]
-        return msg[0]
+        return msg[1:]
+
+    def finish(self) -> None:
+        """Stop the worker; install the Adam moments and step count it sends."""
+        opt = self.state.opt_critic
+        self.conn.send(None)
+        opt.t, = self.result([*opt._m, *opt._v])
 
     def close(self) -> None:
-        self.proc.terminate()       # a no-op once the child has sent its result
+        """Stop the worker on any path with the sentinel; terminate only if it hangs."""
+        with contextlib.suppress(EOFError, OSError):     # it may be gone already
+            self.conn.send(None)
+            while self.conn.poll(10):
+                self.conn.recv()
+        self.proc.join(10)
+        self.proc.terminate()       # a no-op once it has exited
         self.proc.join()
         self.conn.close()
 
@@ -505,7 +530,7 @@ def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig, out_dir) -> 
     state = make_train_state(cfg, scenario, seed)
     log_path = out_dir / "training_log.csv"
     ckpt_path = out_dir / "model.ckpt"
-    history, aborted = [], []
+    history, aborted, critic_s, critic_wait_s = [], [], [], []
     # no affinity call (not Linux): run in turn, as on one CPU
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     fork = cpus > 1 and cpus >= 2 * (_blas_threads() or cpus)
@@ -523,18 +548,20 @@ def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig, out_dir) -> 
         w.writerow(["update", "mean_reward", "actor_loss", "critic_loss",
                     "entropy", "grad_norm", "aborted"])
         batch = rollout(0)
-        for ep in range(episodes):
-            ppo_orders = epoch_orders(state.rng, len(batch), cfg.ppo_epochs)
-            critic_orders = epoch_orders(state.rng, len(batch), cfg.ppo_epochs)
-            child = _CriticChild(state, batch, critic_orders, ep) if fork else None
-            upcoming = None
-            try:
+        worker = _CriticWorker(state) if fork else None
+        try:
+            for ep in range(episodes):
+                ppo_orders = epoch_orders(state.rng, len(batch), cfg.ppo_epochs)
+                critic_orders = epoch_orders(state.rng, len(batch), cfg.ppo_epochs)
+                if worker is not None:
+                    worker.submit(batch, critic_orders, ep)
                 # value head lives in return_scale units; normalization keeps
                 # the actor's gradient invariant to the choice of scale
                 values = evaluate_values(state, batch)
                 adv = advantages(batch.ret * cfg.return_scale, values)
                 astats = ppo_update(state, batch, adv, orders=ppo_orders,
                                     entropy_coef=cfg.entropy_coef_at(ep, episodes))
+                upcoming = None
                 if ep + 1 < episodes:
                     try:
                         upcoming = rollout(ep + 1)
@@ -542,32 +569,34 @@ def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig, out_dir) -> 
                         upcoming = exc
                 # the rollout reads only the policy and state.rng, and a critic
                 # update given its orders draws nothing
-                cstats = (child.result() if child is not None
-                          else critic_update(state, batch, critic_orders))
-            finally:
-                if child is not None:
-                    child.close()
-            row = {"update": ep,
-                   "mean_reward": float(batch.reward.mean()),
-                   "actor_loss": astats["actor_loss"],
-                   "critic_loss": cstats["critic_loss"],
-                   "entropy": astats["entropy"],
-                   "grad_norm": astats["grad_norm"],
-                   "aborted": astats["aborted"] or cstats["aborted"]}
-            history.append(row)
-            w.writerow([row["update"], row["mean_reward"], row["actor_loss"],
-                        row["critic_loss"], row["entropy"], row["grad_norm"],
-                        int(row["aborted"])])
-            aborted = aborted + [ep] if row["aborted"] else []
-            if len(aborted) == MAX_ABORTS_IN_A_ROW:
-                raise TrainingStopped(f"updates of episodes {aborted} all aborted on a "
-                                      "non-finite loss or gradient; stopping training")
-            if isinstance(upcoming, Exception):
-                raise upcoming
-            batch = upcoming
+                t = time.perf_counter()
+                cstats, seconds = (worker.result() if worker is not None else
+                                   (critic_update(state, batch, critic_orders), None))
+                critic_wait_s.append(time.perf_counter() - t)
+                critic_s.append(critic_wait_s[-1] if seconds is None else seconds)
+                row = {"update": ep, "mean_reward": float(batch.reward.mean()),
+                       "actor_loss": astats["actor_loss"], "critic_loss": cstats["critic_loss"],
+                       "entropy": astats["entropy"], "grad_norm": astats["grad_norm"],
+                       "aborted": astats["aborted"] or cstats["aborted"]}
+                history.append(row)
+                w.writerow([*list(row.values())[:-1], int(row["aborted"])])
+                aborted = aborted + [ep] if row["aborted"] else []
+                if len(aborted) == MAX_ABORTS_IN_A_ROW:
+                    raise TrainingStopped(f"updates of episodes {aborted} all aborted on "
+                                          "a non-finite loss or gradient; stopping training")
+                if isinstance(upcoming, Exception):
+                    raise upcoming
+                batch = upcoming
+            if worker is not None:
+                worker.finish()
+        finally:
+            if worker is not None:
+                worker.close()
     save_checkpoint(state, ckpt_path)
+    # critic_s: each critic update's seconds where it ran; critic_wait_s: this process's wait
     return {"checkpoint": ckpt_path, "log": log_path, "history": history,
-            "wall_s": time.perf_counter() - t0, "state": state}
+            "wall_s": time.perf_counter() - t0, "state": state,
+            "critic_s": critic_s, "critic_wait_s": critic_wait_s}
 
 
 # ---------------------------------------------------------------- checkpoints
@@ -593,10 +622,12 @@ def save_checkpoint(state: TrainState, path) -> None:
 
 
 def load_checkpoint(path) -> TrainState:
+    named = load_params(path)       # its errors name the file already
     try:
-        return _restore(load_params(path))
-    except KeyError as exc:
-        raise ValueError(f"checkpoint {path} has no entry {exc.args[0]!r}") from None
+        return _restore(named)
+    except (KeyError, ValueError) as exc:
+        why = f" has no entry {exc.args[0]!r}" if isinstance(exc, KeyError) else f": {exc}"
+        raise ValueError(f"checkpoint {path}{why}") from None
 
 
 def _restore(named: dict[str, np.ndarray]) -> TrainState:
@@ -611,8 +642,7 @@ def _restore(named: dict[str, np.ndarray]) -> TrainState:
             val = bool(val)
         elif f.name in SIZES:
             if not val.is_integer():
-                raise ValueError(f"checkpoint entry 'meta.{f.name}' must be a whole "
-                                 f"number, got {val}")
+                raise ValueError(f"entry 'meta.{f.name}' must be a whole number, got {val}")
             val = int(val)
         elif np.isnan(val) and type(None) in typing.get_args(hints[f.name]):
             val = None              # a field that may be None, saved as NaN
@@ -623,10 +653,10 @@ def _restore(named: dict[str, np.ndarray]) -> TrainState:
     arrays = {**state.opt_actor.params, **state.opt_critic.params}
     for name, arr in arrays.items():
         if named[name].shape != arr.shape:
-            raise ValueError(f"checkpoint entry {name!r} has shape {named[name].shape}, "
+            raise ValueError(f"entry {name!r} has shape {named[name].shape}, "
                              f"its config needs {arr.shape}")
         arr[...] = named[name]
     unknown = sorted(set(named) - {*arrays, "pi.input_scale", *(f"meta.{m}" for m in _META)})
     if unknown:
-        raise ValueError(f"checkpoint entries {unknown} are not in its config")
+        raise ValueError(f"entries {unknown} are not in its config")
     return state

@@ -11,7 +11,7 @@ import pytest
 
 import stdsh
 from stdsh import trainer
-from stdsh.checkpoint import save_params
+from stdsh.checkpoint import load_params, save_params
 from stdsh.cli import _ablation_arg, build_parser, main
 
 
@@ -112,6 +112,22 @@ def test_eval_rejects_an_incomplete_checkpoint(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert str(ckpt) in err and "'meta.use_hypergraph'" in err
+
+
+def test_eval_names_a_checkpoint_in_an_old_layout(tmp_path, capsys):
+    # a checkpoint from before the clip range and the attention temperature
+    # became constants still holds their meta.* entries
+    ckpt = tmp_path / "model.ckpt"
+    trainer.save_checkpoint(trainer.make_train_state(trainer.TrainConfig(hidden=8), 1, 0),
+                            ckpt)
+    save_params(ckpt, {**load_params(ckpt), "meta.attn_tau": np.array(1.0),
+                       "meta.clip_eps": np.array(0.2)})
+    rc = main(["eval", "--scenario", "1", "--controller", "stdsh",
+               "--checkpoint", str(ckpt), "--horizon", "60"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: checkpoint {ckpt}: entries ['meta.attn_tau', 'meta.clip_eps'] "
+        "are not in its config\n")
 
 
 def test_eval_fswf_prints_summary(tmp_path, capsys):

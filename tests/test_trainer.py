@@ -659,12 +659,13 @@ def test_training_writes_pinned_bytes(name, mode, tmp_path, monkeypatch):
     assert not multiprocessing.active_children()
 
 
-@pytest.mark.parametrize("mode,forks", [(one_cpu, 0), (forked, 2)],
-                         ids=["one_cpu", "forked"])
-def test_critic_child_per_episode_only_with_two_cpus(mode, forks, tmp_path,
-                                                     monkeypatch):
+@pytest.mark.parametrize("mode,episodes,forks",
+                         [(one_cpu, 2, 0), (forked, 2, 1), (forked, 3, 1)],
+                         ids=["one_cpu", "forked", "forked_3_episodes"])
+def test_one_critic_worker_per_training_only_with_two_cpus(mode, episodes, forks,
+                                                           tmp_path, monkeypatch):
     if forks and len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("the critic child needs a second CPU")
+        pytest.skip("the critic worker needs a second CPU")
     fork, started = os.fork, []
 
     def counted_fork():
@@ -673,9 +674,41 @@ def test_critic_child_per_episode_only_with_two_cpus(mode, forks, tmp_path,
 
     mode(monkeypatch)
     monkeypatch.setattr(os, "fork", counted_fork)
-    train_run(1, 0, 2, small_cfg(horizon_s=60), tmp_path)
+    train_run(1, 0, episodes, small_cfg(horizon_s=60), tmp_path)
     assert len(started) == forks
     assert not multiprocessing.active_children()
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="the critic worker needs a second CPU")
+def test_forked_training_returns_the_one_cpu_state(tmp_path, monkeypatch):
+    """The worker sends back the critic and encoder after every update and
+    Adam's moments and step count at the end: the state train_run returns
+    is the one-process state, byte for byte."""
+    cfg = small_cfg(horizon_s=120, use_hypergraph=True, d_model=8, heads=4)
+    states = {}
+    for mode in (one_cpu, forked):
+        with monkeypatch.context() as m:
+            mode(m)
+            states[mode] = train_run(1, 0, 3, cfg, tmp_path / mode.__name__)["state"]
+    for opt in ("opt_critic", "opt_actor"):
+        assert (_adam_bytes(getattr(states[forked], opt))
+                == _adam_bytes(getattr(states[one_cpu], opt))), opt
+    assert states[forked].opt_critic.t == 3 * cfg.ppo_epochs
+
+
+@pytest.mark.parametrize("mode", [one_cpu, forked], ids=["one_cpu", "forked"])
+def test_train_run_times_each_critic_update(mode, tmp_path, monkeypatch):
+    if mode is forked and len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the critic worker needs a second CPU")
+    mode(monkeypatch)
+    run = train_run(1, 0, 3, small_cfg(horizon_s=60), tmp_path)
+    for key in ("critic_s", "critic_wait_s"):
+        assert len(run[key]) == 3, key
+        assert all(isinstance(s, float) and s >= 0.0 for s in run[key]), key
+    if mode is one_cpu:         # the update ran here: the wait is the update
+        assert run["critic_s"] == run["critic_wait_s"]
+    assert "critic_s" not in (tmp_path / "training_log.csv").read_text()
 
 
 @pytest.mark.parametrize("mode", [one_cpu, forked], ids=["one_cpu", "forked"])
@@ -693,7 +726,7 @@ def test_critic_update_error_surfaces_from_train_run(mode, tmp_path,
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
-                    reason="the critic child needs a second CPU")
+                    reason="the critic worker needs a second CPU")
 def test_critic_child_that_dies_is_reported_by_episode(tmp_path, monkeypatch):
     update = trainer.critic_update
 
@@ -704,7 +737,7 @@ def test_critic_child_that_dies_is_reported_by_episode(tmp_path, monkeypatch):
 
     forked(monkeypatch)
     monkeypatch.setattr(trainer, "critic_update", dies_in_episode_1)
-    with pytest.raises(RuntimeError, match="^episode 1: .* exited with 3"):
+    with pytest.raises(RuntimeError, match="^episode 1: the critic worker exited with 3"):
         train_run(1, 0, 3, small_cfg(horizon_s=60), tmp_path)
     assert not multiprocessing.active_children()
 
@@ -845,7 +878,8 @@ def test_checkpoint_with_a_misshapen_array_is_rejected(tmp_path):
     path, named = _small_checkpoint(tmp_path)
     named["pi.W1"] = named["pi.W1"][:, :1]          # (12, 1) broadcasts to (12, 8)
     save_params(path, named)
-    with pytest.raises(ValueError, match=r"'pi\.W1' has shape \(12, 1\)"):
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint {path}: entry 'pi.W1' "
+                                                   "has shape (12, 1)")):
         load_checkpoint(path)
 
 
@@ -862,7 +896,8 @@ def test_checkpoint_with_a_non_finite_config_value_is_rejected(tmp_path):
     path, named = _small_checkpoint(tmp_path)
     named["meta.lr"] = np.array(np.nan)
     save_params(path, named)
-    with pytest.raises(ValueError, match="^lr must be finite, got nan$"):
+    with pytest.raises(ValueError, match=rf"^checkpoint {re.escape(str(path))}: "
+                                         "lr must be finite, got nan$"):
         load_checkpoint(path)
 
 
@@ -871,8 +906,8 @@ def test_checkpoint_with_a_fractional_size_is_rejected(tmp_path, heads):
     path, named = _small_checkpoint(tmp_path)
     named["meta.heads"] = np.array(heads)
     save_params(path, named)
-    with pytest.raises(ValueError, match=rf"^checkpoint entry 'meta\.heads' must be a "
-                                         rf"whole number, got {heads}$"):
+    with pytest.raises(ValueError, match=rf"^checkpoint {re.escape(str(path))}: entry "
+                                         rf"'meta\.heads' must be a whole number, got {heads}$"):
         load_checkpoint(path)
 
 
@@ -895,7 +930,8 @@ def test_checkpoint_with_entries_its_config_lacks_is_rejected(tmp_path):
                   {f"meta.{name}": np.array(value) for name, value in OLD_LAYOUT.items()}):
         save_params(path, {**named, **extra})
         with pytest.raises(ValueError,
-                           match=re.escape(f"{sorted(extra)} are not in its config")):
+                           match=re.escape(f"checkpoint {path}: entries {sorted(extra)} "
+                                           "are not in its config")):
             load_checkpoint(path)
 
 
