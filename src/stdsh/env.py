@@ -27,7 +27,7 @@ import numpy as np
 
 from .metrics import MetricsLog
 from .sim.network import N_PHASES
-from .sim.world import MAX_GREEN_S, MIN_GREEN_S, MODES, QUEUED, SimWorld
+from .sim.world import MAX_GREEN_S, MIN_GREEN_S, MODES, QUEUED, SimWorld, load_scenario
 
 FEATURES_PER_LANE = 16
 GREENS_PER_PHASE = MAX_GREEN_S - MIN_GREEN_S + 1     # 38
@@ -191,7 +191,6 @@ class CorridorEnv:
     taken by drive(env.world, ..., after_step=env.window.after_step)."""
 
     def __init__(self, config, seed: int):
-        from .sim.world import load_scenario
         self.world = load_scenario(config, seed)
         self.window = FeatureWindow(self.world)
         self.n_lanes = len(self.world.net.lanes_of(0))

@@ -1,9 +1,10 @@
 """Discrete-time corridor world: spawning, movement, queues, signals.
 
-One step() call simulates one second, in this order: spawn arrivals, move
-free-flow vehicles (enqueueing those that reach the stop line, handling
-tram dwell), discharge permitted head-of-queue vehicles under green,
-advance the signal staging timers, then record the per-second metrics row.
+One step() call simulates one second, in this order: replay this second's
+arrivals from the (scenario, seed) trace, move free-flow vehicles
+(enqueueing those that reach the stop line, handling tram dwell),
+discharge permitted head-of-queue vehicles under green, advance the signal
+staging timers, then record the per-second metrics row.
 
 Discharge uses a saturation-credit meter per lane: every green second with
 a permitted head vehicle adds `saturation_veh_s` of credit and each whole
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import astuple
 from itertools import islice, repeat
 
 import numpy as np
@@ -134,13 +136,94 @@ class SignalController:
             self.remaining = green
 
 
-class SimWorld:
+class ArrivalTrace:
+    """One (scenario, seed)'s arrivals, the only reader of its seed: per second,
+    the (mode, occupancy, route) of each spawn in order, drawn on first ask."""
+
     def __init__(self, cfg: ScenarioConfig, seed: int):
+        self.key = (astuple(cfg), int(seed))
         self.cfg = cfg
-        self.seed = int(seed)
+        self.net = Network(cfg)
         self.rng = np.random.default_rng(seed)
         self._draws = iter(())          # uniforms drawn ahead from rng, in order
-        self.net = Network(cfg)
+        self.seconds: list[list[tuple]] = []
+
+    def at(self, t: int) -> list[tuple]:
+        while len(self.seconds) <= t:
+            self.seconds.append(self._arrivals(len(self.seconds)))
+        return self.seconds[t]
+
+    def _random(self) -> float:
+        """The next self.rng.random(), from blocks of 512 drawn in order."""
+        try:
+            return next(self._draws)
+        except StopIteration:
+            self._draws = iter(self.rng.random(512).tolist())
+            return next(self._draws)
+
+    def _poisson(self, mean: float) -> int:
+        """self.rng.poisson(mean) on the same stream: numpy's multiplication
+        method below a mean of 10, numpy itself once the draws ahead are
+        rewound (one PCG64 step each) from 10 on."""
+        if mean >= 10:
+            self.rng.bit_generator.advance(2**128 - self._draws.__length_hint__())
+            self._draws = iter(())
+            return int(self.rng.poisson(mean))
+        k, prod, floor = 0, 1.0, math.exp(-mean)
+        while mean and (prod := prod * self._random()) > floor:
+            k += 1
+        return k
+
+    def _draw_movement(self) -> str:
+        u = self._random()
+        if u < self.cfg.turn_left:
+            return "left"
+        if u < self.cfg.turn_left + self.cfg.turn_through:
+            return "through"
+        return "right"
+
+    def _route(self, entry_link, kind: str = "road", movement: str | None = None):
+        """(link, movement) legs to the network edge, each leg `movement` or a draw."""
+        route, link = [], entry_link
+        while link is not None:
+            mv = movement or self._draw_movement()
+            route.append((link, mv))
+            link = self.net.next_link(link.node, exit_arm(link.arm, mv), kind)
+        return tuple(route)
+
+    def _arrivals(self, t: int) -> list[tuple]:
+        cfg, net, out = self.cfg, self.net, []
+        if t <= cfg.rates_settle_s:             # the rates still change with t
+            self._arrival_p = [rate / 3600.0 for rate in cfg.rates_veh_h(
+                [entry_id for entry_id, _ in net.entries], t)]
+        for (_, link), p in zip(net.entries, self._arrival_p):
+            if self._random() < p:
+                occ = 1 + self._poisson(cfg.car_occupancy_poisson_mean)
+                out.append(("car", occ, self._route(link)))
+        if self._due(t, cfg.bus_first_departure_s, cfg.bus_headway_s):
+            for entry in (net.approach(0, "W"), net.approach(net.n - 1, "E")):
+                out.append(("bus", cfg.bus_occupancy, self._route(entry, "road", "through")))
+        if net.tram_enabled and self._due(t, cfg.tram_first_departure_s, cfg.tram_headway_s):
+            entry = net.approach(0, "W", "tram")
+            out.append(("tram", cfg.tram_occupancy, self._route(entry, "tram", "through")))
+        return out
+
+    def _due(self, t: int, first_s: int, headway_s: int) -> bool:
+        return headway_s > 0 and t >= first_s and (t - first_s) % headway_s == 0
+
+
+_last_trace: ArrivalTrace | None = None     # the one trace kept: the last one asked for
+
+
+class SimWorld:
+    def __init__(self, cfg: ScenarioConfig, seed: int):
+        global _last_trace
+        self.cfg = cfg
+        self.seed = int(seed)
+        if _last_trace is None or _last_trace.key != (astuple(cfg), self.seed):
+            _last_trace = ArrivalTrace(cfg, seed)
+        self.trace = _last_trace
+        self.net = self.trace.net
         self.controllers = [SignalController(k, cfg.initial_phase, cfg.initial_green_s)
                             for k in range(cfg.intersections)]
         self.t = 0
@@ -188,44 +271,6 @@ class SimWorld:
 
     # ------------------------------------------------------------- spawning
 
-    def _random(self) -> float:
-        """The next self.rng.random(), from blocks of 512 drawn in order."""
-        try:
-            return next(self._draws)
-        except StopIteration:
-            self._draws = iter(self.rng.random(512).tolist())
-            return next(self._draws)
-
-    def _poisson(self, mean: float) -> int:
-        """self.rng.poisson(mean) on the same stream: numpy's multiplication
-        method below a mean of 10, numpy itself once the draws ahead are
-        rewound (one PCG64 step each) from 10 on."""
-        if mean >= 10:
-            self.rng.bit_generator.advance(2**128 - self._draws.__length_hint__())
-            self._draws = iter(())
-            return int(self.rng.poisson(mean))
-        k, prod, floor = 0, 1.0, math.exp(-mean)
-        while mean and (prod := prod * self._random()) > floor:
-            k += 1
-        return k
-
-    def _draw_movement(self) -> str:
-        u = self._random()
-        if u < self.cfg.turn_left:
-            return "left"
-        if u < self.cfg.turn_left + self.cfg.turn_through:
-            return "through"
-        return "right"
-
-    def _route(self, entry_link, kind: str = "road", movement: str | None = None):
-        """(link, movement) legs to the network edge, each leg `movement` or a draw."""
-        route, link = [], entry_link
-        while link is not None:
-            mv = movement or self._draw_movement()
-            route.append((link, mv))
-            link = self.net.next_link(link.node, exit_arm(link.arm, mv), kind)
-        return route
-
     def _enter(self, v: int, link, movement: str, entered: int) -> None:
         """Start v's leg on `link`; its first move comes in second entered + 1."""
         # least committed lane (queued or still rolling), kerb lane on ties
@@ -272,26 +317,6 @@ class SimWorld:
         self.active = self._live[:len(self.active) + 1]
         self.spawned_total += 1
         return v
-
-    def _due(self, first_s: int, headway_s: int) -> bool:
-        return headway_s > 0 and self.t >= first_s and (self.t - first_s) % headway_s == 0
-
-    def _spawn_arrivals(self) -> None:
-        cfg = self.cfg
-        if self.t <= cfg.rates_settle_s:        # the rates still change with t
-            self._arrival_p = [rate / 3600.0 for rate in cfg.rates_veh_h(
-                [entry_id for entry_id, _ in self.net.entries], self.t)]
-        for (_, link), p in zip(self.net.entries, self._arrival_p):
-            if self._random() < p:
-                occ = 1 + self._poisson(cfg.car_occupancy_poisson_mean)
-                self._spawn_vehicle("car", occ, self._route(link))
-        if self._due(cfg.bus_first_departure_s, cfg.bus_headway_s):
-            for entry in (self.net.approach(0, "W"), self.net.approach(self.net.n - 1, "E")):
-                self._spawn_vehicle("bus", cfg.bus_occupancy,
-                                    self._route(entry, "road", "through"))
-        if self.net.tram_enabled and self._due(cfg.tram_first_departure_s, cfg.tram_headway_s):
-            entry = self.net.approach(0, "W", "tram")
-            self._spawn_vehicle("tram", cfg.tram_occupancy, self._route(entry, "tram", "through"))
 
     # ------------------------------------------------------------- dynamics
 
@@ -400,7 +425,8 @@ class SimWorld:
 
     def step(self) -> None:
         """Simulate one second and append its row to the metrics log."""
-        self._spawn_arrivals()
+        for mode, occupancy, route in self.trace.at(self.t):
+            self._spawn_vehicle(mode, occupancy, route)
         self._move_vehicles()
         exited = self.exited_total
         self._discharge()

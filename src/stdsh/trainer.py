@@ -44,7 +44,7 @@ from .encoder import encode_window, init_encoder
 from .env import N_ACTIONS, CorridorEnv, action_mask, drive, feature_scales, obs_width
 from .nets import CriticNet, PolicyNet, act
 from .optim import Adam, clip_grad_norm
-from .sim.world import load_scenario
+from .sim import Network, resolve_config
 
 
 # train_run stops after this many aborted updates in a row (off TrainConfig's fingerprint)
@@ -418,7 +418,7 @@ def world_seed(base_seed: int, episode: int) -> int:
 
 
 def make_train_state(cfg: TrainConfig, scenario, seed: int) -> TrainState:
-    net = load_scenario(scenario, seed=0).net
+    net = Network(resolve_config(scenario))
     n_lanes = len(net.lanes_of(0))
     return TrainState(cfg, obs_width(n_lanes), net.n, seed,
                       input_scale=feature_scales(n_lanes))

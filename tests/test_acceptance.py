@@ -332,16 +332,17 @@ def mappo_run():
 
 def directional_means(stdsh_run, mappo_run) -> tuple[dict, float]:
     """Seed-mean ANP per controller, and the stdsh-vs-fswf effect size."""
-    means = {}
-    spread = {}
-    for label, kwargs in (
-            ("stdsh", dict(controller="stdsh", checkpoint=stdsh_run["checkpoint"])),
-            ("mappo", dict(controller="mappo", checkpoint=mappo_run["checkpoint"])),
-            ("fswf", dict(controller="fswf"))):
-        vals = [run_experiment(SCENARIO, seed=s, horizon_s=HORIZON, **kwargs)[0].anp
-                for s in EVAL_SEEDS]
-        means[label] = float(np.mean(vals))
-        spread[label] = float(np.std(vals, ddof=1))
+    cells = {"fswf": dict(controller="fswf"),
+             "stdsh": dict(controller="stdsh", checkpoint=stdsh_run["checkpoint"]),
+             "mappo": dict(controller="mappo", checkpoint=mappo_run["checkpoint"])}
+    # seed-major, so each seed's arrivals are drawn once and replayed
+    vals = {label: [] for label in cells}
+    for s in EVAL_SEEDS:
+        for label, kwargs in cells.items():
+            vals[label].append(
+                run_experiment(SCENARIO, seed=s, horizon_s=HORIZON, **kwargs)[0].anp)
+    means = {label: float(np.mean(v)) for label, v in vals.items()}
+    spread = {label: float(np.std(v, ddof=1)) for label, v in vals.items()}
     pooled = np.sqrt((spread["stdsh"] ** 2 + spread["fswf"] ** 2) / 2.0)
     effect = (means["fswf"] - means["stdsh"]) / pooled if pooled > 0 else np.inf
     return means, effect

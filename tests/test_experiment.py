@@ -1,14 +1,20 @@
 """Evaluation cells: determinism, file outputs, controller validation."""
 
+import gc
+import hashlib
+import weakref
+
 import numpy as np
 import pytest
 
 from stdsh import env as envmod
+from stdsh.baselines import WARMUP_S
 from stdsh.env import CorridorEnv, feature_scales, obs_width
 from stdsh.experiment import (CONTROLLERS, SUMMARY_HEADER, SummaryRow, report,
                               run_experiment)
-from stdsh.sim import SimWorld
-from stdsh.trainer import TrainConfig, TrainState, save_checkpoint
+import stdsh.sim.world as world_module
+from stdsh.sim import SimWorld, scenario_config_text
+from stdsh.trainer import TrainConfig, TrainState, make_train_state, save_checkpoint
 
 HORIZON = 300
 
@@ -158,6 +164,83 @@ def test_greedy_cells_observe_each_decided_second_once(controller, monkeypatch):
                    horizon_s=HORIZON, state=state)
     assert len(decided) > len(set(decided))     # seconds with several decisions
     assert observed == sorted(set(decided))
+
+
+@pytest.mark.parametrize("scenario, seed, digest", [
+    (1, 0, "cf7b06e737c5302f"), (1, 7, "40d4da386214f117"),
+    (3, 0, "4bbde384aa8e32fe"), (3, 7, "5007ad3ae365f343")])
+def test_every_controller_faces_the_same_arrivals(scenario, seed, digest, monkeypatch):
+    # common random numbers: no spawn depends on the world's state, so every
+    # cell at one (scenario, seed) spawns the same (second, mode, occupancy,
+    # route) sequence and the fswf warm-up spawns its first WARMUP_S seconds
+    spawns = {}
+    spawn = SimWorld._spawn_vehicle
+
+    def record(world, mode, occupancy, route):
+        spawns.setdefault(world, []).append(
+            (world.t, mode, occupancy, tuple((link.id, mv) for link, mv in route)))
+        return spawn(world, mode, occupancy, route)
+
+    monkeypatch.setattr(SimWorld, "_spawn_vehicle", record)
+    states = {"stdsh": make_train_state(TrainConfig(), scenario, seed=0),
+              "mappo": make_train_state(TrainConfig(use_hypergraph=False), scenario, seed=0)}
+    cells = {}
+    for controller in ("fswf", "random", "stdsh", "mappo"):
+        spawns.clear()
+        _, log = run_experiment(scenario, controller, seed, horizon_s=1800,
+                                state=states.get(controller))
+        (world,) = [w for w in spawns if w.log is log]
+        cells[controller] = spawns.pop(world)
+        if controller == "fswf":
+            (warm_up,) = spawns.values()
+    fswf = cells["fswf"]
+    assert all(cells[c] == fswf for c in ("random", "stdsh", "mappo"))
+    assert warm_up == [s for s in fswf if s[0] < WARMUP_S]
+    assert {mode for _, mode, _, _ in warm_up} == {"bus", "tram", "car"}
+    assert hashlib.sha256(repr(fswf).encode()).hexdigest()[:16] == digest
+
+
+# scenario 1 but for one demand field only the arrival trace reads
+MORE_RIDERS = scenario_config_text(1).replace("car_occupancy_poisson_mean = 0.5",
+                                              "car_occupancy_poisson_mean = 0.6")
+
+
+@pytest.mark.parametrize("scenario, seed, horizon_s", [
+    (1, 3, 600), (1, 4, 600), (MORE_RIDERS, 3, 600), (1, 3, 200)],
+    ids=["same", "another_seed", "one_demand_field", "shorter"])
+def test_a_warm_trace_writes_what_a_cold_one_does(tmp_path, scenario, seed, horizon_s):
+    # the target fswf cell on scenario 1, seed 3, after a random cell that
+    # leaves its trace (or another, or a shorter one) in the cache; only
+    # the last trace asked for outlives its worlds
+    traces = []
+
+    def cell_bytes(out):
+        run_experiment(1, "fswf", seed=3, horizon_s=600, out_dir=out)
+        traces.append(weakref.ref(world_module._last_trace))
+        return [(out / f"1_fswf_seed3_{kind}.csv").read_bytes()
+                for kind in ("metrics", "heatmap")]
+
+    world_module._last_trace = None
+    cold = cell_bytes(tmp_path / "cold")
+    world_module._last_trace = None
+    run_experiment(scenario, "random", seed=seed, horizon_s=horizon_s)
+    traces.append(weakref.ref(world_module._last_trace))
+    assert cell_bytes(tmp_path / "warm") == cold
+    gc.collect()
+    assert {ref() for ref in traces} == {None, world_module._last_trace}
+
+
+def test_a_replay_leaves_the_trace_unchanged():
+    world_module._last_trace = None
+    run_experiment(1, "fswf", seed=5, horizon_s=600)
+    trace = world_module._last_trace
+    drawn = [[(mode, occ, tuple(route)) for mode, occ, route in second]
+             for second in trace.seconds]
+    assert len(drawn) == 600 and any(drawn)
+    run_experiment(1, "random", seed=5, horizon_s=600)
+    assert world_module._last_trace is trace
+    assert trace.seconds == drawn
+    assert all(type(route) is tuple for second in trace.seconds for *_, route in second)
 
 
 def test_report_aggregates_seed_means(tmp_path):

@@ -9,7 +9,7 @@ from stdsh.baselines import random_policy
 from stdsh.env import action_mask, drive
 from stdsh.sim import (ConfigError, SimWorld, load_scenario, parse_config,
                        permits, resolve_config, scenario_config_text)
-from stdsh.sim.world import DWELLING, EXITED, MOVING, QUEUED, TRAM
+from stdsh.sim.world import DWELLING, EXITED, MOVING, QUEUED, TRAM, ArrivalTrace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -387,9 +387,10 @@ def test_active_and_vehicle_arrays_follow_every_step():
 @pytest.mark.parametrize("seed", [0, 1, 5, 11])
 def test_buffered_draws_follow_a_fresh_generator(seed):
     # each op is a uniform draw (None) or a Poisson draw of that mean; the
-    # world's buffered draws must equal a fresh generator's, draw for draw
-    world = quiet_world(seed=seed)
-    assert world._draws.__length_hint__() == 0      # nothing drawn ahead yet
+    # trace's buffered draws must equal a fresh generator's, draw for draw.
+    # A trace of its own: draws taken here would corrupt the shared one
+    trace = ArrivalTrace(resolve_config(QUIET), seed)
+    assert trace._draws.__length_hint__() == 0      # nothing drawn ahead yet
     twin = np.random.default_rng(seed)
     means = (0, 0.5, 3, 9.999, 10, 12, 55.5)
     ops = [None] * 1100 + [12]                      # two 512-draw blocks, 436 ahead
@@ -400,10 +401,10 @@ def test_buffered_draws_follow_a_fresh_generator(seed):
             for u in np.random.default_rng(1000 + seed).random(3000).tolist()]
     for k, mean in enumerate(ops):
         if mean is None:
-            assert world._random() == twin.random(), k
+            assert trace._random() == twin.random(), k
         else:
-            assert world._poisson(mean) == twin.poisson(mean), (k, mean)
-    assert world._random() == twin.random()
+            assert trace._poisson(mean) == twin.poisson(mean), (k, mean)
+    assert trace._random() == twin.random()
 
 
 # ---------------------------------------------------------------- transit
@@ -426,7 +427,7 @@ def test_tram_dwell_is_scheduled_not_delay():
             "[signal]\ninitial_phase = P3\ninitial_green_s = 45\n")
     world = load_scenario(text, seed=0)
     link = world.net.approach(0, "W", "tram")
-    tram = world._spawn_vehicle("tram", 150, world._route(link, "tram", "through"))
+    tram = world._spawn_vehicle("tram", 150, world.trace._route(link, "tram", "through"))
     dwell_seconds = 0
     for _ in range(400):
         world.step()
