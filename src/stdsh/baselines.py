@@ -105,8 +105,7 @@ def measure_flow_ratios(scenario, seed: int) -> list[list[float]]:
     drive(world, WARMUP_S,
           FixedTimeController(world, [[15] * N_PHASES] * world.net.n))
     sat_flow = world.cfg.saturation_veh_s * WARMUP_S
-    lanes = world.net.all_lanes()
-    return [[max((world.lane_entry_counts[lanes[s].key] / sat_flow for s, _ in phase_lanes),
+    return [[max((world.lane_entry_counts[s] / sat_flow for s, _ in phase_lanes),
                  default=0.0) for phase_lanes in node_phases] for node_phases in world.served]
 
 

@@ -53,9 +53,12 @@ SUMMARY_HEADER = ["scenario", "controller", "seed", "horizon_s",
 
 
 def _scenario_label(scenario) -> str:
+    """A scenario id, or a config file's stem; config text and objects are "custom"."""
     if isinstance(scenario, int):
         return str(scenario)
-    return Path(str(scenario)).stem if "\n" not in str(scenario) else "custom"
+    if isinstance(scenario, (str, Path)) and "\n" not in str(scenario):
+        return Path(scenario).stem
+    return "custom"
 
 
 def run_experiment(scenario, controller: str, seed: int, horizon_s: int = 1800,

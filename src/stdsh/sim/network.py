@@ -20,8 +20,6 @@ import math
 from .scenario import ScenarioConfig
 
 ARMS = ("N", "E", "S", "W")
-MOVEMENTS = ("left", "through", "right")
-PHASE_NAMES = ("P1", "P2", "P3", "P4")
 N_PHASES = 4
 
 _NS = frozenset(("N", "S"))
@@ -57,14 +55,13 @@ class Lane:
     """One incoming lane; the world keeps its queue, moving count and credit
     meter under `slot`, the lane's position in Network.all_lanes()."""
 
-    __slots__ = ("link", "index", "allowed", "slot", "key")
+    __slots__ = ("link", "index", "allowed", "slot")
 
     def __init__(self, link: "Link", index: int, allowed):
         self.link = link
         self.index = index
         self.allowed = frozenset(allowed)
         self.slot = -1
-        self.key = (link.node, link.arm, link.kind, index)
 
 
 class Link:

@@ -1,4 +1,4 @@
-"""Scenario configuration: sectioned key=value text, templates 1..5.
+"""Scenario configuration: sectioned key=value text, built-in scenarios 1..5.
 
 Format example (comments start with '#'):
 
@@ -7,15 +7,17 @@ Format example (comments start with '#'):
     ...
 
 Sections: network, demand, signal, scenario. Unknown sections or keys and
-malformed values are rejected with the offending line number and field.
-load_scenario accepts a scenario id (1..5, built-in template), a path to a
-config file, or raw config text.
+malformed values are rejected with the offending line number and field;
+an omitted key keeps ScenarioConfig's default. A built-in scenario is those
+defaults plus its id and car rate; configs/scenario{1..5}.cfg spell the five
+out in full. resolve_config accepts a scenario id, a path to a config file,
+config text (a string holding a newline), or a ScenarioConfig.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 
@@ -219,75 +221,28 @@ def _validate(cfg: ScenarioConfig) -> None:
                 bad("tram_stop_intersections", f"index {k} out of range")
 
 
-_SCENARIO_NOTES = {
-    1: ("off-peak, light uniform demand", 200.0),
-    2: ("buildup: demand ramps up over the horizon", 200.0),
-    3: ("peak, heavy uniform demand", 500.0),
-    4: ("school-run inbound: surrounding entries feed one hotspot", 350.0),
-    5: ("event outbound: the hotspot's own entries surge", 350.0),
-}
-
-
-def scenario_config_text(scenario_id: int) -> str:
-    """Built-in config template for scenarios 1..5."""
-    if scenario_id not in _SCENARIO_NOTES:
-        raise ConfigError(f"scenario must be in 1..5, got {scenario_id}")
-    note, rate = _SCENARIO_NOTES[scenario_id]
-    lines = [
-        f"# scenario {scenario_id}: {note}",
-        "[network]",
-        "intersections = 6",
-        "link_length_m = 300",
-        "side_link_length_m = 200",
-        "freeflow_kmh = 50",
-        "tram_freeflow_kmh = 40",
-        "saturation_veh_s = 0.5",
-        "tram_enabled = true",
-        "tram_stop_intersections = 1,3,4",
-        "tram_stop_dwell_s = 20",
-        "",
-        "[demand]",
-        f"car_rate_veh_h = {rate:g}    # per entry",
-        "bus_headway_s = 600",
-        "bus_first_departure_s = 60",
-        "tram_headway_s = 300",
-        "tram_first_departure_s = 30",
-        "turn_left = 0.2",
-        "turn_through = 0.6",
-        "turn_right = 0.2",
-        "car_occupancy_poisson_mean = 0.5    # occupants = 1 driver + Poisson",
-        "bus_occupancy = 40",
-        "tram_occupancy = 150",
-        "",
-        "[signal]",
-        "initial_phase = P1",
-        "initial_green_s = 10",
-        "",
-        "[scenario]",
-        f"id = {scenario_id}",
-        "speed_threshold_kmh = 5",
-    ]
-    if scenario_id == 2:
-        lines += ["ramp_to_veh_h = 500", "ramp_duration_s = 1800"]
-    if scenario_id in (4, 5):
-        lines += [
-            "skew_multiplier = 1.6",
-            "skew_intersection = 3    # the interior hotspot",
-        ]
-    return "\n".join(lines) + "\n"
+# car rate per entry of the built-in scenarios 1..5: off-peak, buildup
+# (ramping), peak, school-run inbound hotspot, event outbound hotspot
+_CAR_RATES_VEH_H = (200.0, 200.0, 500.0, 350.0, 350.0)
 
 
 def resolve_config(config) -> ScenarioConfig:
-    """Accept a scenario id, a file path, raw text, or a ScenarioConfig."""
+    """Accept a scenario id, a file path, raw text, or a ScenarioConfig.
+
+    Built-in scenario i is ScenarioConfig's defaults with scenario_id i and
+    its car rate. A string is config text when it holds a newline (valid
+    text always has a section line and a key line), else a file path.
+    """
+    if isinstance(config, int) and not isinstance(config, bool):
+        if not 1 <= config <= len(_CAR_RATES_VEH_H):
+            raise ConfigError(f"scenario must be in 1..5, got {config}")
+        config = replace(ScenarioConfig(), scenario_id=config,
+                         car_rate_veh_h=_CAR_RATES_VEH_H[config - 1])
     if isinstance(config, ScenarioConfig):
         _validate(config)
         return config
-    if isinstance(config, int):
-        return parse_config(scenario_config_text(config))
-    if isinstance(config, Path):
-        return parse_config(config.read_text())
-    if isinstance(config, str):
-        if "=" in config or "\n" in config:
-            return parse_config(config)
+    if isinstance(config, str) and "\n" in config:
+        return parse_config(config)
+    if isinstance(config, (str, Path)):
         return parse_config(Path(config).read_text())
     raise ConfigError(f"cannot interpret config of type {type(config).__name__}")

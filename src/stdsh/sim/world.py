@@ -36,7 +36,7 @@ name without the underscore, grown by doubling; only gathers over many
 ids read those. `active`, the ascending live ids, is a view that steps
 rewrite in place (copy it to keep it); it is compacted only in a second
 in which some vehicle left. Per lane slot the world keeps a deque of
-queued ids, a count still rolling and a credit meter.
+queued ids, a count still rolling, a credit meter and a count of entries.
 """
 
 from __future__ import annotations
@@ -240,7 +240,7 @@ class SimWorld:
                          for phase in range(N_PHASES)]
                         for lanes in map(self.net.lanes_of, range(self.net.n))]
         lanes = self.net.all_lanes()
-        self.lane_entry_counts = {lane.key: 0 for lane in lanes}
+        self.lane_entry_counts = [0] * len(lanes)
         links = [lane.link for lane in lanes]
         self.lane_node = [l.node for l in links]
         self.lane_speed_kmh = np.array([l.speed_kmh for l in links])
@@ -284,7 +284,7 @@ class SimWorld:
         self._state[v] = self.state[v] = MOVING
         self.heading[v] = movement
         self.moving[s] += 1
-        self.lane_entry_counts[best.key] += 1
+        self.lane_entry_counts[s] += 1
         self.entered[v] = entered
         self._schedule(v, entered + self.plan[s][0])
         self._delay(v, self.lane_slow[s])
@@ -462,5 +462,6 @@ class SimWorld:
 
 
 def load_scenario(config, seed: int) -> SimWorld:
-    """Build a deterministic world from a scenario id, config path, or text."""
+    """Build a deterministic world from anything resolve_config accepts: a
+    scenario id, a config path, config text, or a ScenarioConfig."""
     return SimWorld(resolve_config(config), seed)

@@ -38,10 +38,11 @@ from stdsh.env import (N_ACTIONS, W_LOCAL, W_NETWORK, action_mask,
 from stdsh.experiment import run_experiment
 from stdsh.metrics import MetricsLog
 from stdsh.nets import CriticNet
-from stdsh.sim import load_scenario, scenario_config_text
-from stdsh.trainer import TrainConfig, _blas_threads, train_run
+from stdsh.sim import load_scenario
+from stdsh.trainer import TrainConfig, _blas_threads, load_checkpoint, train_run
 
 ARTIFACTS = Path(__file__).parent / "_artifacts"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SCENARIO = 1
 TRAIN_SEED = 0
@@ -74,8 +75,7 @@ def training_fingerprint(episodes: int, cfg) -> dict:
     """Everything a cached training's outputs are a function of."""
     return {"config": dataclasses.asdict(cfg),
             "scenario": SCENARIO,
-            "scenario_sha256": hashlib.sha256(
-                scenario_config_text(SCENARIO).encode()).hexdigest(),
+            "scenario_sha256": _sha256(CONFIGS / f"scenario{SCENARIO}.cfg"),
             "train_seed": TRAIN_SEED,
             "episodes": episodes,
             "checkpoint_magic": CHECKPOINT_MAGIC.decode()}
@@ -332,9 +332,11 @@ def mappo_run():
 
 def directional_means(stdsh_run, mappo_run) -> tuple[dict, float]:
     """Seed-mean ANP per controller, and the stdsh-vs-fswf effect size."""
+    # each checkpoint is loaded once and its state shared by its five cells
+    stdsh, mappo = (load_checkpoint(run["checkpoint"]) for run in (stdsh_run, mappo_run))
     cells = {"fswf": dict(controller="fswf"),
-             "stdsh": dict(controller="stdsh", checkpoint=stdsh_run["checkpoint"]),
-             "mappo": dict(controller="mappo", checkpoint=mappo_run["checkpoint"])}
+             "stdsh": dict(controller="stdsh", state=stdsh),
+             "mappo": dict(controller="mappo", state=mappo)}
     # seed-major, so each seed's arrivals are drawn once and replayed
     vals = {label: [] for label in cells}
     for s in EVAL_SEEDS:

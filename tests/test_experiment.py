@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +14,11 @@ from stdsh.env import CorridorEnv, feature_scales, obs_width
 from stdsh.experiment import (CONTROLLERS, SUMMARY_HEADER, SummaryRow, report,
                               run_experiment)
 import stdsh.sim.world as world_module
-from stdsh.sim import SimWorld, scenario_config_text
+from stdsh.sim import ScenarioConfig, SimWorld
 from stdsh.trainer import TrainConfig, TrainState, make_train_state, save_checkpoint
 
 HORIZON = 300
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_state(use_hypergraph: bool, seed=0):
@@ -87,6 +89,16 @@ def test_random_cell_writes_summary_and_metrics(tmp_path):
     lines = (tmp_path / "summary.csv").read_text().strip().splitlines()
     assert lines[0] == ",".join(SUMMARY_HEADER)
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("scenario", [ScenarioConfig(), "[signal]\ninitial_green_s = 10\n"],
+                         ids=["object", "text"])
+def test_a_custom_scenario_cell_is_labelled_custom(tmp_path, scenario):
+    row, _ = run_experiment(scenario, "fswf", seed=0, horizon_s=10, out_dir=tmp_path)
+    assert row.scenario == "custom"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "custom_fswf_seed0_heatmap.csv", "custom_fswf_seed0_metrics.csv", "summary.csv"]
+    assert (tmp_path / "summary.csv").read_text().splitlines()[1].startswith("custom,fswf,0,")
 
 
 def test_cells_are_deterministic(tmp_path):
@@ -201,8 +213,8 @@ def test_every_controller_faces_the_same_arrivals(scenario, seed, digest, monkey
 
 
 # scenario 1 but for one demand field only the arrival trace reads
-MORE_RIDERS = scenario_config_text(1).replace("car_occupancy_poisson_mean = 0.5",
-                                              "car_occupancy_poisson_mean = 0.6")
+MORE_RIDERS = (CONFIGS / "scenario1.cfg").read_text().replace(
+    "car_occupancy_poisson_mean = 0.5", "car_occupancy_poisson_mean = 0.6")
 
 
 @pytest.mark.parametrize("scenario, seed, horizon_s", [

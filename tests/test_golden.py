@@ -407,7 +407,8 @@ def free_world_digests() -> dict:
         out[f"log.{name}"] = _array_sha(np.asarray(getattr(log, name), dtype=np.int64))
     trips = [(c.mode, int(c.waiting_s), int(c.spawn_t), int(c.exit_t))
              for c in log.completed]
-    entries = sorted((key, int(count)) for key, count in world.lane_entry_counts.items())
+    entries = sorted(((lane.link.node, lane.link.arm, lane.link.kind, lane.index), int(count))
+                     for lane, count in zip(world.net.all_lanes(), world.lane_entry_counts))
     events = [(int(t), int(i), str(stage)) for t, i, stage in world.discharge_events]
     out["completed"] = _sha(repr(trips).encode())
     out["lane_entry_counts"] = _sha(repr(entries).encode())

@@ -8,7 +8,7 @@ import pytest
 from stdsh.baselines import random_policy
 from stdsh.env import action_mask, drive
 from stdsh.sim import (ConfigError, SimWorld, load_scenario, parse_config,
-                       permits, resolve_config, scenario_config_text)
+                       permits, resolve_config)
 from stdsh.sim.world import DWELLING, EXITED, MOVING, QUEUED, TRAM, ArrivalTrace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -506,14 +506,23 @@ def test_resolve_config_forms(tmp_path):
     p.write_text(QUIET)
     assert resolve_config(p).car_rate_veh_h == 0.0
     assert resolve_config(str(p)).car_rate_veh_h == 0.0
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="scenario must be in 1..5, got 9"):
         resolve_config(9)
+    with pytest.raises(ConfigError, match="type bool"):
+        resolve_config(True)
+
+
+def test_a_path_holding_an_equals_sign_is_a_path(tmp_path):
+    p = tmp_path / "rate=500" / "s.cfg"
+    p.parent.mkdir()
+    p.write_text((CONFIGS / "scenario3.cfg").read_text())
+    assert resolve_config(str(p)) == resolve_config(p) == resolve_config(3)
 
 
 @pytest.mark.parametrize("scenario_id", [1, 2, 3, 4, 5])
 def test_shipped_config_file_matches_builtin(scenario_id):
-    shipped = (CONFIGS / f"scenario{scenario_id}.cfg").read_bytes()
-    assert shipped == scenario_config_text(scenario_id).encode()
+    shipped = parse_config((CONFIGS / f"scenario{scenario_id}.cfg").read_text())
+    assert shipped == resolve_config(scenario_id)
 
 
 def test_phase_permission_table():
