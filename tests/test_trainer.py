@@ -495,6 +495,36 @@ def test_rollout_time_discount_uses_window_lengths():
         assert np.allclose(batch.ret[idx], expect, atol=1e-9)
 
 
+@pytest.mark.parametrize("use_hypergraph", [True, False], ids=["hg on", "hg off"])
+@pytest.mark.parametrize("scenario", [1, 3])
+def test_rollout_prices_each_decision_until_its_next(scenario, use_hypergraph):
+    # every row's reward is a plain-Python recount of the world's log over
+    # [t, t + dt), where t + dt is its agent's next decision or, when done,
+    # the horizon; rows come in the order the windows close: (t + dt, agent)
+    horizon = 600
+    cfg = small_cfg(use_hypergraph=use_hypergraph, d_model=8, heads=4)
+    state = trainer.make_train_state(cfg, scenario, seed=0)
+    env = CorridorEnv(scenario, seed=world_seed(0, 0))
+    world = env.world
+    batch = collect_rollout(env, state, horizon)
+    log = world.log
+    assert log.seconds.tolist() == list(range(horizon))
+    delayed, network = log.int_delayed.tolist(), log.net_delayed.tolist()
+    agent, t, dt = batch.agent.tolist(), batch.t.tolist(), batch.dt.tolist()
+    assert len(batch) > 0
+    for k in range(len(batch)):
+        i, start, stop = agent[k], t[k], t[k] + dt[k]
+        local = sum(row[i] for row in delayed[start:stop])
+        total = sum(network[start:stop])
+        want = -(envmod.W_LOCAL * local + envmod.W_NETWORK * total) / float(dt[k])
+        assert batch.reward[k] == want, k
+        later = [s for j, s in enumerate(t) if agent[j] == i and s > start]
+        assert stop == (min(later) if later else horizon), k
+        assert batch.done[k] == (not later), k
+    closes = list(zip([a + b for a, b in zip(t, dt)], agent))
+    assert closes == sorted(set(closes))
+
+
 def test_training_log_records_an_aborted_update(tmp_path, monkeypatch):
     rollout = trainer.collect_rollout
 
