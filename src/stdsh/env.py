@@ -17,8 +17,11 @@ Every controller, learned or not, runs through drive(): a
 (world, due) -> actions callable consulted once in each second in which
 some greens have expired, with those intersections in controller order.
 
-Reward over one decision window of m seconds averages the intersection's
-own delayed-passenger count and the network count, weighted and negated.
+A decision's reward averages, over the m seconds until its agent's next
+decision, the intersection's own delayed-passenger count and the network
+count, weighted and negated. compute_rewards prices many decisions at once
+from a metrics log, so a rollout prices all of its decisions after the
+horizon.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 
 from .metrics import MetricsLog
 from .sim.network import N_PHASES
-from .sim.world import MAX_GREEN_S, MIN_GREEN_S, MODES, QUEUED, SimWorld, load_scenario
+from .sim.world import MAX_GREEN_S, MIN_GREEN_S, MODES, QUEUED, SimWorld
 
 FEATURES_PER_LANE = 16
 GREENS_PER_PHASE = MAX_GREEN_S - MIN_GREEN_S + 1     # 38
@@ -131,17 +134,24 @@ def drive(world: SimWorld, seconds: int, decide, after_step=None) -> None:
 W_LOCAL, W_NETWORK = 0.5, 0.5    # reward weights: own intersection, whole network
 
 
-def compute_reward(window: MetricsLog, intersection: int) -> float:
-    """-( (w1/m) sum N^i_t + (w2/m) sum N_hat_t ) over the window's m seconds,
-    w1 = W_LOCAL and w2 = W_NETWORK."""
-    m = len(window)
-    if m == 0:
+def compute_rewards(log: MetricsLog, agent, start, stop) -> np.ndarray:
+    """Each decision's -( (w1/m) sum N^i_t + (w2/m) sum N_hat_t ) over the
+    m logged seconds start <= t < stop, w1 = W_LOCAL and w2 = W_NETWORK,
+    from one integer cumsum of the log: the sums stay exact, and only the
+    weighting and the average are floating point."""
+    agent = np.asarray(agent)
+    lo, hi = np.searchsorted(log.seconds, [start, stop])
+    m = hi - lo
+    if np.any(m <= 0):
         raise ValueError("reward window is empty")
-    if not (0 <= intersection < window.n):
-        raise ValueError(f"unknown intersection {intersection}")
-    local = int(window.int_delayed[:, intersection].sum())
-    network = int(window.net_delayed.sum())
-    return -(W_LOCAL * local + W_NETWORK * network) / float(m)
+    unknown = (agent < 0) | (agent >= log.n)
+    if np.any(unknown):
+        raise ValueError(f"unknown intersection {np.extract(unknown, agent)[0]}")
+    sums = np.zeros((len(log) + 1, 1 + log.n), dtype=np.int64)
+    np.cumsum(log.table[:, [1, *range(3, 3 + log.n)]], axis=0, out=sums[1:])
+    network = sums[hi, 0] - sums[lo, 0]
+    local = sums[hi, 1 + agent] - sums[lo, 1 + agent]
+    return -(W_LOCAL * local + W_NETWORK * network) / m
 
 
 # ----------------------------------------------------- critic feature window
@@ -183,21 +193,3 @@ def prepare_node_features(raw: np.ndarray, n_lanes: int, heads: int) -> np.ndarr
     if pad:
         x = np.concatenate([x, np.zeros(x.shape[:-1] + (pad,))], axis=-1)
     return x
-
-
-class CorridorEnv:
-    """World plus the bookkeeping the trainer needs: per-window rewards
-    and, for the hypergraph critic, snapshots on the WINDOW_CADENCE_S grid
-    taken by drive(env.world, ..., after_step=env.window.after_step)."""
-
-    def __init__(self, config, seed: int):
-        self.world = load_scenario(config, seed)
-        self.window = FeatureWindow(self.world)
-        self.n_lanes = len(self.world.net.lanes_of(0))
-
-    @property
-    def n_agents(self) -> int:
-        return self.world.net.n
-
-    def reward_between(self, intersection: int, start_t: int, stop_t: int) -> float:
-        return compute_reward(self.world.log.window(start_t, stop_t), intersection)

@@ -32,13 +32,19 @@ class CompletedTrip:
     exit_t: int
 
 
+# append writes its buffered rows into the table every this many rows: a log
+# read only when its episode ends (a training rollout's) would otherwise hold
+# an episode of Python tuples, which raised a training's peak RSS
+FLUSH_ROWS = 64
+
+
 class MetricsLog:
     """Integer table, one row per second, with the columns of the metrics
     CSV: t, network delayed, network queued, then delayed and queued per
-    intersection. `append` buffers its rows; reading `table` or `window`
-    writes them into the filled part of a buffer grown by doubling. The
-    named fields are the table's columns and `window` is a run of its
-    rows, all views."""
+    intersection. `append` buffers its rows; every FLUSH_ROWS rows, and
+    whenever `table` is read, they are written into the filled part of a
+    buffer grown by doubling. The named fields are the table's columns,
+    all views."""
 
     def __init__(self, n: int):
         self.n = n
@@ -58,12 +64,14 @@ class MetricsLog:
         if last is not None and t <= last:
             raise ValueError(f"seconds must increase: {t} after {last}")
         self._pending.append((t, sum(int_delayed), sum(int_queued), *int_delayed, *int_queued))
+        if len(self._pending) == FLUSH_ROWS:
+            self.table      # reading the table writes the buffered rows
 
     @property
     def table(self) -> np.ndarray:
         if self._pending:
             k, m = len(self._table), len(self._pending)
-            if k + m > len(self._rows):     # a window's buffer is its parent's: copy
+            if k + m > len(self._rows):
                 self._rows = np.concatenate([self._table, np.zeros(
                     (max(64, k + m), 3 + 2 * self.n), dtype=np.int64)])
             self._rows[k:k + m] = self._pending
@@ -73,13 +81,6 @@ class MetricsLog:
 
     def complete(self, mode: str, waiting_s: int, spawn_t: int, exit_t: int) -> None:
         self.completed.append(CompletedTrip(mode, waiting_s, spawn_t, exit_t))
-
-    def window(self, start: int, stop: int) -> "MetricsLog":
-        """Seconds with start <= t < stop; completion records are not sliced."""
-        lo, hi = np.searchsorted(self.seconds, (start, stop))
-        out = MetricsLog(n=self.n)
-        out._rows = out._table = self.table[lo:max(lo, hi)]
-        return out
 
     def __len__(self) -> int:
         return len(self._table) + len(self._pending)

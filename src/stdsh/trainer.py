@@ -1,13 +1,15 @@
 """Centralized-critic PPO over the corridor: rollouts, returns, updates.
 
 Training is on-policy and trigger-gated. During a rollout each agent acts
-only when its green expires; the reward for a decision is computed over
-the seconds until that agent's next decision (or the horizon). All agents
-share one actor. The critic regresses Monte-Carlo returns; with the
-hypergraph enabled its input is the graph embedding rebuilt from the
-stored feature windows at update time, so the encoder trains end-to-end
-through the critic loss and through nothing else. With the hypergraph
-disabled the critic sees the mean of the current scaled observations.
+only when its green expires, and the rollout records each decision. Once
+the horizon is reached it prices them all from the episode's metrics log:
+a decision's reward covers the seconds until that agent's next decision
+(or the horizon). All agents share one actor. The critic regresses
+Monte-Carlo returns; with the hypergraph enabled its input is the graph
+embedding rebuilt from the stored feature windows at update time, so the
+encoder trains end-to-end through the critic loss and through nothing
+else. With the hypergraph disabled the critic sees the mean of the
+current scaled observations.
 
 Ratios in the clipped surrogate are taken against log-probs recomputed in
 one batched forward at the start of the update; collection keeps none.
@@ -41,10 +43,11 @@ from . import autodiff as ad
 from . import env as envmod
 from .checkpoint import load_params, save_params
 from .encoder import encode_window, init_encoder
-from .env import N_ACTIONS, CorridorEnv, action_mask, drive, feature_scales, obs_width
+from .env import N_ACTIONS, action_mask, drive, feature_scales, obs_width
+from .metrics import MetricsLog
 from .nets import CriticNet, PolicyNet, act
 from .optim import Adam, clip_grad_norm
-from .sim import Network, resolve_config
+from .sim import Network, SimWorld, load_scenario, resolve_config
 
 
 # train_run stops after this many aborted updates in a row (off TrainConfig's fingerprint)
@@ -239,73 +242,59 @@ class TrainState:
 
 # -------------------------------------------------------------------- rollout
 
-def collect_rollout(env: CorridorEnv, state: TrainState, seconds: int) -> TransitionBatch:
-    """Trigger-gated on-policy collection over `seconds` of world time."""
+def collect_rollout(world: SimWorld, state: TrainState, seconds: int) -> TransitionBatch:
+    """Trigger-gated on-policy collection over `seconds` of world time,
+    from a world that has not stepped yet."""
     cfg = state.cfg
-    rows: list[dict] = []
-    pending: dict[int, dict] = {}
-
-    def close(i: int, done: bool) -> None:
-        p = pending.pop(i)
-        p["reward"] = env.reward_between(i, p["t"], env.world.t)
-        p["dt"] = env.world.t - p["t"]
-        p["done"] = done
-        rows.append(p)
+    rows: list[tuple] = []      # (agent, t, obs, mask, action, critic_input)
+    # only the hypergraph critic reads the snapshot window
+    window = envmod.FeatureWindow(world) if cfg.use_hypergraph else None
 
     def decide(world, due: list[int]) -> list[int]:
         # on the snapshot grid the window has just observed this state;
         # envmod.observe is looked up at call time, so a patched one (the
         # benchmark tracer's span) sees every call
-        on_grid = cfg.use_hypergraph and world.t % envmod.WINDOW_CADENCE_S == 0
-        obs = env.window.buf[-1] if on_grid else envmod.observe(world)
-        if cfg.use_hypergraph:
-            critic_input = env.window.start()
-        else:
-            critic_input = (obs * state.policy.input_scale).mean(axis=0)
+        on_grid = window is not None and world.t % envmod.WINDOW_CADENCE_S == 0
+        obs = window.buf[-1] if on_grid else envmod.observe(world)
+        critic_input = window.start() if window is not None else \
+            (obs * state.policy.input_scale).mean(axis=0)
         actions = []
         for i in due:
-            if i in pending:
-                close(i, done=False)
             mask = action_mask(world.controllers[i].phase)
-            a = act(state.policy, obs[i], mask, state.rng)
-            pending[i] = {"agent": i, "t": world.t, "obs": obs[i], "mask": mask,
-                          "action": a, "critic_input": critic_input}
-            actions.append(a)
+            actions.append(act(state.policy, obs[i], mask, state.rng))
+            rows.append((i, world.t, obs[i], mask, actions[-1], critic_input))
         return actions
 
-    # only the hypergraph critic reads the snapshot window
-    after_step = env.window.after_step if cfg.use_hypergraph else None
-    drive(env.world, seconds, decide, after_step=after_step)
-    for i in sorted(pending):           # horizon: open decisions close here
-        close(i, done=True)
-    batch = _build_batch(rows, cfg.gamma, cfg.time_discount)
-    if cfg.use_hypergraph:
+    drive(world, seconds, decide, after_step=None if window is None else window.after_step)
+    batch = _build_batch(rows, world.log, cfg.gamma, cfg.time_discount)
+    if window is not None:
         batch.snapshots = envmod.prepare_node_features(
-            env.window.table(), env.n_lanes, cfg.heads)
+            window.table(), len(world.net.lanes_of(0)), cfg.heads)
     return batch
 
 
-def _build_batch(rows: list[dict], gamma: float,
+def _build_batch(rows: list[tuple], log: MetricsLog, gamma: float,
                  time_discount: bool = False) -> TransitionBatch:
+    """Price the decisions `rows`, in decision order, over `log`: each
+    window runs to its agent's next decision or to the end of the log.
+    The batch holds them in the order their windows close, (stop, agent)."""
     if not rows:
         return TransitionBatch()
-    batch = TransitionBatch(
-        agent=np.array([r["agent"] for r in rows], dtype=int),
-        t=np.array([r["t"] for r in rows], dtype=int),
-        obs=np.stack([r["obs"] for r in rows]),
-        mask=np.stack([r["mask"] for r in rows]),
-        action=np.array([r["action"] for r in rows], dtype=int),
-        reward=np.array([r["reward"] for r in rows]),
-        dt=np.array([r["dt"] for r in rows], dtype=int),
-        done=np.array([r["done"] for r in rows], dtype=bool),
-        critic_input=np.stack([r["critic_input"] for r in rows]),
-    )
-    ret = np.zeros(len(rows))
-    for agent in np.unique(batch.agent):
-        idx = np.flatnonzero(batch.agent == agent)     # chronological
+    stop, upcoming = [0] * len(rows), {}
+    for k in range(len(rows) - 1, -1, -1):
+        stop[k] = upcoming.get(rows[k][0], len(log))
+        upcoming[rows[k][0]] = rows[k][1]
+    order = sorted(range(len(rows)), key=lambda k: (stop[k], rows[k][0]))
+    agent, t, obs, mask, action, critic_input = map(np.array, zip(*(rows[k] for k in order)))
+    stop = np.array(stop)[order]
+    batch = TransitionBatch(agent=agent, t=t, obs=obs, mask=mask, action=action,
+                            reward=envmod.compute_rewards(log, agent, t, stop),
+                            dt=stop - t, done=stop == len(log), critic_input=critic_input)
+    batch.ret = np.zeros(len(rows))
+    for i in np.unique(agent):
+        idx = np.flatnonzero(agent == i)     # chronological
         dts = batch.dt[idx] if time_discount else None
-        ret[idx] = returns(batch.reward[idx], gamma, dts=dts)
-    batch.ret = ret
+        batch.ret[idx] = returns(batch.reward[idx], gamma, dts=dts)
     return batch
 
 
@@ -525,6 +514,10 @@ def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig, out_dir) -> 
     the checkpoint model.ckpt under `out_dir`."""
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
+    scenario = resolve_config(scenario)
+    if scenario.initial_green_s >= cfg.horizon_s:
+        raise ValueError(f"initial_green_s {scenario.initial_green_s} must be below "
+                         f"horizon_s {cfg.horizon_s}: no signal would decide")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     state = make_train_state(cfg, scenario, seed)
@@ -536,18 +529,11 @@ def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig, out_dir) -> 
     fork = cpus > 1 and cpus >= 2 * (_blas_threads() or cpus)
     t0 = time.perf_counter()
 
-    def rollout(ep: int) -> TransitionBatch:
-        batch = collect_rollout(CorridorEnv(scenario, world_seed(seed, ep)), state,
-                                cfg.horizon_s)
-        if len(batch) == 0:
-            raise RuntimeError(f"episode {ep}: no decisions collected")
-        return batch
-
     with open(log_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["update", "mean_reward", "actor_loss", "critic_loss",
                     "entropy", "grad_norm", "aborted"])
-        batch = rollout(0)
+        batch = collect_rollout(load_scenario(scenario, world_seed(seed, 0)), state, cfg.horizon_s)
         worker = _CriticWorker(state) if fork else None
         try:
             for ep in range(episodes):
@@ -564,7 +550,8 @@ def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig, out_dir) -> 
                 upcoming = None
                 if ep + 1 < episodes:
                     try:
-                        upcoming = rollout(ep + 1)
+                        upcoming = collect_rollout(load_scenario(
+                            scenario, world_seed(seed, ep + 1)), state, cfg.horizon_s)
                     except Exception as exc:    # raised after this episode's row
                         upcoming = exc
                 # the rollout reads only the policy and state.rng, and a critic

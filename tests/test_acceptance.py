@@ -34,7 +34,7 @@ from stdsh.baselines import random_policy
 from stdsh.checkpoint import MAGIC as CHECKPOINT_MAGIC
 from stdsh.encoder import init_encoder
 from stdsh.env import (N_ACTIONS, W_LOCAL, W_NETWORK, action_mask,
-                       compute_reward, decode_action, encode_action)
+                       compute_rewards, decode_action, encode_action)
 from stdsh.experiment import run_experiment
 from stdsh.metrics import MetricsLog
 from stdsh.nets import CriticNet
@@ -275,7 +275,7 @@ def test_criterion_05_simulator_conservation():
 # ---------------------------------------------------------------- criterion 6
 
 def test_criterion_06_reward_oracle():
-    """compute_reward against a plain-Python recount, exact equality."""
+    """compute_rewards against a plain-Python recount, exact equality."""
     rng = np.random.default_rng(3)
     mismatches = 0
     for _ in range(100):
@@ -286,7 +286,7 @@ def test_criterion_06_reward_oracle():
             log.append(t, list(rng.integers(0, 40, size=n)),
                        list(rng.integers(0, 15, size=n)))
         i = int(rng.integers(0, n))
-        got = compute_reward(log, i)
+        got = compute_rewards(log, i, 0, m)
         total = 0.0
         for t in range(m):
             local = log.int_delayed[t][i]

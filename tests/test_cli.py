@@ -47,6 +47,18 @@ def test_train_without_episodes_returns_error_code(tmp_path, capsys, episodes):
     assert not out.exists()
 
 
+def test_train_with_no_decision_before_the_horizon_returns_error_code(tmp_path, capsys):
+    config = tmp_path / "late.cfg"
+    config.write_text("[signal]\ninitial_green_s = 5000\n")
+    out = tmp_path / "run"
+    rc = main(["train", "--scenario", str(config), "--ablation", "hg",
+               "--out", str(out), "--episodes", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "initial_green_s" in err and "horizon_s" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_negative_seed_is_rejected_naming_the_flag(tmp_path, capsys, command):
     args = {"train": ["train", "--scenario", "1", "--out", str(tmp_path / "run")],
@@ -90,8 +102,8 @@ def test_eval_zero_horizon_returns_error_code(tmp_path, capsys):
 def test_train_stops_cleanly_after_repeated_aborts(tmp_path, capsys, monkeypatch):
     rollout = trainer.collect_rollout
 
-    def rollout_with_nan_return(env, state, seconds):
-        batch = rollout(env, state, seconds)
+    def rollout_with_nan_return(world, state, seconds):
+        batch = rollout(world, state, seconds)
         batch.ret[0] = np.nan
         return batch
 

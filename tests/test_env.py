@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from stdsh.baselines import random_policy
-from stdsh.env import (MODES, N_ACTIONS, CorridorEnv, FeatureWindow,
-                       action_mask, compute_reward, decode_action, drive,
+from stdsh.env import (MODES, N_ACTIONS, W_LOCAL, W_NETWORK, FeatureWindow,
+                       action_mask, compute_rewards, decode_action, drive,
                        encode_action, feature_scales, obs_width, observe,
                        prepare_node_features)
 from stdsh.metrics import MetricsLog
@@ -241,40 +241,62 @@ def test_feature_scales_layout():
 def test_reward_example():
     # constant local 4 and network 10 over 10 s with equal halves gives -7
     log = make_window(2, [4] * 10, [6] * 10)
-    assert compute_reward(log, 0) == -7.0
+    assert compute_rewards(log, 0, 0, 10) == -7.0
 
 
 def test_reward_zero_and_rejections():
     log = make_window(2, [0] * 5, [0] * 5)
-    assert compute_reward(log, 0) == 0.0
-    with pytest.raises(ValueError):
-        compute_reward(MetricsLog(n=2), 0)
-    with pytest.raises(ValueError):
-        compute_reward(log, 5)
+    assert compute_rewards(log, 0, 0, 5) == 0.0
+    for agent, start, stop in ((0, 0, 1), ([0, 1], [0, 0], [1, 1])):
+        with pytest.raises(ValueError, match="empty"):
+            compute_rewards(MetricsLog(n=2), agent, start, stop)
+    for start, stop in ((3, 3), (4, 2), (10, 20), (-5, 0)):
+        with pytest.raises(ValueError, match="empty"):
+            compute_rewards(log, [0, 1], [0, start], [5, stop])
+    for agent in (5, -1, [0, 2]):
+        with pytest.raises(ValueError, match="unknown intersection"):
+            compute_rewards(log, agent, [0] * np.size(agent), [5] * np.size(agent))
 
 
 def test_reward_oracle_random_windows():
+    # sub-windows of logs whose seconds may skip, several priced per call,
+    # against a plain-Python recount of the seconds start <= t < stop
     rng = np.random.default_rng(7)
     for _ in range(100):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, 31))
         log = MetricsLog(n=n)
-        rows = rng.integers(0, 50, size=(m, n))
-        for t in range(m):
-            log.append(t, rows[t].tolist(), [0] * n)
+        seconds = np.cumsum(rng.integers(1, 3, size=m)).tolist()
+        rows = rng.integers(0, 50, size=(m, n)).tolist()
+        for t, row in zip(seconds, rows):
+            log.append(t, row, [0] * n)
+        k = int(rng.integers(1, 6))
+        agent = rng.integers(0, n, size=k).tolist()
+        lo = rng.integers(0, m, size=k).tolist()
+        hi = [int(rng.integers(a + 1, m + 1)) for a in lo]
+        start = [seconds[a] - int(rng.integers(0, 2)) for a in lo]
+        stop = [seconds[b - 1] + 1 for b in hi]
+        got = compute_rewards(log, agent, start, stop)
+        assert got.shape == (k,)
+        for j in range(k):
+            inside = [row for t, row in zip(seconds, rows) if start[j] <= t < stop[j]]
+            local = sum(row[agent[j]] for row in inside)
+            network = sum(sum(row) for row in inside)
+            want = -(W_LOCAL * local + W_NETWORK * network) / float(len(inside))
+            assert got[j] == want
         i = int(rng.integers(0, n))
-        got = compute_reward(log, i)
-        want = -(0.5 * rows[:, i].sum() + 0.5 * rows.sum()) / m
-        assert got == pytest.approx(want, abs=1e-12)
+        whole = -(W_LOCAL * sum(row[i] for row in rows)
+                  + W_NETWORK * sum(map(sum, rows))) / float(m)
+        assert compute_rewards(log, i, 0, seconds[-1] + 1) == whole
 
 
 def test_reward_monotone_in_each_count():
     base = make_window(2, [4, 4, 4], [6, 6, 6])
-    r0 = compute_reward(base, 0)
+    r0 = compute_rewards(base, 0, 0, 3)
     bumped_local = make_window(2, [5, 4, 4], [6, 6, 6])
-    assert compute_reward(bumped_local, 0) < r0
+    assert compute_rewards(bumped_local, 0, 0, 3) < r0
     bumped_far = make_window(2, [4, 4, 4], [7, 6, 6])
-    assert compute_reward(bumped_far, 0) < r0
+    assert compute_rewards(bumped_far, 0, 0, 3) < r0
 
 
 # ----------------------------------------------------------- feature window
@@ -327,9 +349,9 @@ def test_prepare_node_features_scales_and_pads():
 # ------------------------------------------------------------------- wrapper
 
 def test_corridor_env_wiring():
-    env = CorridorEnv(1, seed=8)
-    world = env.world
-    assert env.n_agents == 6
+    world = load_scenario(1, seed=8)
+    window = FeatureWindow(world)
+    assert world.net.n == 6
 
     def triggered():
         return [k for k, c in enumerate(world.controllers) if c.trigger]
@@ -337,7 +359,7 @@ def test_corridor_env_wiring():
     assert triggered() == []
     for _ in range(10):
         world.step()
-        env.window.after_step(world)
+        window.after_step(world)
     assert triggered() == [0, 1, 2, 3, 4, 5]
     assert (~action_mask(world.controllers[0].phase)).sum() == 38
     phase, green = decode_action(38)                    # first P2 action
@@ -346,13 +368,15 @@ def test_corridor_env_wiring():
     assert triggered() == [1, 2, 3, 4, 5]
     # during the transition the mask still reflects the old phase
     world.step()
-    env.window.after_step(world)
+    window.after_step(world)
     assert world.controllers[0].stage == "amber"
     assert not action_mask(world.controllers[0].phase)[:38].any()
-    r = env.reward_between(0, 0, 10)
-    assert r == compute_reward(env.world.log.window(0, 10), 0)
-    assert env.window.table().shape == (7, 6, 148)      # 5 prefill + t=5, 10
-    assert env.window.start() == 2
+    # decisions priced together read as each priced alone
+    together = compute_rewards(world.log, [0, 3, 0], [0, 2, 10], [10, 11, 11])
+    alone = [compute_rewards(world.log, *d) for d in ((0, 0, 10), (3, 2, 11), (0, 10, 11))]
+    assert together.tolist() == alone
+    assert window.table().shape == (7, 6, 148)          # 5 prefill + t=5, 10
+    assert window.start() == 2
 
 
 # --------------------------------------------------------------------- drive

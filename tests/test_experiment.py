@@ -10,24 +10,20 @@ import pytest
 
 from stdsh import env as envmod
 from stdsh.baselines import WARMUP_S
-from stdsh.env import CorridorEnv, feature_scales, obs_width
 from stdsh.experiment import (CONTROLLERS, SUMMARY_HEADER, SummaryRow, report,
                               run_experiment)
 import stdsh.sim.world as world_module
 from stdsh.sim import ScenarioConfig, SimWorld
-from stdsh.trainer import TrainConfig, TrainState, make_train_state, save_checkpoint
+from stdsh.trainer import TrainConfig, make_train_state, save_checkpoint
 
 HORIZON = 300
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_state(use_hypergraph: bool, seed=0):
-    env = CorridorEnv(1, seed=0)
     cfg = TrainConfig(hidden=16, d_model=8, heads=4,
                       use_hypergraph=use_hypergraph)
-    return TrainState(cfg, in_width=obs_width(env.n_lanes),
-                      n_agents=env.n_agents, seed=seed,
-                      input_scale=feature_scales(env.n_lanes))
+    return make_train_state(cfg, 1, seed)
 
 
 def test_controller_and_checkpoint_validation(tmp_path):

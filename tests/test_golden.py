@@ -37,7 +37,7 @@ import numpy as np
 import pytest
 
 from stdsh.baselines import random_policy
-from stdsh.env import WINDOW_DEPTH, CorridorEnv, action_mask, drive, observe
+from stdsh.env import WINDOW_DEPTH, action_mask, drive, observe
 from stdsh.experiment import run_experiment
 from stdsh.sim import load_scenario, resolve_config
 from stdsh.trainer import TrainConfig, collect_rollout, make_train_state, world_seed
@@ -366,8 +366,7 @@ def cell_digests(scenario: int, controller: str, seed: int, out_dir) -> dict:
 def rollout_digests(use_hypergraph: bool) -> dict:
     cfg = TrainConfig(use_hypergraph=use_hypergraph, horizon_s=ROLLOUT_S)
     state = make_train_state(cfg, 1, seed=0)
-    env = CorridorEnv(1, seed=world_seed(0, 0))
-    batch = collect_rollout(env, state, ROLLOUT_S)
+    batch = collect_rollout(load_scenario(1, world_seed(0, 0)), state, ROLLOUT_S)
     if use_hypergraph:
         # each row's window, materialized from the table as (t*n, d)
         windows = batch.critic_input[:, None] + np.arange(WINDOW_DEPTH)

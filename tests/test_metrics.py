@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stdsh.experiment import run_experiment
-from stdsh.metrics import (CompletedTrip, MetricsLog, anp, aql, awt,
+from stdsh.metrics import (FLUSH_ROWS, CompletedTrip, MetricsLog, anp, aql, awt,
                            write_heatmap_csv, write_metrics_csv)
 from stdsh.sim import load_scenario
 
@@ -67,56 +67,26 @@ def test_queued_tram_is_delayed_but_never_queued():
     assert aql(world.log) == 0.0
 
 
-def test_window_slices_seconds():
-    log = make_log([[1], [2], [3], [4]], [[0], [1], [2], [3]])
-    win = log.window(1, 3)
-    assert win.seconds.tolist() == [1, 2]
-    assert win.net_delayed.tolist() == [2, 3]
-    assert win.net_queued.tolist() == [1, 2]
-    assert len(win) == 2
-    assert len(log.window(10, 20)) == 0
-
-
-def test_window_is_a_view_and_copies_before_it_grows():
-    log = make_log([[1], [2], [3], [4]], [[0], [1], [2], [3]])
-    win = log.window(1, 3)
-    assert np.shares_memory(win.table, log.table)
-    win.append(9, [7], [5])
-    assert win.seconds.tolist() == [1, 2, 9]
-    assert win.net_delayed.tolist() == [2, 3, 7]
-    assert log.seconds.tolist() == [0, 1, 2, 3]
-    assert log.net_delayed.tolist() == [1, 2, 3, 4]
-    assert len(log.window(3, 1)) == 0
-    with pytest.raises(ValueError, match="increase"):
-        log.append(3, [0], [0])
-
-
 def test_buffered_rows_read_like_an_eager_table():
     # appends interleaved at random with every read that writes the
-    # buffered rows out: table, window and len see what a table filled
-    # row by row holds, and a window's rows never move
+    # buffered rows out: table and len see what a table filled row by row
+    # holds, and no more than FLUSH_ROWS - 1 rows ever wait in the buffer
     rng = np.random.default_rng(4)
-    n, log, rows, t = 3, MetricsLog(n=3), [], 0
-    windows = []
-    for _ in range(400):
+    n, log, rows, t, longest = 3, MetricsLog(n=3), [], 0, 0
+    for _ in range(600):
         t += int(rng.integers(1, 4))
         d, q = rng.integers(0, 50, n).tolist(), rng.integers(0, 9, n).tolist()
         log.append(t, d, q)
         rows.append([t, sum(d), sum(q), *d, *q])
-        read = rng.integers(0, 6)
+        longest = max(longest, len(log._pending))
+        read = rng.integers(0, 80)
         if read == 0:
             assert log.table.tolist() == rows
         elif read == 1:
             assert len(log) == len(rows)
-        elif read == 2:
-            lo, hi = sorted(rng.integers(0, t + 2, 2).tolist())
-            win = log.window(lo, hi)
-            expect = [r for r in rows if lo <= r[0] < hi]
-            assert win.table.tolist() == expect and len(win) == len(expect)
-            windows.append((win, expect))
+    assert longest == FLUSH_ROWS - 1        # some runs of appends hit the flush
     assert log.table.tolist() == rows and len(log) == len(rows)
     assert log.int_queued.tolist() == [r[3 + n:] for r in rows]
-    assert all(win.table.tolist() == expect for win, expect in windows)
     with pytest.raises(ValueError, match="increase"):       # after a written row
         log.append(t, [0] * n, [0] * n)
     log.append(t + 1, [0] * n, [0] * n)

@@ -19,12 +19,18 @@ from stdsh import autodiff as ad
 from stdsh import env as envmod
 from stdsh import trainer
 from stdsh.checkpoint import load_params, save_params
-from stdsh.env import (WINDOW_CADENCE_S, WINDOW_DEPTH, CorridorEnv, action_mask,
-                       decode_action, feature_scales, obs_width)
+from stdsh.env import (WINDOW_CADENCE_S, WINDOW_DEPTH, action_mask, decode_action,
+                       feature_scales, obs_width)
+from stdsh.sim import Network, load_scenario, resolve_config
 from stdsh.trainer import (CLIP_EPS, TrainConfig, TrainState, TransitionBatch,
                            advantages, collect_rollout, critic_update,
                            evaluate_values, load_checkpoint, ppo_update, returns,
                            save_checkpoint, train_run, world_seed)
+
+
+# scenario 1's corridor: lanes per intersection and intersections
+_NET = Network(resolve_config(1))
+N_LANES, N_AGENTS = len(_NET.lanes_of(0)), _NET.n
 
 
 def small_cfg(**kw):
@@ -260,20 +266,20 @@ def gradient_case(config, kind):
     same layout whose snapshot table opens with copies of one snapshot."""
     cfg = small_cfg(**{"use_hypergraph": True, "d_model": 8, "heads": 4,
                        "hidden": 32, **GRADIENT_CONFIGS[config]})
-    env = CorridorEnv(1, seed=5)
-    state = TrainState(cfg, obs_width(env.n_lanes), env.n_agents, seed=5,
-                       input_scale=feature_scales(env.n_lanes))
+    world = load_scenario(1, seed=5)
+    state = TrainState(cfg, obs_width(N_LANES), N_AGENTS, seed=5,
+                       input_scale=feature_scales(N_LANES))
     if kind == "rollout":
-        return state, collect_rollout(env, state, 300)
+        return state, collect_rollout(world, state, 300)
     rng = np.random.default_rng(6)
-    B, width = 96, obs_width(env.n_lanes)
+    B, width = 96, obs_width(N_LANES)
     batch = synthetic_batch(state, B=B, width=width, seed=6)
     batch.obs *= 20.0
     if cfg.use_hypergraph:
-        first = rng.normal(size=(1, env.n_agents, state.encoder.d))
+        first = rng.normal(size=(1, N_AGENTS, state.encoder.d))
         batch.snapshots = np.concatenate(
             [first.repeat(WINDOW_DEPTH, axis=0),
-             rng.normal(size=(12, env.n_agents, state.encoder.d))])
+             rng.normal(size=(12, N_AGENTS, state.encoder.d))])
         batch.critic_input = rng.integers(0, 13, size=B)
         batch.critic_input[0] = 0
     return state, batch
@@ -349,8 +355,8 @@ def scenario1_rollout():
     365 snapshots of 6 x 148 features."""
     cfg = TrainConfig()
     state = trainer.make_train_state(cfg, 1, seed=3)
-    env = CorridorEnv(1, 11)
-    batch = collect_rollout(env, state, 1800)
+    world = load_scenario(1, 11)
+    batch = collect_rollout(world, state, 1800)
     assert batch.snapshots.shape == (365, 6, 148)
     return cfg, batch
 
@@ -390,23 +396,23 @@ def test_critic_update_peak_memory_is_bounded(scenario1_rollout):
 
 def test_rollout_zero_seconds_is_empty():
     cfg = small_cfg()
-    env = CorridorEnv(1, seed=0)
-    state = TrainState(cfg, in_width=obs_width(env.n_lanes), n_agents=env.n_agents,
+    world = load_scenario(1, seed=0)
+    state = TrainState(cfg, in_width=obs_width(N_LANES), n_agents=N_AGENTS,
                        seed=0)
-    assert len(collect_rollout(env, state, 0)) == 0
+    assert len(collect_rollout(world, state, 0)) == 0
 
 
 def test_rollout_decision_spacing_and_mask_compliance():
     """Consecutive decisions of one agent sit 5 s (amber plus all-red)
     plus the chosen green apart; every recorded action was unmasked."""
     cfg = small_cfg()
-    env = CorridorEnv(1, seed=0)
-    state = TrainState(cfg, in_width=obs_width(env.n_lanes), n_agents=env.n_agents,
+    world = load_scenario(1, seed=0)
+    state = TrainState(cfg, in_width=obs_width(N_LANES), n_agents=N_AGENTS,
                        seed=0)
-    batch = collect_rollout(env, state, 400)
+    batch = collect_rollout(world, state, 400)
     assert len(batch) > 0
     assert np.all(batch.mask[np.arange(len(batch)), batch.action])
-    for agent in range(env.n_agents):
+    for agent in range(N_AGENTS):
         idx = np.flatnonzero(batch.agent == agent)
         ts = batch.t[idx]
         assert ts[0] == 10                      # initial green expires at 10
@@ -414,21 +420,23 @@ def test_rollout_decision_spacing_and_mask_compliance():
             _, green = decode_action(batch.action[idx[k]])
             assert ts[k + 1] - ts[k] == 5 + green
     # horizon closes exactly one open decision per agent
-    assert batch.done.sum() == env.n_agents
+    assert batch.done.sum() == N_AGENTS
     finals = {batch.agent[i] for i in np.flatnonzero(batch.done)}
-    assert finals == set(range(env.n_agents))
+    assert finals == set(range(N_AGENTS))
 
 
-def test_flat_critic_rollout_takes_no_snapshots():
+def test_flat_critic_rollout_takes_no_snapshots(monkeypatch):
     cfg = small_cfg()
-    env = CorridorEnv(1, seed=0)
-    state = TrainState(cfg, in_width=obs_width(env.n_lanes), n_agents=env.n_agents,
+    world = load_scenario(1, seed=0)
+    state = TrainState(cfg, in_width=obs_width(N_LANES), n_agents=N_AGENTS,
                        seed=0)
-    before = env.window.table()
-    batch = collect_rollout(env, state, 60)
+
+    def no_window(world):
+        raise AssertionError("a flat-critic rollout built a snapshot window")
+
+    monkeypatch.setattr(envmod, "FeatureWindow", no_window)
+    batch = collect_rollout(world, state, 60)
     assert len(batch) > 0 and batch.snapshots is None
-    assert env.window.start() == 0
-    assert np.array_equal(env.window.table(), before)
 
 
 @pytest.mark.parametrize("use_hypergraph", [True, False],
@@ -436,9 +444,9 @@ def test_flat_critic_rollout_takes_no_snapshots():
 def test_rollout_observes_once_per_decided_second(monkeypatch,
                                                   use_hypergraph):
     cfg = small_cfg(use_hypergraph=use_hypergraph, d_model=8, heads=4)
-    env = CorridorEnv(1, seed=0)
-    state = TrainState(cfg, in_width=obs_width(env.n_lanes),
-                       n_agents=env.n_agents, seed=0)
+    world = load_scenario(1, seed=0)
+    state = TrainState(cfg, in_width=obs_width(N_LANES),
+                       n_agents=N_AGENTS, seed=0)
     observed = []
     observe = envmod.observe
 
@@ -447,7 +455,7 @@ def test_rollout_observes_once_per_decided_second(monkeypatch,
         return observe(world)
 
     monkeypatch.setattr(envmod, "observe", recorded_observe)
-    batch = collect_rollout(env, state, 900)
+    batch = collect_rollout(world, state, 900)
     seconds = np.unique(batch.t)
     assert len(batch) > len(seconds)       # some seconds hold two decisions
     # snapshots and decisions together observe each second at most once:
@@ -456,24 +464,25 @@ def test_rollout_observes_once_per_decided_second(monkeypatch,
     assert set(seconds) <= set(observed)
     on_grid = np.sum(seconds % WINDOW_CADENCE_S == 0)
     assert on_grid > 0
-    # the table gains one entry per cadence second and none per decision
-    snapshots = 900 // WINDOW_CADENCE_S if use_hypergraph else 0
-    assert len(observed) == snapshots + len(seconds) - bool(snapshots) * on_grid
-    assert len(env.window.table()) == WINDOW_DEPTH + snapshots
+    # the window observes the initial state once, then the table gains one
+    # entry per cadence second and none per decision
+    first, snapshots = (1, 900 // WINDOW_CADENCE_S) if use_hypergraph else (0, 0)
+    assert len(observed) == first + snapshots + len(seconds) - first * on_grid
+    assert (batch.snapshots is None) != use_hypergraph
     if use_hypergraph:
         assert batch.snapshots.shape == (WINDOW_DEPTH + snapshots,
-                                         env.n_agents, 148)
+                                         N_AGENTS, 148)
         assert np.array_equal(batch.critic_input,
                               batch.t // WINDOW_CADENCE_S)
 
 
 def test_rollout_returns_are_per_agent_suffix_sums():
     cfg = small_cfg(gamma=0.9, time_discount=False)
-    env = CorridorEnv(1, seed=1)
-    state = TrainState(cfg, in_width=obs_width(env.n_lanes), n_agents=env.n_agents,
+    world = load_scenario(1, seed=1)
+    state = TrainState(cfg, in_width=obs_width(N_LANES), n_agents=N_AGENTS,
                        seed=1)
-    batch = collect_rollout(env, state, 300)
-    for agent in range(env.n_agents):
+    batch = collect_rollout(world, state, 300)
+    for agent in range(N_AGENTS):
         idx = np.flatnonzero(batch.agent == agent)
         expect = returns(batch.reward[idx], 0.9)
         assert np.allclose(batch.ret[idx], expect, atol=1e-12)
@@ -481,11 +490,11 @@ def test_rollout_returns_are_per_agent_suffix_sums():
 
 def test_rollout_time_discount_uses_window_lengths():
     cfg = small_cfg(gamma=0.995, time_discount=True)
-    env = CorridorEnv(1, seed=1)
-    state = TrainState(cfg, in_width=obs_width(env.n_lanes), n_agents=env.n_agents,
+    world = load_scenario(1, seed=1)
+    state = TrainState(cfg, in_width=obs_width(N_LANES), n_agents=N_AGENTS,
                        seed=1)
-    batch = collect_rollout(env, state, 300)
-    for agent in range(env.n_agents):
+    batch = collect_rollout(world, state, 300)
+    for agent in range(N_AGENTS):
         idx = np.flatnonzero(batch.agent == agent)
         # non-final windows span phase change plus green exactly
         for k in idx[~batch.done[idx]]:
@@ -504,9 +513,8 @@ def test_rollout_prices_each_decision_until_its_next(scenario, use_hypergraph):
     horizon = 600
     cfg = small_cfg(use_hypergraph=use_hypergraph, d_model=8, heads=4)
     state = trainer.make_train_state(cfg, scenario, seed=0)
-    env = CorridorEnv(scenario, seed=world_seed(0, 0))
-    world = env.world
-    batch = collect_rollout(env, state, horizon)
+    world = load_scenario(scenario, seed=world_seed(0, 0))
+    batch = collect_rollout(world, state, horizon)
     log = world.log
     assert log.seconds.tolist() == list(range(horizon))
     delayed, network = log.int_delayed.tolist(), log.net_delayed.tolist()
@@ -528,8 +536,8 @@ def test_rollout_prices_each_decision_until_its_next(scenario, use_hypergraph):
 def test_training_log_records_an_aborted_update(tmp_path, monkeypatch):
     rollout = trainer.collect_rollout
 
-    def rollout_with_nan_return(env, state, seconds):
-        batch = rollout(env, state, seconds)
+    def rollout_with_nan_return(world, state, seconds):
+        batch = rollout(world, state, seconds)
         batch.ret[0] = np.nan
         return batch
 
@@ -548,9 +556,9 @@ def test_training_stops_after_repeated_aborts(tmp_path, monkeypatch):
     rollout = trainer.collect_rollout
     nan_episodes = set()
 
-    def rollout_with_nan_return(env, state, seconds):
-        batch = rollout(env, state, seconds)
-        if env.world.seed in nan_episodes:
+    def rollout_with_nan_return(world, state, seconds):
+        batch = rollout(world, state, seconds)
+        if world.seed in nan_episodes:
             batch.ret[0] = np.nan
         return batch
 
@@ -617,9 +625,9 @@ def pinned_training(name, tmp_path, monkeypatch):
                       "one_sided_aborts": (0, 4)}[name]
     states, advantage_calls = [], []
 
-    def poisoned_rollout(env, state, seconds):
-        batch = rollout(env, state, seconds)
-        ep = env.world.seed - world_seed(seed, 0)
+    def poisoned_rollout(world, state, seconds):
+        batch = rollout(world, state, seconds)
+        ep = world.seed - world_seed(seed, 0)
         if name == "nan_returns" and ep in (0, 3):
             batch.ret[0] = np.nan
         return batch
@@ -777,10 +785,10 @@ def test_rollout_error_comes_after_the_previous_row(mode, tmp_path,
                                                    monkeypatch):
     rollout = trainer.collect_rollout
 
-    def fails_in_episode_1(env, state, seconds):
-        if env.world.seed == world_seed(0, 1):
+    def fails_in_episode_1(world, state, seconds):
+        if world.seed == world_seed(0, 1):
             raise RuntimeError("no road")
-        return rollout(env, state, seconds)
+        return rollout(world, state, seconds)
 
     mode(monkeypatch)
     monkeypatch.setattr(trainer, "collect_rollout", fails_in_episode_1)
@@ -812,7 +820,7 @@ def test_aborted_updates_leave_adam_and_weights_untouched():
     for poison, row in (("ret", 12), ("adv", 12), ("obs", 0), ("snapshots", 0)):
         if poison == "snapshots":
             state = trainer.make_train_state(hg, 1, 0)
-            batch = collect_rollout(CorridorEnv(1, 0), state, 60)
+            batch = collect_rollout(load_scenario(1, 0), state, 60)
         else:
             state = TrainState(flat, in_width=10, n_agents=1, seed=0)
             batch = synthetic_batch(state)
@@ -872,10 +880,10 @@ def test_checkpoint_round_trip_preserves_behavior(tmp_path):
     for entropy_coef_final in (0.003, None):
         cfg = TrainConfig(hidden=32, d_model=8, heads=4, return_scale=1e-3, gamma=0.9,
                           entropy_coef_final=entropy_coef_final)
-        env = CorridorEnv(1, seed=2)
-        state = TrainState(cfg, in_width=obs_width(env.n_lanes), n_agents=env.n_agents,
-                           seed=2, input_scale=feature_scales(env.n_lanes))
-        batch = collect_rollout(env, state, 200)
+        world = load_scenario(1, seed=2)
+        state = TrainState(cfg, in_width=obs_width(N_LANES), n_agents=N_AGENTS,
+                           seed=2, input_scale=feature_scales(N_LANES))
+        batch = collect_rollout(world, state, 200)
         adv = advantages(batch.ret, evaluate_values(state, batch))
         ppo_update(state, batch, adv)
         critic_update(state, batch)
