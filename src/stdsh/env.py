@@ -19,9 +19,8 @@ some greens have expired, with those intersections in controller order.
 
 A decision's reward averages, over the m seconds until its agent's next
 decision, the intersection's own delayed-passenger count and the network
-count, weighted and negated. compute_rewards prices many decisions at once
-from a metrics log, so a rollout prices all of its decisions after the
-horizon.
+count, weighted and negated; compute_rewards prices a whole rollout's
+decisions at once from its metrics log.
 """
 
 from __future__ import annotations
@@ -144,9 +143,8 @@ def compute_rewards(log: MetricsLog, agent, start, stop) -> np.ndarray:
     m = hi - lo
     if np.any(m <= 0):
         raise ValueError("reward window is empty")
-    unknown = (agent < 0) | (agent >= log.n)
-    if np.any(unknown):
-        raise ValueError(f"unknown intersection {np.extract(unknown, agent)[0]}")
+    if np.any((agent < 0) | (agent >= log.n)):
+        raise ValueError(f"unknown intersection: each must be in [0, {log.n})")
     sums = np.zeros((len(log) + 1, 1 + log.n), dtype=np.int64)
     np.cumsum(log.table[:, [1, *range(3, 3 + log.n)]], axis=0, out=sums[1:])
     network = sums[hi, 0] - sums[lo, 0]

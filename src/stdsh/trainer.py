@@ -1,15 +1,14 @@
 """Centralized-critic PPO over the corridor: rollouts, returns, updates.
 
 Training is on-policy and trigger-gated. During a rollout each agent acts
-only when its green expires, and the rollout records each decision. Once
-the horizon is reached it prices them all from the episode's metrics log:
-a decision's reward covers the seconds until that agent's next decision
-(or the horizon). All agents share one actor. The critic regresses
-Monte-Carlo returns; with the hypergraph enabled its input is the graph
-embedding rebuilt from the stored feature windows at update time, so the
-encoder trains end-to-end through the critic loss and through nothing
-else. With the hypergraph disabled the critic sees the mean of the
-current scaled observations.
+only when its green expires; at the horizon the rollout prices every
+decision from the episode's metrics log, over the seconds until that
+agent's next decision (or the horizon). All agents share one actor. The
+critic regresses Monte-Carlo returns; with the hypergraph enabled its
+input is the graph embedding rebuilt from the stored feature windows at
+update time, so the encoder trains end-to-end through the critic loss and
+through nothing else. With the hypergraph disabled the critic sees the
+mean of the current scaled observations.
 
 Ratios in the clipped surrogate are taken against log-probs recomputed in
 one batched forward at the start of the update; collection keeps none.
@@ -275,9 +274,9 @@ def collect_rollout(world: SimWorld, state: TrainState, seconds: int) -> Transit
 
 def _build_batch(rows: list[tuple], log: MetricsLog, gamma: float,
                  time_discount: bool = False) -> TransitionBatch:
-    """Price the decisions `rows`, in decision order, over `log`: each
-    window runs to its agent's next decision or to the end of the log.
-    The batch holds them in the order their windows close, (stop, agent)."""
+    """Price the decisions `rows` (decision order) over `log`: a window runs to
+    its agent's next decision or the log's end. Each array is built column by
+    column in close order, (stop, agent); other builds raised peak RSS."""
     if not rows:
         return TransitionBatch()
     stop, upcoming = [0] * len(rows), {}
@@ -285,11 +284,14 @@ def _build_batch(rows: list[tuple], log: MetricsLog, gamma: float,
         stop[k] = upcoming.get(rows[k][0], len(log))
         upcoming[rows[k][0]] = rows[k][1]
     order = sorted(range(len(rows)), key=lambda k: (stop[k], rows[k][0]))
-    agent, t, obs, mask, action, critic_input = map(np.array, zip(*(rows[k] for k in order)))
-    stop = np.array(stop)[order]
+    agent, t = np.array([rows[k][0] for k in order]), np.array([rows[k][1] for k in order])
+    obs, mask = np.stack([rows[k][2] for k in order]), np.stack([rows[k][3] for k in order])
+    action = np.array([rows[k][4] for k in order])
+    stop = np.array([stop[k] for k in order])
+    reward = envmod.compute_rewards(log, agent, t, stop)
     batch = TransitionBatch(agent=agent, t=t, obs=obs, mask=mask, action=action,
-                            reward=envmod.compute_rewards(log, agent, t, stop),
-                            dt=stop - t, done=stop == len(log), critic_input=critic_input)
+                            reward=reward, dt=stop - t, done=stop == len(log),
+                            critic_input=np.stack([rows[k][5] for k in order]))
     batch.ret = np.zeros(len(rows))
     for i in np.unique(agent):
         idx = np.flatnonzero(agent == i)     # chronological
