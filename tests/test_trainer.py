@@ -6,7 +6,6 @@ import multiprocessing
 import os
 import re
 import tracemalloc
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -899,17 +898,29 @@ def test_checkpoint_round_trip_preserves_behavior(tmp_path):
         assert np.array_equal(va, vb)
 
 
-def test_checkpoint_meta_covers_every_config_field():
-    # a field left out of _META would not survive a checkpoint
-    assert set(trainer._META) == {f.name for f in fields(TrainConfig)} | {"n_agents"}
-
-
 def _small_checkpoint(tmp_path):
     cfg = TrainConfig(hidden=8, d_model=8, heads=4)
     state = TrainState(cfg, in_width=12, n_agents=3, seed=0)
     path = tmp_path / "model.ckpt"
     save_checkpoint(state, path)
     return path, load_params(path)
+
+
+# a checkpoint's config entries, in the order its bytes hold them after the arrays
+META_LAYOUT = ("use_hypergraph", "use_dsha", "use_spatial", "use_temporal", "gamma",
+               "entropy_coef", "ppo_epochs", "minibatch_size", "lr", "horizon_s",
+               "hidden", "d_model", "heads", "return_scale", "entropy_coef_final",
+               "time_discount", "n_agents")
+
+
+def test_checkpoint_entries_come_in_the_pinned_order(tmp_path):
+    # the committed checkpoints and the training pins hold this byte layout
+    _, named = _small_checkpoint(tmp_path)
+    assert list(named) == [
+        "pi.W1", "pi.b1", "pi.W2", "pi.b2", "pi.input_scale",
+        "v.W1", "v.b1", "v.W2", "v.b2",
+        *(f"enc.{kind}.h{h}" for h in range(1, 5) for kind in "Wab"), "enc.Wo", "enc.bo",
+        *(f"meta.{name}" for name in META_LAYOUT)]
 
 
 def test_checkpoint_with_a_misshapen_array_is_rejected(tmp_path):
