@@ -55,9 +55,6 @@ MAX_ABORTS_IN_A_ROW = 3
 # PPO's surrogate clip range and the global gradient-norm cap of both updates
 CLIP_EPS, GRAD_CLIP = 0.2, 0.5
 
-# TrainConfig's integer sizes: each must be >= 1, and checkpoints store them as floats
-SIZES = ("ppo_epochs", "minibatch_size", "horizon_s", "hidden", "d_model", "heads")
-
 
 @dataclass
 class TrainConfig:
@@ -73,32 +70,32 @@ class TrainConfig:
     normalization and the critic's window are constants, not fields.
     """
 
-    gamma: float = 0.99
-    time_discount: bool = True   # gamma is per second, not per decision
-    entropy_coef: float = 0.01
-    entropy_coef_final: float | None = 0.002  # linear anneal target, None = constant
-    ppo_epochs: int = 4
-    minibatch_size: int = 256
-    lr: float = 1e-3
-    horizon_s: int = 1800
-    return_scale: float = 2e-4   # critic regresses return_scale * R
-
-    hidden: int = 256
-    d_model: int = 64
-    heads: int = 4
+    # the field order is a checkpoint's byte layout: save_checkpoint writes
+    # one meta entry per field in this order, as its default's type says
     use_hypergraph: bool = True
     use_dsha: bool = True
     use_spatial: bool = True
     use_temporal: bool = True
+    gamma: float = 0.99
+    entropy_coef: float = 0.01
+    ppo_epochs: int = 4
+    minibatch_size: int = 256
+    lr: float = 1e-3
+    horizon_s: int = 1800
+    hidden: int = 256
+    d_model: int = 64
+    heads: int = 4
+    return_scale: float = 2e-4   # critic regresses return_scale * R
+    entropy_coef_final: float | None = 0.002  # linear anneal target, None = constant
+    time_discount: bool = True   # gamma is per second, not per decision
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if value is not None and not np.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        for size in SIZES:
-            if getattr(self, size) < 1:
-                raise ValueError(f"{size} must be >= 1, got {getattr(self, size)}")
+            if type(f.default) is int and value < 1:     # a size
+                raise ValueError(f"{f.name} must be >= 1, got {value}")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError(f"gamma must be in (0,1), got {self.gamma}")
         if self.entropy_coef < 0 or self.lr <= 0:
@@ -590,23 +587,14 @@ def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig, out_dir) -> 
 
 # ---------------------------------------------------------------- checkpoints
 
-# a checkpoint's meta.* entries, in the order it stores them after the
-# arrays: every TrainConfig field and the agent count
-_META = ("use_hypergraph", "use_dsha", "use_spatial", "use_temporal",
-         "gamma", "entropy_coef", "ppo_epochs", "minibatch_size", "lr",
-         "horizon_s", "hidden", "d_model", "heads", "return_scale",
-         "entropy_coef_final", "time_discount", "n_agents")
-
-
 def save_checkpoint(state: TrainState, path) -> None:
-    """Write the optimizers' arrays (policy, input scale, critic, encoder)
-    and then _META, each value as a float and None as NaN."""
+    """Write the optimizers' arrays (policy, input scale, critic, encoder),
+    then meta.<name> for each TrainConfig field in declaration order and
+    meta.n_agents, each value as a float and None as NaN."""
     named = {**state.opt_actor.params, "pi.input_scale": state.policy.input_scale,
              **state.opt_critic.params}
-    values = {**vars(state.cfg), "n_agents": state.n_agents}
-    for name in _META:
-        named[f"meta.{name}"] = np.array(np.nan if values[name] is None
-                                         else float(values[name]))
+    for name, value in {**vars(state.cfg), "n_agents": state.n_agents}.items():
+        named[f"meta.{name}"] = np.array(np.nan if value is None else float(value))
     save_params(path, named)
 
 
@@ -620,32 +608,33 @@ def load_checkpoint(path) -> TrainState:
 
 
 def _restore(named: dict[str, np.ndarray]) -> TrainState:
-    """The TrainState that save_checkpoint wrote, built from its config;
-    every array must have the shape that config gives it, and the
-    checkpoint may hold no entry that config does not ask for."""
-    meta = {name: float(named[f"meta.{name}"]) for name in _META}
-    hints, kwargs = typing.get_type_hints(TrainConfig), {}
-    for f in fields(TrainConfig):
-        val = meta[f.name]
-        if isinstance(f.default, bool):
-            val = bool(val)
-        elif f.name in SIZES:
-            if not val.is_integer():
-                raise ValueError(f"entry 'meta.{f.name}' must be a whole number, got {val}")
-            val = int(val)
-        elif np.isnan(val) and type(None) in typing.get_args(hints[f.name]):
-            val = None              # a field that may be None, saved as NaN
-        kwargs[f.name] = val
-    state = TrainState(TrainConfig(**kwargs), named["pi.W1"].shape[0],
-                       int(meta["n_agents"]), seed=0,
-                       input_scale=named["pi.input_scale"])
+    """The TrainState that save_checkpoint wrote. Each meta entry is read as
+    its field default's type (n_agents: int): a bool must be 0 or 1, an int
+    a whole number >= 1, and NaN is None where the field may be None. Every
+    array must have the shape that config gives it, and the checkpoint may
+    hold no entry that config does not ask for."""
+    hints = typing.get_type_hints(TrainConfig)
+    kinds = {**{f.name: type(f.default) for f in fields(TrainConfig)}, "n_agents": int}
+    meta = {}
+    for name, kind in kinds.items():
+        key = f"meta.{name}"
+        val = float(named[key])
+        if kind is bool and val not in (0.0, 1.0):
+            raise ValueError(f"entry {key!r} must be 0 or 1, got {val}")
+        if kind is int and not (val.is_integer() and val >= 1):
+            raise ValueError(f"entry {key!r} must be a whole number >= 1, got {val}")
+        nullable = type(None) in typing.get_args(hints.get(name))
+        meta[name] = None if nullable and np.isnan(val) else kind(val)
+    n_agents = meta.pop("n_agents")
+    state = TrainState(TrainConfig(**meta), named["pi.W1"].shape[0], n_agents,
+                       seed=0, input_scale=named["pi.input_scale"])
     arrays = {**state.opt_actor.params, **state.opt_critic.params}
     for name, arr in arrays.items():
         if named[name].shape != arr.shape:
             raise ValueError(f"entry {name!r} has shape {named[name].shape}, "
                              f"its config needs {arr.shape}")
         arr[...] = named[name]
-    unknown = sorted(set(named) - {*arrays, "pi.input_scale", *(f"meta.{m}" for m in _META)})
+    unknown = sorted(set(named) - {*arrays, "pi.input_scale", *(f"meta.{m}" for m in kinds)})
     if unknown:
         raise ValueError(f"entries {unknown} are not in its config")
     return state

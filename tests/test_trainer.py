@@ -950,13 +950,22 @@ def test_checkpoint_with_a_non_finite_config_value_is_rejected(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("heads", [np.nan, 4.5], ids=["nan", "fraction"])
-def test_checkpoint_with_a_fractional_size_is_rejected(tmp_path, heads):
+WHOLE, BOOL = "a whole number >= 1", "0 or 1"
+
+
+@pytest.mark.parametrize("name, value, kind", [
+    ("heads", np.nan, WHOLE), ("heads", 4.5, WHOLE),
+    ("use_hypergraph", 0.5, BOOL), ("use_dsha", np.nan, BOOL), ("time_discount", 7.0, BOOL),
+    ("n_agents", 2.5, WHOLE), ("n_agents", -3.0, WHOLE), ("n_agents", 0.0, WHOLE)],
+    ids=["nan", "fraction", "bool_half", "bool_nan", "bool_seven",
+         "agents_fraction", "agents_negative", "agents_zero"])
+def test_checkpoint_with_a_fractional_size_is_rejected(tmp_path, name, value, kind):
+    # sizes and the agent count are whole numbers >= 1, and flags are 0 or 1
     path, named = _small_checkpoint(tmp_path)
-    named["meta.heads"] = np.array(heads)
+    named[f"meta.{name}"] = np.array(value)
     save_params(path, named)
     with pytest.raises(ValueError, match=rf"^checkpoint {re.escape(str(path))}: entry "
-                                         rf"'meta\.heads' must be a whole number, got {heads}$"):
+                                         rf"'meta\.{name}' must be {kind}, got {value}$"):
         load_checkpoint(path)
 
 
