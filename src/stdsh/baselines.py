@@ -9,8 +9,6 @@ clamped to [52,200] s including the 20 s of lost time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .env import N_ACTIONS, drive, encode_action
@@ -109,18 +107,6 @@ def measure_flow_ratios(scenario, seed: int) -> list[list[float]]:
                  default=0.0) for phase_lanes in node_phases] for node_phases in world.served]
 
 
-@dataclass
-class WebsterPlan:
-    cycle_s: int
-    greens: list[int]
-    flagged: bool
-
-
-def webster_plan(ratios) -> WebsterPlan:
-    cycle, flagged = webster_cycle(ratios)
-    return WebsterPlan(cycle, green_split(cycle, ratios), flagged)
-
-
 class FixedTimeController:
     """Replays P1..P4 cyclically with each intersection's own greens; a
     drive() decider."""
@@ -144,8 +130,6 @@ class FixedTimeController:
         return [encode_action(p, self.greens[i][p]) for i, p in zip(due, nxt)]
 
 
-def fixed_time_fswf(scenario, seed: int):
-    """FS-WF setup: measured ratios -> per-intersection Webster plans."""
-    ratios = measure_flow_ratios(scenario, seed)
-    plans = [webster_plan(r) for r in ratios]
-    return plans
+def fixed_time_fswf(scenario, seed: int) -> list[list[int]]:
+    """FS-WF setup: each intersection's Webster greens from its measured ratios."""
+    return [green_split(webster_cycle(r)[0], r) for r in measure_flow_ratios(scenario, seed)]

@@ -89,8 +89,7 @@ def run_experiment(scenario, controller: str, seed: int, horizon_s: int = 1800,
                 f"fit scenario observation width {width}")
         decide = _greedy(state.policy)
     elif controller == "fswf":
-        plans = fixed_time_fswf(scenario, seed)
-        decide = FixedTimeController(world, [p.greens for p in plans])
+        decide = FixedTimeController(world, fixed_time_fswf(scenario, seed))
     else:
         decide = _uniform(np.random.default_rng(seed))
     env.drive(world, horizon_s, decide)

@@ -5,8 +5,7 @@ import pytest
 
 from stdsh.baselines import (FixedTimeController, LOST_TIME_S, MAX_CYCLE_S,
                              MIN_CYCLE_S, fixed_time_fswf, green_split,
-                             measure_flow_ratios, random_policy, webster_cycle,
-                             webster_plan)
+                             measure_flow_ratios, random_policy, webster_cycle)
 from stdsh.env import N_ACTIONS, N_PHASES, action_mask, decode_action, drive
 from stdsh.sim import load_scenario, resolve_config
 
@@ -42,6 +41,9 @@ def test_green_split_equal_ratios():
     greens = green_split(72, [0.2, 0.2, 0.2, 0.2])
     assert greens == [13, 13, 13, 13]
     assert sum(greens) + LOST_TIME_S == 72
+    # Webster sizes four 0.125 ratios at 70 s; the rounding residual goes to P1
+    cycle, _ = webster_cycle([0.125] * 4)
+    assert green_split(cycle, [0.125] * 4) == [14, 12, 12, 12]
 
 
 def test_green_split_zero_ratio_phase_keeps_minimum():
@@ -74,13 +76,6 @@ def test_green_split_caps_dominant_phase_and_redistributes():
 def test_green_split_rejects_cycle_below_minimums():
     with pytest.raises(ValueError):
         green_split(51, [0.1] * 4)
-
-
-def test_webster_plan_wraps_cycle_and_split():
-    plan = webster_plan([0.125, 0.125, 0.125, 0.125])
-    assert plan.cycle_s == 70
-    assert sum(plan.greens) + LOST_TIME_S == 70
-    assert not plan.flagged
 
 
 # ------------------------------------------------------------- random policy
@@ -177,6 +172,6 @@ def test_measure_flow_ratios_shape_and_range():
 def test_fswf_builds_one_plan_per_intersection():
     plans = fixed_time_fswf(1, seed=0)
     assert len(plans) == 6
-    for plan in plans:
-        assert sum(plan.greens) + LOST_TIME_S == plan.cycle_s
-        assert MIN_CYCLE_S <= plan.cycle_s <= MAX_CYCLE_S
+    # each plan's greens fill the Webster cycle of its own measured ratios
+    for greens, ratios in zip(plans, measure_flow_ratios(1, seed=0)):
+        assert sum(greens) + LOST_TIME_S == webster_cycle(ratios)[0]
