@@ -70,8 +70,8 @@ class TrainConfig:
     normalization and the critic's window are constants, not fields.
     """
 
-    # the field order is a checkpoint's byte layout: save_checkpoint writes
-    # one meta entry per field in this order, as its default's type says
+    # the field order is a checkpoint's byte layout (one meta entry per field);
+    # _restore reads each entry back as its default's type, an int as a size
     use_hypergraph: bool = True
     use_dsha: bool = True
     use_spatial: bool = True
