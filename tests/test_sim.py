@@ -366,11 +366,14 @@ def test_bookkeeping_matches_an_independent_recount(scenario):
     assert all(seen.values()), seen
 
 
-def test_active_and_vehicle_arrays_follow_every_step():
-    # active is compacted only in seconds in which some vehicle left, and
-    # the arrays observe() gathers from hold the same values as the lists
+@pytest.mark.parametrize("every", [1, 7, 60, None], ids=["1s", "7s", "60s", "end"])
+def test_active_and_vehicle_arrays_follow_every_step(every):
+    # read every `every` seconds (None: once, at the end of the drive),
+    # active is the ascending live ids however many exits came between
+    # reads, and the arrays observe() gathers from hold the lists' values
     world = load_scenario(3, seed=23)
     rng = np.random.default_rng(23)
+    reads = []
 
     def check(world):
         n = world.spawned_total
@@ -378,9 +381,16 @@ def test_active_and_vehicle_arrays_follow_every_step():
         assert world.active.tolist() == live
         for name in ("slot", "mode", "state", "occupancy"):
             assert getattr(world, name)[:n].tolist() == getattr(world, f"_{name}")
+        reads.append(world.t)
+
+    def after_step(world):
+        if every and world.t % every == 0:
+            check(world)
 
     drive(world, 600, lambda w, due: [random_policy(
-        action_mask(w.controllers[i].phase), rng) for i in due], after_step=check)
+        action_mask(w.controllers[i].phase), rng) for i in due], after_step=after_step)
+    check(world)                        # again at the end: a read without a step between
+    assert len(reads) == (600 // every if every else 0) + 1 and reads[-1] == 600
     assert world.exited_total > 0
 
 
