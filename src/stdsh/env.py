@@ -116,7 +116,8 @@ def drive(world: SimWorld, seconds: int, decide, after_step=None) -> None:
     intersection, so every agent of a second decides on the same world.
     `after_step(world)`, if given, runs after every step. A trigger the
     last step raises is left for the next call, so drive(w, a) then
-    drive(w, b) is drive(w, a + b).
+    drive(w, b) is drive(w, a + b). The call ends by reading
+    `world.active`, which checks conservation.
     """
     for _ in range(seconds):
         due = [i for i, ctrl in enumerate(world.controllers) if ctrl.trigger]
@@ -126,6 +127,7 @@ def drive(world: SimWorld, seconds: int, decide, after_step=None) -> None:
         world.step()
         if after_step is not None:
             after_step(world)
+    world.active                        # the read checks conservation
 
 
 # ------------------------------------------------------------------- reward

@@ -33,10 +33,11 @@ at a time from lists. The statement that sets `_slot` (lane index in
 net.all_lanes()), `_mode` (1 + index in MODES), `_state` (MOVING, QUEUED,
 DWELLING, EXITED) or `_occupancy` also sets the numpy array of the same
 name without the underscore, grown by doubling; only gathers over many
-ids read those. `active`, the ascending live ids, is a view that steps
-rewrite in place (copy it to keep it); it is compacted only in a second
-in which some vehicle left. Per lane slot the world keeps a deque of
-queued ids, a count still rolling, a credit meter and a count of entries.
+ids read those. `active`, the ascending live ids, is found from `state`
+when read, never by a step, and each read checks that every spawned
+vehicle is live or counted as exited. Per lane slot the world keeps a
+deque of queued ids, a count still rolling, a credit meter and a count
+of entries.
 """
 
 from __future__ import annotations
@@ -60,9 +61,8 @@ MAX_GREEN_S = 45
 MODES = ("bus", "tram", "car")
 TRAM = MODES.index("tram") + 1
 MOVING, QUEUED, DWELLING, EXITED = range(4)
-# `_live` is the buffer `active` views: live ids never outnumber spawned ones
 _VEHICLE_ARRAYS = (("slot", np.intp), ("mode", np.int8), ("state", np.int8),
-                   ("occupancy", np.int64), ("_live", np.intp))
+                   ("occupancy", np.int64))
 # entered: the second before the leg's first move; due: its next event;
 # since: start of the open delayed spell (None: none), added to waiting at its
 # end; heading: the current leg's movement; _slot.._occupancy: the arrays' values
@@ -267,7 +267,6 @@ class SimWorld:
             setattr(self, name, [])
         for name, dtype in _VEHICLE_ARRAYS:
             setattr(self, name, np.zeros(64, dtype=dtype))
-        self.active = self._live[:0]
 
     # ------------------------------------------------------------- spawning
 
@@ -313,8 +312,6 @@ class SimWorld:
         self.occupancy[v] = occupancy
         link, mv = route[0]
         self._enter(v, link, mv, self.t - 1)
-        self._live[len(self.active)] = v
-        self.active = self._live[:len(self.active) + 1]
         self.spawned_total += 1
         return v
 
@@ -428,24 +425,27 @@ class SimWorld:
         for mode, occupancy, route in self.trace.at(self.t):
             self._spawn_vehicle(mode, occupancy, route)
         self._move_vehicles()
-        exited = self.exited_total
         self._discharge()
-        if self.exited_total > exited:
-            live = self.active[self.state[self.active] != EXITED]
-            self._live[:len(live)] = live
-            self.active = self._live[:len(live)]
         for ctrl in self.controllers:
             ctrl.advance()
         self.log.append(self.t, self.delayed_pax, self.queued_road)
-        if self.spawned_total != len(self.active) + self.exited_total:
-            raise RuntimeError(
-                f"conservation broken at t={self.t}: spawned {self.spawned_total} "
-                f"!= active {len(self.active)} + exited {self.exited_total}")
         self.t += 1
 
     def run(self, seconds: int) -> None:
         for _ in range(seconds):
             self.step()
+        self.active                     # the read checks conservation
+
+    @property
+    def active(self) -> np.ndarray:
+        """The ascending ids of live vehicles; raises if any spawned vehicle
+        is neither live nor counted as exited."""
+        ids = np.flatnonzero(self.state[:self.spawned_total] != EXITED)
+        if self.spawned_total != len(ids) + self.exited_total:
+            raise RuntimeError(
+                f"conservation broken at t={self.t}: spawned {self.spawned_total} "
+                f"!= active {len(ids)} + exited {self.exited_total}")
+        return ids
 
     def apply_signal(self, intersection: int, phase: int, green_s: int) -> None:
         if not (0 <= intersection < self.net.n):

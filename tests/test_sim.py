@@ -294,6 +294,26 @@ def test_conservation_under_demand_and_control():
         assert stage == "green"
 
 
+@pytest.mark.parametrize("corrupt", ["exit_counted_twice", "exit_not_counted"])
+def test_drive_catches_broken_conservation(corrupt):
+    world = load_scenario(3, seed=17)
+    rng = np.random.default_rng(17)
+
+    def decide(w, due):
+        return [random_policy(action_mask(w.controllers[i].phase), rng) for i in due]
+
+    drive(world, 300, decide)
+    if corrupt == "exit_counted_twice":
+        world.exited_total += 1
+    else:   # the tail of the longest queue, which stays there past the drive
+        v = max(world.queues, key=len)[-1]
+        world.state[v] = world._state[v] = EXITED
+    with pytest.raises(RuntimeError, match="conservation broken"):
+        drive(world, 60, decide)
+    if corrupt == "exit_not_counted":
+        assert world._state[v] == EXITED
+
+
 def test_delayed_recount_matches_log():
     world = load_scenario(3, seed=9)
     for _ in range(300):
