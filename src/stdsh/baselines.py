@@ -22,18 +22,16 @@ MAX_CYCLE_S = N_PHASES * MAX_GREEN_S + LOST_TIME_S      # 200
 WARMUP_S = 300                  # the flow-measuring run before a plan is sized
 
 
-def webster_cycle(ratios) -> tuple[int, bool]:
-    """Cycle seconds from critical flow ratios; flagged when oversaturated."""
+def webster_cycle(ratios) -> int:
+    """Cycle seconds from critical flow ratios, clamped to [52, 200]."""
     ratios = [float(y) for y in ratios]
     if len(ratios) != N_PHASES or min(ratios) < 0:
         raise ValueError("need 4 non-negative flow ratios")
     Y = sum(ratios)
-    if Y >= 1.0:
-        return MAX_CYCLE_S, True
+    if Y >= 1.0:                        # oversaturated: the longest cycle
+        return MAX_CYCLE_S
     cycle = int(round((1.5 * LOST_TIME_S + 5.0) / (1.0 - Y)))
-    if cycle > MAX_CYCLE_S:
-        return MAX_CYCLE_S, True        # demand too high for the longest cycle
-    return max(cycle, MIN_CYCLE_S), False
+    return min(max(cycle, MIN_CYCLE_S), MAX_CYCLE_S)
 
 
 def green_split(cycle: int, ratios) -> list[int]:
@@ -132,4 +130,4 @@ class FixedTimeController:
 
 def fixed_time_fswf(scenario, seed: int) -> list[list[int]]:
     """FS-WF setup: each intersection's Webster greens from its measured ratios."""
-    return [green_split(webster_cycle(r)[0], r) for r in measure_flow_ratios(scenario, seed)]
+    return [green_split(webster_cycle(r), r) for r in measure_flow_ratios(scenario, seed)]

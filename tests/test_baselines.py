@@ -16,17 +16,17 @@ QUIET = "[demand]\ncar_rate_veh_h = 0\nbus_headway_s = 0\ntram_headway_s = 0\n"
 
 def test_webster_cycle_examples():
     # (1.5*20 + 5) / (1 - 0.5) = 70
-    assert webster_cycle([0.125, 0.125, 0.125, 0.125]) == (70, False)
+    assert webster_cycle([0.125, 0.125, 0.125, 0.125]) == 70
     # zero demand collapses to the raw 35 s, clamped up to the minimum
-    assert webster_cycle([0.0, 0.0, 0.0, 0.0]) == (MIN_CYCLE_S, False)
-    # near-saturation blows past the longest cycle and must be flagged
-    assert webster_cycle([0.9, 0.03, 0.03, 0.03]) == (MAX_CYCLE_S, True)
-    assert webster_cycle([0.25, 0.25, 0.25, 0.25]) == (MAX_CYCLE_S, True)
-    assert webster_cycle([0.5, 0.5, 0.1, 0.1]) == (MAX_CYCLE_S, True)
+    assert webster_cycle([0.0, 0.0, 0.0, 0.0]) == MIN_CYCLE_S
+    # near-saturation blows past the longest cycle and is clamped to it
+    assert webster_cycle([0.9, 0.03, 0.03, 0.03]) == MAX_CYCLE_S
+    assert webster_cycle([0.25, 0.25, 0.25, 0.25]) == MAX_CYCLE_S
+    assert webster_cycle([0.5, 0.5, 0.1, 0.1]) == MAX_CYCLE_S
 
 
 def test_webster_cycle_monotone_below_clamp():
-    cycles = [webster_cycle([y, 0.0, 0.0, 0.0])[0] for y in np.linspace(0, 0.7, 15)]
+    cycles = [webster_cycle([y, 0.0, 0.0, 0.0]) for y in np.linspace(0, 0.7, 15)]
     assert cycles == sorted(cycles)
 
 
@@ -42,8 +42,7 @@ def test_green_split_equal_ratios():
     assert greens == [13, 13, 13, 13]
     assert sum(greens) + LOST_TIME_S == 72
     # Webster sizes four 0.125 ratios at 70 s; the rounding residual goes to P1
-    cycle, _ = webster_cycle([0.125] * 4)
-    assert green_split(cycle, [0.125] * 4) == [14, 12, 12, 12]
+    assert green_split(webster_cycle([0.125] * 4), [0.125] * 4) == [14, 12, 12, 12]
 
 
 def test_green_split_zero_ratio_phase_keeps_minimum():
@@ -174,4 +173,4 @@ def test_fswf_builds_one_plan_per_intersection():
     assert len(plans) == 6
     # each plan's greens fill the Webster cycle of its own measured ratios
     for greens, ratios in zip(plans, measure_flow_ratios(1, seed=0)):
-        assert sum(greens) + LOST_TIME_S == webster_cycle(ratios)[0]
+        assert sum(greens) + LOST_TIME_S == webster_cycle(ratios)
