@@ -34,6 +34,7 @@ from .sim.world import MAX_GREEN_S, MIN_GREEN_S, MODES, QUEUED, SimWorld
 FEATURES_PER_LANE = 16
 GREENS_PER_PHASE = MAX_GREEN_S - MIN_GREEN_S + 1     # 38
 N_ACTIONS = N_PHASES * GREENS_PER_PHASE              # 152
+_PHASE_ROWS = np.eye(N_PHASES)                       # one-hot row per phase
 
 
 def obs_width(n_lanes: int) -> int:
@@ -66,7 +67,7 @@ def observe(world: SimWorld) -> np.ndarray:
     speed = np.where(veh > 0, speed_sum / np.maximum(veh, 1), freeflow)
     n = world.net.n
     per_lane = np.concatenate([veh, pax, queue, speed], axis=1).reshape(n, -1)
-    phase = np.eye(N_PHASES)[[c.phase for c in world.controllers]]
+    phase = _PHASE_ROWS[[c.phase for c in world.controllers]]
     return np.concatenate([per_lane, phase], axis=1)
 
 

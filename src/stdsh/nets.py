@@ -97,6 +97,7 @@ def act(policy: PolicyNet, obs: np.ndarray, mask: np.ndarray, rng,
         raise ValueError("every action is masked")
     x = np.asarray(obs, dtype=float) * policy.input_scale
     logits = np.tanh(x @ policy.W1 + policy.b1[0]) @ policy.W2 + policy.b2[0]
-    e = np.where(mask, np.exp(logits - np.where(mask, logits, -np.inf).max()), 0.0)
+    logits = np.where(mask, logits, -np.inf)
+    e = np.exp(logits - logits.max())
     p = e / e.sum()
     return int(np.argmax(p)) if greedy else int(rng.choice(policy.n_actions, p=p))
