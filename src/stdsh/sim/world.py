@@ -30,14 +30,14 @@ and the number of queued road vehicles.
 
 A vehicle is an id, its spawn order; the hot path reads its values one
 at a time from lists. The statement that sets `_slot` (lane index in
-net.all_lanes()), `_mode` (1 + index in MODES), `_state` (MOVING, QUEUED,
-DWELLING, EXITED) or `_occupancy` also sets the numpy array of the same
+net.all_lanes()), `_mode` (1 + index in MODES), `_state` (EXITED, MOVING,
+QUEUED, DWELLING) or `_occupancy` also sets the numpy array of the same
 name without the underscore, grown by doubling; only gathers over many
-ids read those. `active`, the ascending live ids, is found from `state`
-when read, never by a step, and each read checks that every spawned
-vehicle is live or counted as exited. Per lane slot the world keeps a
-deque of queued ids, a count still rolling, a credit meter and a count
-of entries.
+ids read those. `active`, the ascending live ids, is the nonzero entries
+of `state`, found when read, never by a step, and each read checks that
+every spawned vehicle is live or counted as exited. Per lane slot the
+world keeps a deque of queued ids, a count still rolling, a credit meter
+and a count of entries.
 """
 
 from __future__ import annotations
@@ -60,7 +60,9 @@ MAX_GREEN_S = 45
 
 MODES = ("bus", "tram", "car")
 TRAM = MODES.index("tram") + 1
-MOVING, QUEUED, DWELLING, EXITED = range(4)
+# EXITED is 0 so that the array's unspawned zeros read as exited: a scan
+# over its whole length, which only doubles, finds the live ids
+EXITED, MOVING, QUEUED, DWELLING = range(4)
 _VEHICLE_ARRAYS = (("slot", np.intp), ("mode", np.int8), ("state", np.int8),
                    ("occupancy", np.int64))
 # entered: the second before the leg's first move; due: its next event;
@@ -440,7 +442,7 @@ class SimWorld:
     def active(self) -> np.ndarray:
         """The ascending ids of live vehicles; raises if any spawned vehicle
         is neither live nor counted as exited."""
-        ids = np.flatnonzero(self.state[:self.spawned_total] != EXITED)
+        ids = np.flatnonzero(self.state)
         if self.spawned_total != len(ids) + self.exited_total:
             raise RuntimeError(
                 f"conservation broken at t={self.t}: spawned {self.spawned_total} "
