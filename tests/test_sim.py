@@ -401,6 +401,7 @@ def test_active_and_vehicle_arrays_follow_every_step(every):
         assert world.active.tolist() == live
         for name in ("slot", "mode", "state", "occupancy"):
             assert getattr(world, name)[:n].tolist() == getattr(world, f"_{name}")
+        assert not world.state[n:].any()        # the unspawned tail reads EXITED
         reads.append(world.t)
 
     def after_step(world):
