@@ -14,7 +14,7 @@ source of truth for the network shapes and ablation flags.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,8 +48,7 @@ class SummaryRow:
                 cell(self.awt_bus), cell(self.awt_tram)]
 
 
-SUMMARY_HEADER = ["scenario", "controller", "seed", "horizon_s",
-                  "anp", "aql", "awt_bus", "awt_tram"]
+SUMMARY_HEADER = [f.name for f in fields(SummaryRow)]
 
 
 def _scenario_label(scenario) -> str:
@@ -141,12 +140,12 @@ def _float_or_none(text: str) -> float | None:
 _PARSERS = (str, str, int, int, float, float, _float_or_none, _float_or_none)
 
 
-def _summary_row(fields: list[str], where: str) -> SummaryRow:
+def _summary_row(record: list[str], where: str) -> SummaryRow:
     """One summary.csv record, read field by field in SUMMARY_HEADER order."""
-    if len(fields) != len(SUMMARY_HEADER):
-        raise ValueError(f"{where}: {len(fields)} fields, expected {len(SUMMARY_HEADER)}")
+    if len(record) != len(SUMMARY_HEADER):
+        raise ValueError(f"{where}: {len(record)} fields, expected {len(SUMMARY_HEADER)}")
     values = []
-    for name, parse, text in zip(SUMMARY_HEADER, _PARSERS, fields):
+    for name, parse, text in zip(SUMMARY_HEADER, _PARSERS, record):
         try:
             values.append(parse(text))
         except ValueError:

@@ -32,7 +32,6 @@ import csv
 import ctypes
 import os
 import time
-import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -54,6 +53,7 @@ MAX_ABORTS_IN_A_ROW = 3
 
 # PPO's surrogate clip range and the global gradient-norm cap of both updates
 CLIP_EPS, GRAD_CLIP = 0.2, 0.5
+ENTROPY_COEF_FINAL = 0.002      # TrainConfig.entropy_coef anneals linearly to this
 
 
 @dataclass
@@ -66,8 +66,9 @@ class TrainConfig:
     near 100 s, about two cycles. The annealed entropy keeps the low-demand
     phases explored long enough for their payoff to show, and the critic
     regresses scaled returns so its targets sit within reach of clipped
-    Adam steps. PPO's clip range and gradient clip, its advantage
-    normalization and the critic's window are constants, not fields.
+    Adam steps. The entropy target ENTROPY_COEF_FINAL, PPO's clip range
+    CLIP_EPS and gradient clip GRAD_CLIP, its advantage normalization and
+    the critic's window are constants, not fields.
     """
 
     # the field order is a checkpoint's byte layout (one meta entry per field);
@@ -86,13 +87,11 @@ class TrainConfig:
     d_model: int = 64
     heads: int = 4
     return_scale: float = 2e-4   # critic regresses return_scale * R
-    entropy_coef_final: float | None = 0.002  # linear anneal target, None = constant
-    time_discount: bool = True   # gamma is per second, not per decision
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is not None and not np.isfinite(value):
+            if not np.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
             if type(f.default) is int and value < 1:     # a size
                 raise ValueError(f"{f.name} must be >= 1, got {value}")
@@ -100,8 +99,6 @@ class TrainConfig:
             raise ValueError(f"gamma must be in (0,1), got {self.gamma}")
         if self.entropy_coef < 0 or self.lr <= 0:
             raise ValueError("entropy_coef >= 0 and lr > 0 required")
-        if self.entropy_coef_final is not None and self.entropy_coef_final < 0:
-            raise ValueError("entropy_coef_final must be >= 0")
         if self.return_scale <= 0:
             raise ValueError("return_scale must be > 0")
         if self.use_hypergraph and not (self.use_spatial or self.use_temporal):
@@ -110,11 +107,9 @@ class TrainConfig:
             raise ValueError("d_model must divide evenly across heads")
 
     def entropy_coef_at(self, episode: int, episodes: int) -> float:
-        """Entropy weight for an episode, linear from coef to coef_final."""
-        if self.entropy_coef_final is None or episodes <= 1:
-            return self.entropy_coef
-        frac = episode / (episodes - 1)
-        return (1.0 - frac) * self.entropy_coef + frac * self.entropy_coef_final
+        """Entropy weight for an episode, linear from coef to ENTROPY_COEF_FINAL."""
+        frac = episode / max(episodes - 1, 1)
+        return (1.0 - frac) * self.entropy_coef + frac * ENTROPY_COEF_FINAL
 
 
 @dataclass
@@ -137,12 +132,12 @@ class TransitionBatch:
         return len(self.action)
 
 
-def returns(rewards, gamma: float, dts=None):
-    """Discounted suffix sums: R_t = r_t + gamma * R_{t+1}.
+def returns(rewards, gamma: float, dts):
+    """Discounted suffix sums at the per-second rate gamma.
 
-    With `dts` (seconds spanned by each decision window) gamma is a
-    per-second rate: each window's average reward is weighted by its
-    discounted duration and the tail is discounted by elapsed time,
+    `dts` holds the seconds spanned by each decision window: each window's
+    average reward is weighted by its discounted duration and the tail is
+    discounted by elapsed time,
 
         R_k = r_k * (1 - gamma^dt_k) / (1 - gamma) + gamma^dt_k * R_{k+1},
 
@@ -151,33 +146,30 @@ def returns(rewards, gamma: float, dts=None):
     green (13..50 s); discounting per decision instead would price a long
     green's tail congestion at the same single step as a short one's.
     """
-    if dts is not None:
-        if len(dts) != len(rewards):
-            raise ValueError(f"dts length {len(dts)} != rewards {len(rewards)}")
-        if any(dt < 1 for dt in dts):
-            raise ValueError("window lengths must be >= 1 second")
+    if len(dts) != len(rewards):
+        raise ValueError(f"dts length {len(dts)} != rewards {len(rewards)}")
+    if any(dt < 1 for dt in dts):
+        raise ValueError("window lengths must be >= 1 second")
     out = [0.0] * len(rewards)
     acc = 0.0
     for k in range(len(rewards) - 1, -1, -1):
         r = float(rewards[k])
         if not np.isfinite(r):
             raise ValueError(f"non-finite reward at index {k}")
-        if dts is None:
-            acc = r + gamma * acc
-        else:
-            decay = gamma ** float(dts[k])
-            acc = r * (1.0 - decay) / (1.0 - gamma) + decay * acc
+        decay = gamma ** float(dts[k])
+        acc = r * (1.0 - decay) / (1.0 - gamma) + decay * acc
         out[k] = acc
     return out
 
 
-def advantages(ret, values, normalize: bool = True) -> np.ndarray:
+def advantages(ret, values) -> np.ndarray:
+    """ret - values, normalized to zero mean and unit std when it has >= 2 rows."""
     ret = np.asarray(ret, dtype=float)
     values = np.asarray(values, dtype=float)
     if ret.shape != values.shape:
         raise ValueError(f"length mismatch: {ret.shape} vs {values.shape}")
     adv = ret - values
-    if normalize and len(adv) >= 2:
+    if len(adv) >= 2:
         std = adv.std()
         adv = adv - adv.mean()
         if std > 0:
@@ -262,15 +254,14 @@ def collect_rollout(world: SimWorld, state: TrainState, seconds: int) -> Transit
         return actions
 
     drive(world, seconds, decide, after_step=None if window is None else window.after_step)
-    batch = _build_batch(rows, world.log, cfg.gamma, cfg.time_discount)
+    batch = _build_batch(rows, world.log, cfg.gamma)
     if window is not None:
         batch.snapshots = envmod.prepare_node_features(
             window.table(), len(world.net.lanes_of(0)), cfg.heads)
     return batch
 
 
-def _build_batch(rows: list[tuple], log: MetricsLog, gamma: float,
-                 time_discount: bool = False) -> TransitionBatch:
+def _build_batch(rows: list[tuple], log: MetricsLog, gamma: float) -> TransitionBatch:
     """Price the decisions `rows` (decision order) over `log`: a window runs to
     its agent's next decision or the log's end. Each array is built column by
     column in close order, (stop, agent); other builds raised peak RSS."""
@@ -292,8 +283,7 @@ def _build_batch(rows: list[tuple], log: MetricsLog, gamma: float,
     batch.ret = np.zeros(len(rows))
     for i in np.unique(agent):
         idx = np.flatnonzero(agent == i)     # chronological
-        dts = batch.dt[idx] if time_discount else None
-        batch.ret[idx] = returns(batch.reward[idx], gamma, dts=dts)
+        batch.ret[idx] = returns(batch.reward[idx], gamma, batch.dt[idx])
     return batch
 
 
@@ -590,11 +580,11 @@ def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig, out_dir) -> 
 def save_checkpoint(state: TrainState, path) -> None:
     """Write the optimizers' arrays (policy, input scale, critic, encoder),
     then meta.<name> for each TrainConfig field in declaration order and
-    meta.n_agents, each value as a float and None as NaN."""
+    meta.n_agents, each value as a float."""
     named = {**state.opt_actor.params, "pi.input_scale": state.policy.input_scale,
              **state.opt_critic.params}
     for name, value in {**vars(state.cfg), "n_agents": state.n_agents}.items():
-        named[f"meta.{name}"] = np.array(np.nan if value is None else float(value))
+        named[f"meta.{name}"] = np.array(float(value))
     save_params(path, named)
 
 
@@ -608,24 +598,26 @@ def load_checkpoint(path) -> TrainState:
 
 
 def _restore(named: dict[str, np.ndarray]) -> TrainState:
-    """The TrainState that save_checkpoint wrote. Each meta entry is read as
-    its field default's type (n_agents: int): a bool must be 0 or 1, an int
-    a whole number >= 1, and NaN is None where the field may be None. Every
-    array must have the shape that config gives it, and the checkpoint may
-    hold no entry that config does not ask for."""
-    hints = typing.get_type_hints(TrainConfig)
+    """The TrainState that save_checkpoint wrote. Each meta entry is a 0-d
+    array read as its field default's type (n_agents: int): a bool must be 0
+    or 1, an int a whole number >= 1. pi.W1 must be 2-D, and every array
+    must have the shape that config gives it; the checkpoint may hold no
+    entry that config does not ask for."""
     kinds = {**{f.name: type(f.default) for f in fields(TrainConfig)}, "n_agents": int}
     meta = {}
     for name, kind in kinds.items():
         key = f"meta.{name}"
+        if named[key].ndim != 0:
+            raise ValueError(f"entry {key!r} has shape {named[key].shape}, must be 0-d")
         val = float(named[key])
         if kind is bool and val not in (0.0, 1.0):
             raise ValueError(f"entry {key!r} must be 0 or 1, got {val}")
         if kind is int and not (val.is_integer() and val >= 1):
             raise ValueError(f"entry {key!r} must be a whole number >= 1, got {val}")
-        nullable = type(None) in typing.get_args(hints.get(name))
-        meta[name] = None if nullable and np.isnan(val) else kind(val)
+        meta[name] = kind(val)
     n_agents = meta.pop("n_agents")
+    if named["pi.W1"].ndim != 2:
+        raise ValueError(f"entry 'pi.W1' has shape {named['pi.W1'].shape}, must be 2-D")
     state = TrainState(TrainConfig(**meta), named["pi.W1"].shape[0], n_agents,
                        seed=0, input_scale=named["pi.input_scale"])
     arrays = {**state.opt_actor.params, **state.opt_critic.params}

@@ -41,8 +41,7 @@ def run_bandit(seed: int, max_updates: int = 500, batch_size: int = 64,
             ret=rewards.copy(),              # one-step episodes
             done=np.ones(batch_size, dtype=bool),
         )
-        adv = advantages(batch.ret, np.full(batch_size, rewards.mean()),
-                         normalize=True)
+        adv = advantages(batch.ret, np.full(batch_size, rewards.mean()))
         stats = ppo_update(state, batch, adv)
         if first_update_stats is None:
             first_update_stats = stats

@@ -10,7 +10,7 @@ and the sha256 of each file a criterion reads; an entry whose files are
 missing or altered, or whose fingerprint differs from the one asked for, is
 retrained. Delete an entry's run.json to force its rebuild; a full rebuild
 with OPENBLAS_NUM_THREADS=1, the arithmetic the committed entries hold,
-took 149 s on 2 cores.
+took 150 s on 2 cores.
 """
 
 import dataclasses

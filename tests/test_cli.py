@@ -142,6 +142,17 @@ def test_eval_names_a_checkpoint_in_an_old_layout(tmp_path, capsys):
         "are not in its config\n")
 
 
+def test_eval_names_a_checkpoint_with_a_misshapen_config_entry(tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    trainer.save_checkpoint(trainer.make_train_state(trainer.TrainConfig(hidden=8), 1, 0),
+                            ckpt)
+    save_params(ckpt, {**load_params(ckpt), "meta.lr": np.array([1e-3, 1e-3])})
+    rc = main(["eval", "--scenario", "1", "--controller", "stdsh",
+               "--checkpoint", str(ckpt), "--horizon", "60"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: checkpoint {ckpt}: ")
+
+
 def test_eval_fswf_prints_summary(tmp_path, capsys):
     rc = main(["eval", "--scenario", "1", "--controller", "fswf",
                "--seed", "0", "--horizon", "300", "--out", str(tmp_path)])

@@ -48,7 +48,7 @@ def synthetic_batch(state, B=24, width=10, seed=0):
     batch = TransitionBatch(
         agent=np.zeros(B, dtype=int), t=np.arange(B), obs=obs, mask=mask,
         action=action, reward=reward,
-        ret=np.array(returns(reward, state.cfg.gamma)),
+        ret=np.array(returns(reward, state.cfg.gamma, [1] * B)),
         done=np.zeros(B, dtype=bool), critic_input=obs.copy())
     return batch
 
@@ -56,16 +56,15 @@ def synthetic_batch(state, B=24, width=10, seed=0):
 # ------------------------------------------------------------------ returns
 
 def test_returns_examples():
-    assert returns([1.0, 2.0, 3.0], gamma=0.0) == [1.0, 2.0, 3.0]
-    assert returns([1.0, 1.0, 1.0], gamma=1.0) == [3.0, 2.0, 1.0]
-    out = returns([1.0, 2.0], gamma=0.9)
+    assert returns([1.0, 2.0, 3.0], 0.0, [1, 1, 1]) == [1.0, 2.0, 3.0]
+    out = returns([1.0, 2.0], 0.9, [1, 1])
     assert abs(out[0] - 2.8) < 1e-12 and out[1] == 2.0
 
 
 def test_returns_recursion_property():
     rng = np.random.default_rng(0)
     r = rng.normal(size=50)
-    out = returns(r, gamma=0.97)
+    out = returns(r, 0.97, [1] * 50)
     for k in range(49):
         assert abs(out[k] - (r[k] + 0.97 * out[k + 1])) < 1e-12
     assert out[-1] == r[-1]
@@ -73,14 +72,17 @@ def test_returns_recursion_property():
 
 def test_returns_rejects_non_finite():
     with pytest.raises(ValueError):
-        returns([1.0, np.nan], gamma=0.5)
+        returns([1.0, np.nan], 0.5, [1, 1])
 
 
 def test_returns_unit_windows_match_per_step():
     rng = np.random.default_rng(3)
     r = rng.normal(size=20)
-    assert np.allclose(returns(r, 0.9), returns(r, 0.9, dts=[1] * 20),
-                       rtol=1e-12, atol=0)
+    suffix, acc = [0.0] * 20, 0.0
+    for k in range(19, -1, -1):
+        acc = r[k] + 0.9 * acc
+        suffix[k] = acc
+    assert np.allclose(returns(r, 0.9, [1] * 20), suffix, rtol=1e-12, atol=0)
 
 
 def test_returns_time_weighted_examples():
@@ -112,9 +114,9 @@ def test_returns_rejects_bad_windows():
 
 
 def test_advantages_examples():
-    adv = advantages([2.0, 2.0], [1.0, 3.0], normalize=False)
-    assert np.array_equal(adv, [1.0, -1.0])
-    assert np.array_equal(advantages([5.0, 5.0], [5.0, 5.0], False), [0.0, 0.0])
+    # [1, -1] and [0, 0] already have zero mean and unit (or no) spread
+    assert np.array_equal(advantages([2.0, 2.0], [1.0, 3.0]), [1.0, -1.0])
+    assert np.array_equal(advantages([5.0, 5.0], [5.0, 5.0]), [0.0, 0.0])
     rng = np.random.default_rng(1)
     adv = advantages(rng.normal(size=100), rng.normal(size=100))
     assert abs(adv.mean()) < 1e-9
@@ -137,7 +139,6 @@ def test_world_seed_layout():
 def test_train_config_validation():
     for bad in (dict(gamma=0.0), dict(gamma=1.0), dict(lr=0.0),
                 dict(return_scale=0.0), dict(entropy_coef=-0.1),
-                dict(entropy_coef_final=-0.1),
                 dict(d_model=65, heads=4),
                 dict(use_spatial=False, use_temporal=False)):
         with pytest.raises(ValueError):
@@ -146,14 +147,12 @@ def test_train_config_validation():
     TrainConfig(use_hypergraph=False, use_spatial=False, use_temporal=False)
 
 
-@pytest.mark.parametrize("name", ["lr", "entropy_coef", "entropy_coef_final",
-                                  "return_scale"])
+@pytest.mark.parametrize("name", ["lr", "entropy_coef", "return_scale"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_train_config_rejects_non_finite_values(name, value):
     # NaN fails every `<= 0` check, so each field needs its own finite test
     with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
         TrainConfig(**{name: value})
-    TrainConfig(entropy_coef_final=None)
 
 
 @pytest.mark.parametrize("size", ["ppo_epochs", "minibatch_size", "horizon_s",
@@ -165,12 +164,10 @@ def test_train_config_rejects_sizes_below_one(size, value):
 
 
 def test_entropy_coef_schedule():
-    cfg = TrainConfig(entropy_coef=0.01, entropy_coef_final=0.002)
+    cfg = TrainConfig(entropy_coef=0.01)
     assert cfg.entropy_coef_at(0, 11) == 0.01
     assert abs(cfg.entropy_coef_at(10, 11) - 0.002) < 1e-15
     assert abs(cfg.entropy_coef_at(5, 11) - 0.006) < 1e-15
-    const = TrainConfig(entropy_coef=0.01, entropy_coef_final=None)
-    assert const.entropy_coef_at(7, 100) == 0.01
 
 
 # ------------------------------------------------------------------ updates
@@ -475,20 +472,8 @@ def test_rollout_observes_once_per_decided_second(monkeypatch,
                               batch.t // WINDOW_CADENCE_S)
 
 
-def test_rollout_returns_are_per_agent_suffix_sums():
-    cfg = small_cfg(gamma=0.9, time_discount=False)
-    world = load_scenario(1, seed=1)
-    state = TrainState(cfg, in_width=obs_width(N_LANES), n_agents=N_AGENTS,
-                       seed=1)
-    batch = collect_rollout(world, state, 300)
-    for agent in range(N_AGENTS):
-        idx = np.flatnonzero(batch.agent == agent)
-        expect = returns(batch.reward[idx], 0.9)
-        assert np.allclose(batch.ret[idx], expect, atol=1e-12)
-
-
 def test_rollout_time_discount_uses_window_lengths():
-    cfg = small_cfg(gamma=0.995, time_discount=True)
+    cfg = small_cfg(gamma=0.995)
     world = load_scenario(1, seed=1)
     state = TrainState(cfg, in_width=obs_width(N_LANES), n_agents=N_AGENTS,
                        seed=1)
@@ -499,7 +484,7 @@ def test_rollout_time_discount_uses_window_lengths():
         for k in idx[~batch.done[idx]]:
             _, green = decode_action(batch.action[k])
             assert batch.dt[k] == 5 + green
-        expect = returns(batch.reward[idx], 0.995, dts=batch.dt[idx])
+        expect = returns(batch.reward[idx], 0.995, batch.dt[idx])
         assert np.allclose(batch.ret[idx], expect, atol=1e-9)
 
 
@@ -589,14 +574,14 @@ def test_identical_trainings_write_identical_files(tmp_path):
 
 # sha256 of what four trainings (scenario 1, 300 s episodes) write, the same
 # whether the critic updates run in a child or in this process; "-" where
-# the run stops before its checkpoint
+# the run stops before its checkpoint. `python tests/test_trainer.py` prints them
 PINNED_TRAININGS = {
     "clean": ("e2e623b884324421dd367ec49c4c2bfa172f1c16b3336b1e85abaa49f72969a9",
-              "f245d65a08c1faeab826a48d2bfb6cd57c289b945edb9e02fa0a2f5696fcfd89"),
+              "625aab8a93f231c9dbfe70a5d4521a8e7076b274c05c280eff95a72ec011886b"),
     "flat": ("32ce7d31785512cd47a7441ea42c838cd6dd247d1067610f0d9853fcd65b2854",
-             "8c9e5b27031e08989147d8744916dc9cd4b404409d9edd7679856dcbea03e261"),
+             "fc7b6f069b2cb30b4b90c81a3d3363a44e438c6a94dc8a0df48f8a52fef416a5"),
     "nan_returns": ("0a8c13de86bd336f4416d0baf6e7cf4980bae7bce3fedf23372535952986de9f",
-                    "20365eb61f281abba970b30f84307b0e2c554e5dad492164e7b361ab4caf186e"),
+                    "7244fcbd92ee13d89c29a2dc2d46ba553ac3fb76448054435bcebbec78796264"),
     "one_sided_aborts": ("d55a17a145c6588be5bb5f44f73f8b556ce211d91c237b51ae8c8d57b2775b3b",
                          "-"),
 }
@@ -875,27 +860,24 @@ def test_epoch_orders_are_that_many_shuffles():
 # -------------------------------------------------------------- checkpoints
 
 def test_checkpoint_round_trip_preserves_behavior(tmp_path):
-    # None is saved as NaN, and a field that may be None reads it back as None
-    for entropy_coef_final in (0.003, None):
-        cfg = TrainConfig(hidden=32, d_model=8, heads=4, return_scale=1e-3, gamma=0.9,
-                          entropy_coef_final=entropy_coef_final)
-        world = load_scenario(1, seed=2)
-        state = TrainState(cfg, in_width=obs_width(N_LANES), n_agents=N_AGENTS,
-                           seed=2, input_scale=feature_scales(N_LANES))
-        batch = collect_rollout(world, state, 200)
-        adv = advantages(batch.ret, evaluate_values(state, batch))
-        ppo_update(state, batch, adv)
-        critic_update(state, batch)
+    cfg = TrainConfig(hidden=32, d_model=8, heads=4, return_scale=1e-3, gamma=0.9)
+    world = load_scenario(1, seed=2)
+    state = TrainState(cfg, in_width=obs_width(N_LANES), n_agents=N_AGENTS,
+                       seed=2, input_scale=feature_scales(N_LANES))
+    batch = collect_rollout(world, state, 200)
+    adv = advantages(batch.ret, evaluate_values(state, batch))
+    ppo_update(state, batch, adv)
+    critic_update(state, batch)
 
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(state, path)
-        clone = load_checkpoint(path)
-        assert clone.cfg == cfg
-        assert np.array_equal(state.policy.forward(batch.obs)[0],
-                              clone.policy.forward(batch.obs)[0])
-        va = evaluate_values(state, batch)
-        vb = evaluate_values(clone, batch)
-        assert np.array_equal(va, vb)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(state, path)
+    clone = load_checkpoint(path)
+    assert clone.cfg == cfg
+    assert np.array_equal(state.policy.forward(batch.obs)[0],
+                          clone.policy.forward(batch.obs)[0])
+    va = evaluate_values(state, batch)
+    vb = evaluate_values(clone, batch)
+    assert np.array_equal(va, vb)
 
 
 def _small_checkpoint(tmp_path):
@@ -909,8 +891,7 @@ def _small_checkpoint(tmp_path):
 # a checkpoint's config entries, in the order its bytes hold them after the arrays
 META_LAYOUT = ("use_hypergraph", "use_dsha", "use_spatial", "use_temporal", "gamma",
                "entropy_coef", "ppo_epochs", "minibatch_size", "lr", "horizon_s",
-               "hidden", "d_model", "heads", "return_scale", "entropy_coef_final",
-               "time_discount", "n_agents")
+               "hidden", "d_model", "heads", "return_scale", "n_agents")
 
 
 def test_checkpoint_entries_come_in_the_pinned_order(tmp_path):
@@ -925,11 +906,14 @@ def test_checkpoint_entries_come_in_the_pinned_order(tmp_path):
 
 def test_checkpoint_with_a_misshapen_array_is_rejected(tmp_path):
     path, named = _small_checkpoint(tmp_path)
-    named["pi.W1"] = named["pi.W1"][:, :1]          # (12, 1) broadcasts to (12, 8)
-    save_params(path, named)
-    with pytest.raises(ValueError, match=re.escape(f"checkpoint {path}: entry 'pi.W1' "
-                                                   "has shape (12, 1)")):
-        load_checkpoint(path)
+    for name, value in (("pi.W1", named["pi.W1"][:, :1]),   # broadcasts to (12, 8)
+                        ("pi.W1", named["pi.W1"][0, 0]),    # 0-d: no input width
+                        ("meta.lr", np.array([1e-3, 1e-3])),
+                        ("meta.lr", np.array([1e-3]))):     # meta entries are 0-d
+        save_params(path, {**named, name: value})
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint {path}: entry {name!r} "
+                                                       f"has shape {value.shape}")):
+            load_checkpoint(path)
 
 
 def test_checkpoint_missing_an_encoder_head_is_rejected(tmp_path):
@@ -955,7 +939,7 @@ WHOLE, BOOL = "a whole number >= 1", "0 or 1"
 
 @pytest.mark.parametrize("name, value, kind", [
     ("heads", np.nan, WHOLE), ("heads", 4.5, WHOLE),
-    ("use_hypergraph", 0.5, BOOL), ("use_dsha", np.nan, BOOL), ("time_discount", 7.0, BOOL),
+    ("use_hypergraph", 0.5, BOOL), ("use_dsha", np.nan, BOOL), ("use_temporal", 7.0, BOOL),
     ("n_agents", 2.5, WHOLE), ("n_agents", -3.0, WHOLE), ("n_agents", 0.0, WHOLE)],
     ids=["nan", "fraction", "bool_half", "bool_nan", "bool_seven",
          "agents_fraction", "agents_negative", "agents_zero"])
@@ -976,9 +960,11 @@ def test_committed_checkpoints_load(name):
 
 
 # the config entries a checkpoint held before its clip range, gradient clip,
-# advantage normalization, attention temperature and window became constants
+# advantage normalization, attention temperature, window, entropy target and
+# per-second discounting became constants
 OLD_LAYOUT = {"attn_tau": 1.0, "clip_eps": 0.2, "grad_clip": 0.5,
-              "normalize_advantages": 1.0, "window_cadence_s": 5.0, "window_depth": 5.0}
+              "normalize_advantages": 1.0, "window_cadence_s": 5.0, "window_depth": 5.0,
+              "entropy_coef_final": 0.002, "time_discount": 1.0}
 
 
 def test_checkpoint_with_entries_its_config_lacks_is_rejected(tmp_path):
@@ -1002,3 +988,21 @@ def test_bandit_converges_and_first_ratios_are_one():
     assert out["first_update_stats"]["ratio_min"] == 1.0
     assert out["first_update_stats"]["ratio_max"] == 1.0
     assert out["trajectory"][-1] > 0.95
+
+
+if __name__ == "__main__":
+    # re-pin: print PINNED_TRAININGS as both modes write it, after checking they agree
+    import tempfile
+
+    print("PINNED_TRAININGS = {")
+    for name in PINNED_TRAININGS:
+        digests = {}
+        for mode in (one_cpu, forked):
+            with pytest.MonkeyPatch.context() as m, tempfile.TemporaryDirectory() as tmp:
+                mode(m)
+                digests[mode.__name__] = pinned_training(name, Path(tmp), m)
+        if digests["one_cpu"] != digests["forked"]:
+            raise SystemExit(f"{name}: one_cpu and forked disagree: {digests}")
+        log, ckpt = digests["one_cpu"]
+        print(f'    "{name}": ("{log}",\n{" " * (len(name) + 9)}"{ckpt}"),')
+    print("}")
