@@ -172,6 +172,16 @@ def parse_config(text: str) -> ScenarioConfig:
     return cfg
 
 
+# integer ranges (a day of seconds, 100 intersections, 1000 riders); C ints overflow far past them
+_INT_RANGES = {**dict.fromkeys("tram_stop_dwell_s bus_headway_s bus_first_departure_s "
+                               "tram_headway_s tram_first_departure_s initial_green_s "
+                               "ramp_duration_s".split(), (0, 86400)),
+               "intersections": (1, 100), "skew_intersection": (0, 99),
+               "bus_occupancy": (1, 1000), "tram_occupancy": (1, 1000)}
+# the longest free-flow trip along a link: SimWorld's start walks each second of it
+MAX_LINK_TRIP_S = 3600
+
+
 def _validate(cfg: ScenarioConfig) -> None:
     def bad(field_name, why):
         raise ConfigError(f"field {field_name!r}: {why}")
@@ -180,8 +190,9 @@ def _validate(cfg: ScenarioConfig) -> None:
         value = getattr(cfg, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             bad(f.name, f"must be finite, got {value}")
-    if cfg.intersections < 1:
-        bad("intersections", "must be >= 1")
+    for name, (lo, hi) in _INT_RANGES.items():
+        if not lo <= getattr(cfg, name) <= hi:
+            bad(name, f"must be in {lo}..{hi}, got {getattr(cfg, name)}")
     for name in ("link_length_m", "side_link_length_m", "freeflow_kmh",
                  "tram_freeflow_kmh", "saturation_veh_s", "speed_threshold_kmh"):
         if getattr(cfg, name) <= 0:
@@ -190,6 +201,14 @@ def _validate(cfg: ScenarioConfig) -> None:
                  "car_occupancy_poisson_mean"):
         if getattr(cfg, name) < 0:
             bad(name, "must be >= 0")
+    trips = [("link_length_m", "freeflow_kmh"), ("side_link_length_m", "freeflow_kmh")]
+    if cfg.tram_enabled:
+        trips.append(("link_length_m", "tram_freeflow_kmh"))
+    for length, speed in trips:
+        trip_s = getattr(cfg, length) / (getattr(cfg, speed) / 3.6)
+        if trip_s > MAX_LINK_TRIP_S:
+            bad(length, f"{getattr(cfg, length):g} m at {speed} {getattr(cfg, speed):g} km/h "
+                        f"is a {trip_s:.0f} s trip, above {MAX_LINK_TRIP_S} s")
     # one uniform draw per entry and second: at most one car, 3600 veh/h
     peaks = {"car_rate_veh_h": cfg.car_rate_veh_h,
              "ramp_to_veh_h": cfg.ramp_to_veh_h if cfg.scenario_id == 2 else 0,
@@ -199,16 +218,9 @@ def _validate(cfg: ScenarioConfig) -> None:
         if peak > 3600:
             bad(name, f"peak arrival rate {peak:g} veh/h is above one car per entry "
                       "and second (3600 veh/h)")
-    for name in ("bus_headway_s", "tram_headway_s", "tram_stop_dwell_s",
-                 "initial_green_s", "bus_first_departure_s", "tram_first_departure_s"):
-        if getattr(cfg, name) < 0:
-            bad(name, "must be >= 0")
     turn_sum = cfg.turn_left + cfg.turn_through + cfg.turn_right
     if min(cfg.turn_left, cfg.turn_through, cfg.turn_right) < 0 or abs(turn_sum - 1.0) > 1e-9:
         bad("turn_left/turn_through/turn_right", f"must be >= 0 and sum to 1, got {turn_sum}")
-    for name in ("bus_occupancy", "tram_occupancy"):
-        if getattr(cfg, name) < 1:
-            bad(name, "must be >= 1")
     if not (1 <= cfg.scenario_id <= 5):
         bad("id", f"scenario must be in 1..5, got {cfg.scenario_id}")
     if not (0 <= cfg.initial_phase <= 3):

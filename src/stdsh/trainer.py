@@ -15,14 +15,16 @@ one batched forward at the start of the update; collection keeps none.
 Identical inputs through an identical batched graph make the first
 epoch's ratios exactly one when the batch fits in a single minibatch.
 
-Only the value pass reads the critic, so train_run takes each episode's
-critic update in one place, after the actor update and the next rollout:
-where this process's CPUs fit two processes' BLAS threads it collects the
+train_run runs OpenBLAS on one thread, so its bytes do not depend on the
+caller's thread count. Only the value pass reads the critic, so train_run
+takes each episode's critic update in one place, after the actor update
+and the next rollout: where this process may use two CPUs it collects the
 update from one worker forked after the first rollout, which keeps the
-critic, the encoder and their Adam state, and otherwise it runs the update
-there. Before either update, train_run draws every epoch order of PPO and
-then of the critic, so an update that aborts early leaves orders unused
-but moves no later draw, and the two paths write the same files.
+critic, the encoder and their Adam state, and otherwise (one CPU, or no
+OpenBLAS found) it runs the update there. Before either update, train_run
+draws every epoch order of PPO and then of the critic, so an update that
+aborts early leaves orders unused but moves no later draw, and the two
+paths write the same files.
 """
 
 from __future__ import annotations
@@ -421,11 +423,22 @@ def _openblas_function(*names):
                 return getattr(lib, name)
 
 
-def _blas_threads() -> int | None:
-    """Threads per call of the OpenBLAS numpy loaded; None if none is found."""
-    fn = _openblas_function("scipy_openblas_get_num_threads64_",
-                            "openblas_get_num_threads64_", "openblas_get_num_threads")
-    return None if fn is None else fn()
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run OpenBLAS on one thread inside, then give the caller's count back;
+    yields whether it could (without OpenBLAS it changes nothing)."""
+    get, put = (_openblas_function(f"scipy_openblas_{op}_num_threads64_",
+                                   f"openblas_{op}_num_threads64_", f"openblas_{op}_num_threads")
+                for op in ("get", "set"))
+    if get is None or put is None:
+        yield False
+        return
+    threads = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(threads)
 
 
 class _CriticWorker:
@@ -515,15 +528,15 @@ def train_run(scenario, seed: int, episodes: int, cfg: TrainConfig, out_dir) -> 
     history, aborted, critic_s, critic_wait_s = [], [], [], []
     # no affinity call (not Linux): run in turn, as on one CPU
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    fork = cpus > 1 and cpus >= 2 * (_blas_threads() or cpus)
     t0 = time.perf_counter()
 
-    with open(log_path, "w", newline="") as fh:
+    with _one_blas_thread() as pinned, open(log_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["update", "mean_reward", "actor_loss", "critic_loss",
                     "entropy", "grad_norm", "aborted"])
         batch = collect_rollout(load_scenario(scenario, world_seed(seed, 0)), state, cfg.horizon_s)
-        worker = _CriticWorker(state) if fork else None
+        # one BLAS thread per process: two CPUs fit the worker beside this one
+        worker = _CriticWorker(state) if pinned and cpus > 1 else None
         try:
             for ep in range(episodes):
                 ppo_orders = epoch_orders(state.rng, len(batch), cfg.ppo_epochs)

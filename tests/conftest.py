@@ -1,10 +1,11 @@
 """Session header: what the training pins depend on.
 
-The hypergraph-on training pins in test_trainer.py hold only for the
-arithmetic they were taken on, so the header names numpy, its BLAS, the
-OpenBLAS kernel (corename) in use, numpy's top enabled x86 dispatch
-group, the threads that BLAS runs per call and the CPUs this process
-may use. A pin that fails on another host then names what it ran on.
+The training pins in test_trainer.py hold only for the arithmetic they
+were taken on, so the header names numpy, its BLAS, the OpenBLAS kernel
+(corename) in use, numpy's top enabled x86 dispatch group and the CPUs
+this process may use. A pin that fails on another host then names what
+it ran on. Training always runs OpenBLAS on one thread, so the caller's
+thread count is not part of it.
 It also says whether bytecode writing is off (PYTHONDONTWRITEBYTECODE or
 -B), which makes every interpreter start compile stdsh again.
 """
@@ -43,12 +44,10 @@ def pytest_report_header(config):
     except (TypeError, KeyError):   # numpy before 1.25 has no config dicts
         blas = "unknown"
     try:
-        from stdsh.trainer import _blas_threads
-        threads, core = _blas_threads(), _openblas_corename()
+        core = _openblas_corename()
     except ImportError:             # stdsh not on the path: the tests say so
-        threads = core = "unknown"
+        core = "unknown"
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else "unknown"
     return (f"numpy {np.__version__}, BLAS {blas}, OpenBLAS core {core}, "
-            f"numpy dispatch {_x86_dispatch_group()}, BLAS threads {threads}, "
-            f"CPUs in affinity {cpus}, "
+            f"numpy dispatch {_x86_dispatch_group()}, CPUs in affinity {cpus}, "
             f"bytecode writing {'off' if sys.flags.dont_write_bytecode else 'on'}")

@@ -9,8 +9,13 @@ history in run.json). run.json holds a fingerprint of the training inputs
 and the sha256 of each file a criterion reads; an entry whose files are
 missing or altered, or whose fingerprint differs from the one asked for, is
 retrained. Delete an entry's run.json to force its rebuild; a full rebuild
-with OPENBLAS_NUM_THREADS=1, the arithmetic the committed entries hold,
-took 150 s on 2 cores.
+took 150 s on 2 cores. Training runs OpenBLAS on one thread, the arithmetic
+the committed entries hold, whatever OPENBLAS_NUM_THREADS says.
+
+`PYTHONPATH=src python tests/test_acceptance.py` retrains stdsh_full into a
+temporary root (about 80 s on 2 cores) and compares its checkpoint with the
+committed one; it fails only where the arithmetic identity (OpenBLAS kernel,
+numpy dispatch group) is the recorded one and the checkpoints differ.
 """
 
 import dataclasses
@@ -39,7 +44,7 @@ from stdsh.experiment import run_experiment
 from stdsh.metrics import MetricsLog
 from stdsh.nets import CriticNet
 from stdsh.sim import load_scenario
-from stdsh.trainer import TrainConfig, _blas_threads, load_checkpoint, train_run
+from stdsh.trainer import TrainConfig, load_checkpoint, train_run
 
 ARTIFACTS = Path(__file__).parent / "_artifacts"
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -82,9 +87,8 @@ def training_fingerprint(episodes: int, cfg) -> dict:
 
 
 def provenance() -> dict:
-    """Where a training ran and on which arithmetic (BLAS threads, OpenBLAS
-    kernel, numpy's x86 dispatch group); recorded for the reader, never
-    matched."""
+    """Where a training ran and on which arithmetic (OpenBLAS kernel, numpy's
+    x86 dispatch group); recorded for the reader, never matched."""
     try:
         rev = subprocess.run(
             ["git", "describe", "--always", "--dirty", "--abbrev=12"],
@@ -94,8 +98,8 @@ def provenance() -> dict:
         rev = "unknown"
     return {"git_revision": rev, "host": platform.node() or "unknown",
             "cores": os.cpu_count(), "python": platform.python_version(),
-            "numpy": np.__version__, "blas_threads": _blas_threads(),
-            "openblas_core": _openblas_corename(), "numpy_dispatch": _x86_dispatch_group()}
+            "numpy": np.__version__, "openblas_core": _openblas_corename(),
+            "numpy_dispatch": _x86_dispatch_group()}
 
 
 def cache_hit(meta: dict, fingerprint: dict, out_dir: Path,
@@ -405,8 +409,8 @@ def test_criterion_10_budget(stdsh_run):
                 f"{EPISODES} episodes in {train_wall:.0f}s (< 7200) "
                 f"trained at {prov['git_revision']} on {prov['host']} "
                 f"({prov['cores']} cores, Python {prov['python']}, numpy {prov['numpy']} "
-                f"{prov['numpy_dispatch']}, OpenBLAS {prov['openblas_core']}, "
-                f"BLAS threads {prov['blas_threads']}), eval cell {eval_wall:.1f}s (< 60)")
+                f"{prov['numpy_dispatch']}, OpenBLAS {prov['openblas_core']}), "
+                f"eval cell {eval_wall:.1f}s (< 60)")
     assert ok
 
 
@@ -465,3 +469,27 @@ def test_cached_training_reuses_only_complete_current_entries(tmp_path,
     assert meta["files"] == {}
     fetch()                                              # names no checkpoint
     assert len(calls) == 8
+
+
+if __name__ == "__main__":
+    # reproduction check, outside tier-1: a fresh stdsh_full against the committed one
+    import sys
+    import tempfile
+
+    committed = ARTIFACTS / "stdsh_full"
+    recorded = json.loads((committed / "run.json").read_text())["provenance"]
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh = cached_training("stdsh_full", EPISODES, files=("model.ckpt",), root=Path(tmp))
+    rows = {"committed": (_sha256(committed / "model.ckpt"), recorded),
+            "fresh": (fresh["files"]["model.ckpt"], fresh["provenance"])}
+    for who, (digest, prov) in rows.items():
+        print(f"{who:9} model.ckpt {digest}  OpenBLAS {prov['openblas_core']}, "
+              f"numpy dispatch {prov['numpy_dispatch']}")
+    same_arithmetic = all(recorded[k] == fresh["provenance"][k]
+                          for k in ("openblas_core", "numpy_dispatch"))
+    if rows["committed"][0] == rows["fresh"][0]:
+        print("reproduced: the checkpoints are byte-identical")
+    elif same_arithmetic:
+        sys.exit("NOT reproduced: same arithmetic identity, different checkpoint")
+    else:
+        print("not comparable: this host's arithmetic identity differs from the recorded one")

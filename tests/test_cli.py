@@ -91,6 +91,15 @@ def test_train_out_under_a_file_returns_error_code(tmp_path, capsys, under):
     assert err.startswith("error:") and str(tmp_path / "file") in err
 
 
+def test_eval_of_an_oversized_integer_returns_error_code(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text("[network]\ntram_stop_dwell_s = 99999999999999999999\n")
+    rc = main(["eval", "--scenario", str(config), "--controller", "random",
+               "--horizon", "60"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: field 'tram_stop_dwell_s'")
+
+
 def test_eval_zero_horizon_returns_error_code(tmp_path, capsys):
     rc = main(["eval", "--scenario", "1", "--controller", "fswf",
                "--horizon", "0", "--out", str(tmp_path)])

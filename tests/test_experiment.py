@@ -265,6 +265,17 @@ def test_report_aggregates_seed_means(tmp_path):
     assert abs(float(rec[3]) - np.mean([r.anp for r in rows])) < 1e-6
 
 
+def test_report_means_awt_over_the_seeds_that_have_one(tmp_path):
+    # awt_bus is empty in seed 0, awt_tram in every seed: no bus or tram finished
+    (tmp_path / "summary.csv").write_text("\r\n".join([
+        ",".join(SUMMARY_HEADER),
+        "1,fswf,0,300,1.0,2.0,,",
+        "1,fswf,1,300,3.0,4.0,6.0,",
+        "1,fswf,2,300,5.0,6.0,9.0,"]) + "\r\n")
+    lines = report(tmp_path).read_text().splitlines()
+    assert lines[1] == "1,fswf,3,3.000000,4.000000,7.500000,"
+
+
 def test_report_requires_summary(tmp_path):
     with pytest.raises(ValueError):
         report(tmp_path)

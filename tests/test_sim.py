@@ -1,5 +1,6 @@
 """Simulator contract tests: timing, kinematics, discharge, conservation."""
 
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 from stdsh.baselines import random_policy
 from stdsh.env import action_mask, drive
-from stdsh.sim import (ConfigError, SimWorld, load_scenario, parse_config,
-                       permits, resolve_config)
+from stdsh.sim import (ConfigError, ScenarioConfig, SimWorld, load_scenario,
+                       parse_config, permits, resolve_config)
 from stdsh.sim.world import DWELLING, EXITED, MOVING, QUEUED, TRAM, ArrivalTrace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -514,10 +515,35 @@ def test_config_error_reporting():
     ("[scenario]\nid = 2\nramp_to_veh_h = 3601", "ramp_to_veh_h"),
     ("[demand]\ncar_rate_veh_h = 3000\n[scenario]\nid = 5\nskew_multiplier = 1.6",
      "skew_multiplier"),
+    # integers past their documented maximum, which C integers cannot hold
+    ("[network]\ntram_stop_dwell_s = 99999999999999999999", "tram_stop_dwell_s"),
+    ("[demand]\ntram_occupancy = 99999999999999999999", "tram_occupancy"),
+    ("[network]\nintersections = 101", "intersections"),
+    ("[demand]\nbus_headway_s = 86401", "bus_headway_s"),
+    ("[demand]\ntram_first_departure_s = -1", "tram_first_departure_s"),
+    # a free-flow trip above MAX_LINK_TRIP_S names the link's length field
+    ("[network]\nlink_length_m = 1e9", "link_length_m"),
+    ("[network]\nside_link_length_m = 60000", "side_link_length_m"),
+    ("[network]\nfreeflow_kmh = 0.1", "link_length_m"),
 ])
 def test_config_rejects_bad_values_naming_the_field(line, field):
     with pytest.raises(ConfigError, match=f"field '{field}'"):
         parse_config(line + "\n")
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ScenarioConfig)
+                                  if type(f.default) is int])
+def test_every_integer_field_has_a_maximum(name):
+    field = "id" if name == "scenario_id" else name
+    with pytest.raises(ConfigError, match=f"field '{field}'"):
+        resolve_config(replace(ScenarioConfig(), **{name: 10**20}))
+
+
+def test_link_trip_limit_reads_the_tram_only_when_enabled():
+    with pytest.raises(ConfigError, match=r"field 'link_length_m': 300 m at "
+                                          r"tram_freeflow_kmh 0\.1 km/h is a 10800 s trip"):
+        parse_config("[network]\ntram_freeflow_kmh = 0.1\n")
+    parse_config("[network]\ntram_enabled = false\ntram_freeflow_kmh = 0.1\n")
 
 
 def test_resolve_config_validates_a_config_object():

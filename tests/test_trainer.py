@@ -573,16 +573,17 @@ def test_identical_trainings_write_identical_files(tmp_path):
 
 
 # sha256 of what four trainings (scenario 1, 300 s episodes) write, the same
-# whether the critic updates run in a child or in this process; "-" where
-# the run stops before its checkpoint. `python tests/test_trainer.py` prints them
+# whether the critic updates run in a child or in this process and whatever
+# OpenBLAS thread count the caller set; "-" where the run stops before its
+# checkpoint. `python tests/test_trainer.py` prints them
 PINNED_TRAININGS = {
-    "clean": ("e2e623b884324421dd367ec49c4c2bfa172f1c16b3336b1e85abaa49f72969a9",
-              "625aab8a93f231c9dbfe70a5d4521a8e7076b274c05c280eff95a72ec011886b"),
+    "clean": ("b2cc405227fe22055e92fc5ac00e944264164f9f9de3a5ad8d08e9d1e2c1ef81",
+              "e077b5004d05a49338beeaca5fe1daed6ec4b24f5d9764b431a07ba63fb9e306"),
     "flat": ("32ce7d31785512cd47a7441ea42c838cd6dd247d1067610f0d9853fcd65b2854",
              "fc7b6f069b2cb30b4b90c81a3d3363a44e438c6a94dc8a0df48f8a52fef416a5"),
-    "nan_returns": ("0a8c13de86bd336f4416d0baf6e7cf4980bae7bce3fedf23372535952986de9f",
-                    "7244fcbd92ee13d89c29a2dc2d46ba553ac3fb76448054435bcebbec78796264"),
-    "one_sided_aborts": ("d55a17a145c6588be5bb5f44f73f8b556ce211d91c237b51ae8c8d57b2775b3b",
+    "nan_returns": ("e1195f895ba9436b3e4fac121f12a91ca099f272b58aff8b4e8c0da75a07afda",
+                    "92f7d44a12c89121814bfbb8e278ea59802652bce00fd9fd8611f742b14505a2"),
+    "one_sided_aborts": ("7c31a898250174f238605d901e9bddf38ad2e9bcb164669e3d09c47b41f797d4",
                          "-"),
 }
 
@@ -649,8 +650,8 @@ def pinned_training(name, tmp_path, monkeypatch):
 
 
 def test_blas_lookup_without_proc_maps_finds_nothing(monkeypatch):
-    # off Linux there is no /proc/self/maps: the lookup, the thread count
-    # and the pytest header all go on without the library
+    # off Linux there is no /proc/self/maps: the lookup, the one-thread
+    # pin and the pytest header all go on without the library
     import conftest
 
     def no_maps(path, *args, **kwargs):
@@ -658,9 +659,37 @@ def test_blas_lookup_without_proc_maps_finds_nothing(monkeypatch):
 
     monkeypatch.setattr(trainer, "open", no_maps, raising=False)
     assert trainer._openblas_function("openblas_get_num_threads") is None
-    assert trainer._blas_threads() is None
-    header = conftest.pytest_report_header(None)
-    assert "OpenBLAS core unknown" in header and "BLAS threads None" in header
+    with trainer._one_blas_thread() as pinned:
+        assert not pinned
+    assert "OpenBLAS core unknown" in conftest.pytest_report_header(None)
+
+
+def _blas_threads_function(op):
+    """OpenBLAS's get or set of its thread count; None without OpenBLAS."""
+    return trainer._openblas_function(f"scipy_openblas_{op}_num_threads64_",
+                                      f"openblas_{op}_num_threads64_",
+                                      f"openblas_{op}_num_threads")
+
+
+@pytest.mark.skipif(_blas_threads_function("set") is None, reason="needs OpenBLAS")
+def test_training_runs_blas_on_one_thread_and_gives_the_count_back(tmp_path, monkeypatch):
+    get, put = _blas_threads_function("get"), _blas_threads_function("set")
+    before, seen = get(), []
+
+    def fails(world, state, seconds):
+        seen.append(get())
+        raise RuntimeError("no road")
+
+    put(2)
+    try:
+        assert pinned_training("clean", tmp_path / "clean", monkeypatch) == PINNED_TRAININGS["clean"]
+        assert get() == 2
+        monkeypatch.setattr(trainer, "collect_rollout", fails)
+        with pytest.raises(RuntimeError, match="^no road$"):
+            train_run(1, 0, 2, small_cfg(horizon_s=60), tmp_path / "raises")
+        assert seen == [1] and get() == 2
+    finally:
+        put(before)
 
 
 def one_cpu(monkeypatch):
@@ -668,9 +697,8 @@ def one_cpu(monkeypatch):
 
 
 def forked(monkeypatch):
-    """Fork the critic updates wherever there is a second CPU, whatever
-    the BLAS threads, which then only compete for the CPUs."""
-    monkeypatch.setattr(trainer, "_blas_threads", lambda: 1)
+    """Train as the host does: the critic updates fork wherever there is a
+    second CPU."""
 
 
 @pytest.mark.parametrize("mode", [one_cpu, forked], ids=["one_cpu", "forked"])
