@@ -54,23 +54,14 @@ def green_split(cycle: int, ratios) -> list[int]:
         top = max(range(N_PHASES), key=lambda p: (ratios[p], -p))
         shares[top] += residual
     greens = [MIN_GREEN_S + s for s in shares]
-    # cap at 45 and push any overflow to the other phases, largest ratio first
-    order = sorted(range(N_PHASES), key=lambda p: (-ratios[p], p))
-    for _ in range(N_PHASES):
-        overflow = 0
-        for p in range(N_PHASES):
-            if greens[p] > MAX_GREEN_S:
-                overflow += greens[p] - MAX_GREEN_S
-                greens[p] = MAX_GREEN_S
-        if overflow == 0:
-            break
-        for p in order:
-            room = MAX_GREEN_S - greens[p]
-            take = min(room, overflow)
-            greens[p] += take
-            overflow -= take
-            if overflow == 0:
-                break
+    # cap at 45 and push the overflow to the phases with room, largest ratio
+    # first; no phase takes more than its room, so one pass settles it
+    overflow = sum(max(g - MAX_GREEN_S, 0) for g in greens)
+    greens = [min(g, MAX_GREEN_S) for g in greens]
+    for p in sorted(range(N_PHASES), key=lambda p: (-ratios[p], p)):
+        take = min(MAX_GREEN_S - greens[p], overflow)
+        greens[p] += take
+        overflow -= take
     if sum(greens) + LOST_TIME_S != cycle:
         raise AssertionError("green split failed to fill the cycle")
     return greens

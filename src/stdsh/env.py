@@ -108,21 +108,23 @@ def action_mask(current_phase: int) -> np.ndarray:
     return _MASKS[current_phase]
 
 
-def drive(world: SimWorld, seconds: int, decide, after_step=None) -> None:
+def drive(world: SimWorld, seconds: int, decide=None, after_step=None) -> None:
     """Step `world` for `seconds`; each agent acts when its green expires.
 
     Before every step that finds triggers raised, `decide(world, due)` is
     called once with the due intersections in controller order and returns
     one action each. A signal applied only stages amber at its own
     intersection, so every agent of a second decides on the same world.
+    With no `decide`, expired greens keep running (step() is total).
     `after_step(world)`, if given, runs after every step. A trigger the
     last step raises is left for the next call, so drive(w, a) then
     drive(w, b) is drive(w, a + b). The call ends by reading
-    `world.active`, which checks conservation.
+    `world.active`, which checks conservation. This is the only loop that
+    steps a world.
     """
     for _ in range(seconds):
         due = [i for i, ctrl in enumerate(world.controllers) if ctrl.trigger]
-        if due:
+        if due and decide is not None:
             for i, a in zip(due, decide(world, due), strict=True):
                 world.apply_signal(i, *decode_action(a))
         world.step()

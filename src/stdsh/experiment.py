@@ -61,18 +61,19 @@ def _scenario_label(scenario) -> str:
 
 
 def run_experiment(scenario, controller: str, seed: int, horizon_s: int = 1800,
-                   checkpoint=None, out_dir=None,
-                   state: TrainState | None = None) -> tuple[SummaryRow, object]:
-    """Run one evaluation cell; returns (summary row, MetricsLog)."""
+                   checkpoint=None, out_dir=None) -> tuple[SummaryRow, object]:
+    """Run one evaluation cell; returns (summary row, MetricsLog). A learned
+    controller's `checkpoint` is a saved path or a loaded TrainState."""
     if controller not in CONTROLLERS:
         raise ValueError(f"controller must be one of {CONTROLLERS}, got {controller!r}")
     if horizon_s <= 0:
         raise ValueError(f"horizon must be > 0 seconds, got {horizon_s}")
     world = load_scenario(scenario, seed)
     if controller in ("stdsh", "mappo"):
-        if state is None:
-            if checkpoint is None:
-                raise ValueError(f"controller {controller!r} needs a checkpoint")
+        if checkpoint is None:
+            raise ValueError(f"controller {controller!r} needs a checkpoint")
+        state = checkpoint
+        if not isinstance(state, TrainState):
             if not Path(checkpoint).exists():
                 raise ValueError(f"checkpoint not found: {checkpoint}")
             state = load_checkpoint(checkpoint)

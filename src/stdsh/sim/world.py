@@ -23,7 +23,9 @@ lane's free-flow step each second, so the seconds at which a vehicle
 reaches its tram stop, ends its dwell and reaches the stop line are fixed
 at lane entry. `leg_positions` runs that recurrence (the floats of a
 per-second model) once per kind of lane; a calendar maps each second to
-the ids due then, handled in id order. The metrics row is two running
+the ids due then, handled in id order. A vehicle holds one entry at most:
+it gets one on entering a lane and when the entry just handled was its
+own, never while another is pending. The metrics row is two running
 counters per intersection, changed only at transitions: the occupancy of
 delayed vehicles (queued, or moving slower than `speed_threshold_kmh`)
 and the number of queued road vehicles.
@@ -45,7 +47,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import astuple
-from itertools import islice, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -65,10 +67,10 @@ TRAM = MODES.index("tram") + 1
 EXITED, MOVING, QUEUED, DWELLING = range(4)
 _VEHICLE_ARRAYS = (("slot", np.intp), ("mode", np.int8), ("state", np.int8),
                    ("occupancy", np.int64))
-# entered: the second before the leg's first move; due: its next event;
-# since: start of the open delayed spell (None: none), added to waiting at its
-# end; heading: the current leg's movement; _slot.._occupancy: the arrays' values
-_VEHICLE_LISTS = ("routes", "leg", "entered", "due", "since", "waiting", "spawn_t",
+# entered: the second before the leg's first move; since: start of the open
+# delayed spell (None: none), added to waiting at its end; heading: the current
+# leg's movement; _slot.._occupancy: the arrays' values
+_VEHICLE_LISTS = ("routes", "leg", "entered", "since", "waiting", "spawn_t",
                   "heading", "_slot", "_mode", "_state", "_occupancy")
 
 
@@ -246,16 +248,16 @@ class SimWorld:
         links = [lane.link for lane in lanes]
         self.lane_node = [l.node for l in links]
         self.lane_speed_kmh = np.array([l.speed_kmh for l in links])
-        self.leg_args = [(l.speed_kmh / 3.6, l.length, l.stop_pos, l.stop_dwell)
-                         for l in links]
+        leg_args = [(l.speed_kmh / 3.6, l.length, l.stop_pos, l.stop_dwell)
+                    for l in links]
         # per lane, seconds after a leg's entry of its first event (the tram
         # stop, else the stop line), the dwell there, and the stop line
         plans = {}
-        for args in set(self.leg_args):
+        for args in set(leg_args):
             _, length, stop, dwell = args
             at = [j for j, pos in enumerate(leg_positions(*args)) if pos in (stop, length)]
             plans[args] = at[0], dwell, at[-1]
-        self.plan = [plans[args] for args in self.leg_args]
+        self.plan = [plans[args] for args in leg_args]
         self.lane_slow = (self.lane_speed_kmh < cfg.speed_threshold_kmh).tolist()
         self.queues = [deque() for _ in lanes]
         self.moving = [0] * len(lanes)
@@ -301,7 +303,6 @@ class SimWorld:
         self.routes.append(route)
         self.leg.append(0)
         self.entered.append(0)
-        self.due.append(None)
         self.since.append(None)
         self.waiting.append(0)
         self.spawn_t.append(self.t)
@@ -320,7 +321,6 @@ class SimWorld:
     # ------------------------------------------------------------- dynamics
 
     def _schedule(self, v: int, t: int) -> None:
-        self.due[v] = t
         self.calendar.setdefault(t, []).append(v)
 
     def _delay(self, v: int, on: bool) -> None:
@@ -338,8 +338,6 @@ class SimWorld:
         """Handle this second's due events in id order."""
         t = self.t
         for v in sorted(self.calendar.pop(t, ())):
-            if self.due[v] != t:        # placed in its queue ahead of time
-                continue
             s = self._slot[v]
             _, dwell, line = self.plan[s]
             if self._state[v] == DWELLING:      # dwell over: rolls on next second
@@ -356,25 +354,12 @@ class SimWorld:
     def _join_queue(self, v: int) -> None:
         """v reaches its lane's stop line now and queues there, delayed."""
         s = self._slot[v]
-        self.due[v] = None
         self._state[v] = self.state[v] = QUEUED
         self.moving[s] -= 1
         self.queues[s].append(v)
         self._delay(v, True)
         if self._mode[v] != TRAM:
             self.queued_road[self.lane_node[s]] += 1
-
-    def position(self, v: int) -> float:
-        """Meters along a live vehicle's current link."""
-        args = self.leg_args[self._slot[v]]
-        if self._state[v] == QUEUED:
-            return args[1]
-        return next(islice(leg_positions(*args), self.t - 1 - self.entered[v], None))
-
-    def waited(self, v: int) -> int:
-        """Seconds v has counted as delayed so far, the open spell included."""
-        since = self.since[v]
-        return self.waiting[v] + (0 if since is None else self.t - since)
 
     def credit(self, s: int) -> float:
         """Lane slot s's saturation credit going into the next second."""
@@ -433,11 +418,6 @@ class SimWorld:
         self.log.append(self.t, self.delayed_pax, self.queued_road)
         self.t += 1
 
-    def run(self, seconds: int) -> None:
-        for _ in range(seconds):
-            self.step()
-        self.active                     # the read checks conservation
-
     @property
     def active(self) -> np.ndarray:
         """The ascending ids of live vehicles; raises if any spawned vehicle
@@ -453,14 +433,6 @@ class SimWorld:
         if not (0 <= intersection < self.net.n):
             raise ValueError(f"unknown intersection {intersection}")
         self.controllers[intersection].apply(phase, green_s)
-
-    def delayed_passengers(self, scope="network") -> int:
-        """Occupancy total of sub-threshold vehicles, network-wide or at one
-        intersection (dwelling trams excluded: scheduled service)."""
-        network = isinstance(scope, str) and scope == "network"
-        if not (network or isinstance(scope, (int, np.integer)) and 0 <= scope < self.net.n):
-            raise ValueError(f"unknown intersection {scope!r}")
-        return sum(self.delayed_pax) if network else self.delayed_pax[scope]
 
 
 def load_scenario(config, seed: int) -> SimWorld:

@@ -124,7 +124,6 @@ class TransitionBatch:
     reward: np.ndarray = field(default_factory=lambda: np.zeros(0))
     dt: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     ret: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    done: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
     # flat critic: (B, width) mean scaled observations; hypergraph critic:
     # (B,) window starts, rows of the (S, n, d) episode table `snapshots`
     critic_input: np.ndarray | None = None
@@ -280,7 +279,7 @@ def _build_batch(rows: list[tuple], log: MetricsLog, gamma: float) -> Transition
     stop = np.array([stop[k] for k in order])
     reward = envmod.compute_rewards(log, agent, t, stop)
     batch = TransitionBatch(agent=agent, t=t, obs=obs, mask=mask, action=action,
-                            reward=reward, dt=stop - t, done=stop == len(log),
+                            reward=reward, dt=stop - t,
                             critic_input=np.stack([rows[k][5] for k in order]))
     batch.ret = np.zeros(len(rows))
     for i in np.unique(agent):

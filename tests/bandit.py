@@ -39,7 +39,6 @@ def run_bandit(seed: int, max_updates: int = 500, batch_size: int = 64,
             action=acts,
             reward=rewards,
             ret=rewards.copy(),              # one-step episodes
-            done=np.ones(batch_size, dtype=bool),
         )
         adv = advantages(batch.ret, np.full(batch_size, rewards.mean()))
         stats = ppo_update(state, batch, adv)

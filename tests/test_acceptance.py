@@ -339,8 +339,8 @@ def directional_means(stdsh_run, mappo_run) -> tuple[dict, float]:
     # each checkpoint is loaded once and its state shared by its five cells
     stdsh, mappo = (load_checkpoint(run["checkpoint"]) for run in (stdsh_run, mappo_run))
     cells = {"fswf": dict(controller="fswf"),
-             "stdsh": dict(controller="stdsh", state=stdsh),
-             "mappo": dict(controller="mappo", state=mappo)}
+             "stdsh": dict(controller="stdsh", checkpoint=stdsh),
+             "mappo": dict(controller="mappo", checkpoint=mappo)}
     # seed-major, so each seed's arrivals are drawn once and replayed
     vals = {label: [] for label in cells}
     for s in EVAL_SEEDS:

@@ -70,6 +70,9 @@ def test_green_split_caps_dominant_phase_and_redistributes():
     greens = green_split(MAX_CYCLE_S, [0.97, 0.01, 0.01, 0.01])
     assert max(greens) == 45
     assert sum(greens) + LOST_TIME_S == MAX_CYCLE_S
+    # [76, 18, 23, 13] before the cap: P1's 31 s over 45 fill P3 (ratio
+    # 0.15) to 45 before P2 (0.1) gets the last 9
+    assert green_split(150, [0.7, 0.1, 0.15, 0.05]) == [45, 27, 45, 13]
 
 
 def test_green_split_rejects_cycle_below_minimums():

@@ -35,9 +35,9 @@ def test_controller_and_checkpoint_validation(tmp_path):
         run_experiment(1, "stdsh", seed=0, checkpoint=tmp_path / "nope.ckpt")
     # ablation flags must match the requested controller
     with pytest.raises(ValueError):
-        run_experiment(1, "stdsh", seed=0, state=small_state(False))
+        run_experiment(1, "stdsh", seed=0, checkpoint=small_state(False))
     with pytest.raises(ValueError):
-        run_experiment(1, "mappo", seed=0, state=small_state(True))
+        run_experiment(1, "mappo", seed=0, checkpoint=small_state(True))
 
 
 @pytest.mark.parametrize("controller", ["random", "fswf"])
@@ -59,7 +59,7 @@ def test_checkpoint_width_must_fit_the_scenario(use_hypergraph):
     controller = "stdsh" if use_hypergraph else "mappo"
     with pytest.raises(ValueError, match="width 148 .*width 132"):
         run_experiment(NO_TRAM, controller, seed=0, horizon_s=HORIZON,
-                       state=small_state(use_hypergraph))
+                       checkpoint=small_state(use_hypergraph))
 
 
 FOUR = "[network]\nintersections = 4\ntram_stop_intersections = 1,3\n"
@@ -70,7 +70,7 @@ def test_checkpoint_runs_on_another_intersection_count(use_hypergraph):
     # the greedy actor is per intersection and the critic never runs here
     controller = "stdsh" if use_hypergraph else "mappo"
     row, _ = run_experiment(FOUR, controller, seed=0, horizon_s=HORIZON,
-                            state=small_state(use_hypergraph))
+                            checkpoint=small_state(use_hypergraph))
     assert np.isfinite(row.anp)
 
 
@@ -110,22 +110,24 @@ def test_cells_are_deterministic(tmp_path):
 
 def test_learned_cells_run_untrained(tmp_path):
     row, _ = run_experiment(1, "stdsh", seed=0, horizon_s=HORIZON,
-                            state=small_state(True))
+                            checkpoint=small_state(True))
     assert np.isfinite(row.anp)
     row2, _ = run_experiment(1, "mappo", seed=0, horizon_s=HORIZON,
-                             state=small_state(False))
+                             checkpoint=small_state(False))
     assert np.isfinite(row2.anp)
 
 
 def test_checkpoint_file_drives_cell(tmp_path):
+    # a cell given the loaded state writes the bytes the same cell given
+    # its saved path writes
     state = small_state(True, seed=4)
     path = tmp_path / "m.ckpt"
     save_checkpoint(state, path)
-    via_file, _ = run_experiment(1, "stdsh", seed=1, horizon_s=HORIZON,
-                                 checkpoint=path)
-    via_state, _ = run_experiment(1, "stdsh", seed=1, horizon_s=HORIZON,
-                                  state=state)
-    assert via_file.anp == via_state.anp
+    for checkpoint, out in ((path, tmp_path / "file"), (state, tmp_path / "state")):
+        run_experiment(1, "stdsh", seed=1, horizon_s=HORIZON, checkpoint=checkpoint,
+                       out_dir=out)
+    for name in ("1_stdsh_seed1_metrics.csv", "1_stdsh_seed1_heatmap.csv", "summary.csv"):
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "state" / name).read_bytes()
 
 
 @pytest.mark.parametrize("controller", ("fswf", "random", "stdsh", "mappo"))
@@ -145,7 +147,7 @@ def test_every_cell_serves_the_t0_trigger_and_none_past_the_horizon(
     state = (small_state(controller == "stdsh")
              if controller in ("stdsh", "mappo") else None)
     run_experiment("[signal]\ninitial_green_s = 0\n", controller, seed=0,
-                   horizon_s=300, state=state)
+                   horizon_s=300, checkpoint=state)
     assert len(served) == (2 if controller == "fswf" else 1)
     for calls in served.values():
         assert calls[:6] == [(0, i) for i in range(6)]
@@ -169,7 +171,7 @@ def test_greedy_cells_observe_each_decided_second_once(controller, monkeypatch):
     monkeypatch.setattr(envmod, "observe", recorded_observe)
     monkeypatch.setattr(SimWorld, "apply_signal", record)
     run_experiment("[signal]\ninitial_green_s = 0\n", controller, seed=0,
-                   horizon_s=HORIZON, state=state)
+                   horizon_s=HORIZON, checkpoint=state)
     assert len(decided) > len(set(decided))     # seconds with several decisions
     assert observed == sorted(set(decided))
 
@@ -196,7 +198,7 @@ def test_every_controller_faces_the_same_arrivals(scenario, seed, digest, monkey
     for controller in ("fswf", "random", "stdsh", "mappo"):
         spawns.clear()
         _, log = run_experiment(scenario, controller, seed, horizon_s=1800,
-                                state=states.get(controller))
+                                checkpoint=states.get(controller))
         (world,) = [w for w in spawns if w.log is log]
         cells[controller] = spawns.pop(world)
         if controller == "fswf":

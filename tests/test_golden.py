@@ -68,7 +68,7 @@ EDGE_WORLDS = [(name, s) for name in EDGE_CONFIGS for s in (1, 3)]
 EDGE_SEED = 20_001
 LOG_FIELDS = ("seconds", "net_delayed", "net_queued", "int_delayed", "int_queued")
 BATCH_FIELDS = ("agent", "t", "obs", "mask", "action", "reward", "dt", "ret",
-                "done", "critic_input")
+                "critic_input")
 
 GOLDEN_CELLS = {
     "1-fswf-100": {
@@ -203,7 +203,6 @@ GOLDEN_ROLLOUT = {
         "reward": "82899c1e30524411e879adbc93b3762e975293e9a1f96009ab7bd3d05d6fdcbc",
         "dt": "c61e0405c6afffd9ce4253267f1761d90b77ba524c0dd8c11ea02e591d00946b",
         "ret": "b5915e09d6efe3000e8e69b8db5874908e030c61cd97599885e68fdd9051d0ef",
-        "done": "48cfcd6e757a840f1e8fda597c27ebbfbbb37ef1d7707c7bb5b5a245c3aa3b2e",
         "critic_input": "38135303eb9d55329a771a94648be5ab8224f92969618f0ab1723edea8380d24",
     },
     "hg_off": {
@@ -215,7 +214,6 @@ GOLDEN_ROLLOUT = {
         "reward": "46cb4cbbb810fbb19fa24af719a0c35e09095a2000bfd4c6ed783d52dfbc8d90",
         "dt": "53eb0bef56f0329c5c430a39f51eb444a2ce78eb2c2048c1bdc71aebde408164",
         "ret": "c7cd3f3b59bcd6853f6bdff1d27679b278d5df6d7f5593b1e7d9f4869dee7877",
-        "done": "e5df80712f75862e3ebee38af4457a921c6959f14ce549e10215db3189c4d3a9",
         "critic_input": "c53c4e8994c03390da02b24e460c172824920847a52b8a691db3a12bbbac5ca5",
     },
 }

@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from stdsh.env import drive
 from stdsh.experiment import run_experiment
 from stdsh.metrics import (FLUSH_ROWS, CompletedTrip, MetricsLog, anp, aql, awt,
                            write_heatmap_csv, write_metrics_csv)
@@ -96,7 +97,7 @@ def test_buffered_rows_read_like_an_eager_table():
 
 def test_oracle_recount_from_sim():
     world = load_scenario(1, seed=2)
-    world.run(300)
+    drive(world, 300)
     log = world.log
     assert anp(log, 300) == pytest.approx(sum(log.net_delayed.tolist()) / 300.0)
     per_second = [sum(row) for row in log.int_delayed.tolist()]

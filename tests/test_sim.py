@@ -37,6 +37,8 @@ def inject_queued(world, node, arm, movement, count, occupancy=1, lane_index=Non
         for s in others:
             world.moving[s] -= 10**6
         world._join_queue(v)
+        # it reached the stop line ahead of its calendar entry: drop that
+        world.calendar[world.entered[v] + world.plan[world.slot[v]][0]].remove(v)
         made.append(v)
     return made
 
@@ -70,7 +72,7 @@ def test_first_trigger_at_initial_green_expiry():
 
 def test_zero_demand_stays_empty():
     world = quiet_world()
-    world.run(200)
+    drive(world, 200)
     assert world.spawned_total == 0
     assert world.exited_total == 0
     assert world.log.net_delayed.tolist() == [0] * 200
@@ -91,15 +93,15 @@ def test_same_seed_same_trace():
     assert a.log.int_queued.tolist() == b.log.int_queued.tolist()
     assert a.discharge_events == b.discharge_events
     assert a.spawned_total == b.spawned_total
-    assert [(v, a.state[v], a.position(v)) for v in a.active.tolist()] == \
-           [(v, b.state[v], b.position(v)) for v in b.active.tolist()]
+    assert [(v, a.state[v], a.slot[v], a.leg[v], a.entered[v]) for v in a.active.tolist()] == \
+           [(v, b.state[v], b.slot[v], b.leg[v], b.entered[v]) for v in b.active.tolist()]
 
 
 def test_different_seed_different_trace():
     a = load_scenario(3, seed=11)
     b = load_scenario(3, seed=12)
-    a.run(600)
-    b.run(600)
+    drive(a, 600)
+    drive(b, 600)
     assert a.log.net_delayed.tolist() != b.log.net_delayed.tolist()
 
 
@@ -111,17 +113,14 @@ def test_moving_vehicle_reaches_stop_line():
                         "tram_enabled = false\n")
     link = world.net.approach(0, "W")
     v = world._spawn_vehicle("car", 1, [(link, "through")])
-    for step in range(1, 9):
+    for _ in range(7):
         world.step()
-        if step < 8:
-            assert world.state[v] == MOVING
-            assert world.position(v) == pytest.approx(step * 100.0 / 7.2)
-        else:
-            assert world.state[v] == QUEUED
-            assert world.position(v) == link.length
+        assert world.state[v] == MOVING
+        assert world.log.net_delayed[-1] == 0
+    world.step()
+    assert world.state[v] == QUEUED
     assert world.queues[world.slot[v]][0] == v
-    assert world.waited(v) == 1    # queued during step 8's metrics row
-    assert world.log.net_delayed[-1] == 1
+    assert world.log.net_delayed[-1] == 1      # queued during step 8's metrics row
 
 
 def test_queued_vehicle_counts_as_delayed_with_occupancy():
@@ -130,8 +129,7 @@ def test_queued_vehicle_counts_as_delayed_with_occupancy():
     world.step()
     assert world.log.net_delayed.tolist() == [4]
     assert world.log.net_queued.tolist() == [1]
-    assert world.delayed_passengers("network") == 4
-    assert world.delayed_passengers(0) == 4
+    assert world.log.int_delayed[-1].tolist() == [4]
 
 
 # ---------------------------------------------------------------- discharge
@@ -180,7 +178,7 @@ def test_no_discharge_when_phase_does_not_permit():
     world = quiet_world("[network]\nintersections = 1\ntram_enabled = false\n"
                         "[signal]\ninitial_phase = P1\ninitial_green_s = 45\n")
     inject_queued(world, 0, "W", "through", 2)
-    world.run(20)
+    drive(world, 20)
     assert world.exited_total == 0
     lane = world.net.approach(0, "W").lanes[0]
     assert world.credit(lane.slot) == 0.0   # a blocked head accrues nothing
@@ -192,14 +190,14 @@ def test_blocked_head_blocks_lane():
                         "[signal]\ninitial_phase = P3\ninitial_green_s = 45\n")
     inject_queued(world, 0, "W", "left", 1)
     inject_queued(world, 0, "W", "through", 1, lane_index=0)   # both in the kerb lane
-    world.run(10)
+    drive(world, 10)
     # P3 permits E-W left and through, so both go; then repeat under P4
     assert world.exited_total == 2
     world2 = quiet_world("[network]\nintersections = 1\ntram_enabled = false\n"
                          "[signal]\ninitial_phase = P4\ninitial_green_s = 45\n")
     inject_queued(world2, 0, "W", "left", 1)
     inject_queued(world2, 0, "W", "through", 1, lane_index=0)
-    world2.run(10)
+    drive(world2, 10)
     # P4 is E-W right only: the left head is blocked and pins the lane
     assert world2.exited_total == 0
 
@@ -259,7 +257,7 @@ def test_apply_signal_rejections():
     world = quiet_world()
     with pytest.raises(ValueError):
         world.apply_signal(0, phase=1, green_s=10)     # trigger not raised
-    world.run(10)                                      # now expired
+    drive(world, 10)                                   # now expired
     with pytest.raises(ValueError):
         world.apply_signal(0, phase=0, green_s=10)     # repeat phase
     with pytest.raises(ValueError):
@@ -328,13 +326,7 @@ def test_delayed_recount_matches_log():
                 continue
             per[link.node] += int(world.occupancy[v])
         assert per == world.log.int_delayed[-1].tolist()
-        assert world.delayed_passengers("network") == sum(per)
-        for k in range(world.net.n):
-            assert world.delayed_passengers(k) == per[k]
-    with pytest.raises(ValueError):
-        world.delayed_passengers(-1)
-    with pytest.raises(ValueError):
-        world.delayed_passengers("everything")
+        assert world.log.net_delayed[-1] == sum(per)
 
 
 @pytest.mark.parametrize("scenario", [3, 5])
@@ -371,7 +363,6 @@ def test_bookkeeping_matches_an_independent_recount(scenario):
             if state != DWELLING and speed < thr:
                 waited[v] = waited.get(v, 0) + 1
             seen["dwelling"] += state == DWELLING
-            assert world.waited(v) == waited.get(v, 0)
         assert not where                       # nothing queued that is not live
         assert moving == world.moving
         # the vehicles that left this second carry their waiting into the log
@@ -443,7 +434,7 @@ def test_buffered_draws_follow_a_fresh_generator(seed):
 
 def test_bus_and_tram_schedules():
     world = load_scenario("[demand]\ncar_rate_veh_h = 0\n", seed=0)
-    world.run(1800)
+    drive(world, 1800)
     # buses: t=60, 660, 1260 from both corridor ends; trams: t=30..1530 step 300
     assert world.spawned_total == 6 + 6
     in_network = sum(1 for v in world.active if world.mode[v] == TRAM)
@@ -477,7 +468,7 @@ def test_tram_dwell_is_scheduled_not_delay():
 def test_tram_headway_zero_means_none():
     world = load_scenario("[demand]\ncar_rate_veh_h = 0\nbus_headway_s = 0\n"
                           "tram_headway_s = 0\n", seed=0)
-    world.run(400)
+    drive(world, 400)
     assert world.spawned_total == 0
 
 

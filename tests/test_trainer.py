@@ -49,7 +49,7 @@ def synthetic_batch(state, B=24, width=10, seed=0):
         agent=np.zeros(B, dtype=int), t=np.arange(B), obs=obs, mask=mask,
         action=action, reward=reward,
         ret=np.array(returns(reward, state.cfg.gamma, [1] * B)),
-        done=np.zeros(B, dtype=bool), critic_input=obs.copy())
+        critic_input=obs.copy())
     return batch
 
 
@@ -236,7 +236,7 @@ def test_critic_loss_half_mse_example():
         obs=np.ones((1, 4)), mask=np.ones((1, 152), dtype=bool),
         action=np.zeros(1, dtype=int),
         reward=np.array([2.0]), ret=np.array([2.0]),
-        done=np.ones(1, dtype=bool), critic_input=np.ones((1, 4)))
+        critic_input=np.ones((1, 4)))
     stats = critic_update(state, batch)
     assert stats["critic_loss"] == 2.0
 
@@ -416,9 +416,9 @@ def test_rollout_decision_spacing_and_mask_compliance():
             _, green = decode_action(batch.action[idx[k]])
             assert ts[k + 1] - ts[k] == 5 + green
     # horizon closes exactly one open decision per agent
-    assert batch.done.sum() == N_AGENTS
-    finals = {batch.agent[i] for i in np.flatnonzero(batch.done)}
-    assert finals == set(range(N_AGENTS))
+    final = batch.t + batch.dt == 400
+    assert final.sum() == N_AGENTS
+    assert set(batch.agent[final]) == set(range(N_AGENTS))
 
 
 def test_flat_critic_rollout_takes_no_snapshots(monkeypatch):
@@ -481,7 +481,7 @@ def test_rollout_time_discount_uses_window_lengths():
     for agent in range(N_AGENTS):
         idx = np.flatnonzero(batch.agent == agent)
         # non-final windows span phase change plus green exactly
-        for k in idx[~batch.done[idx]]:
+        for k in idx[batch.t[idx] + batch.dt[idx] != 300]:
             _, green = decode_action(batch.action[k])
             assert batch.dt[k] == 5 + green
         expect = returns(batch.reward[idx], 0.995, batch.dt[idx])
@@ -492,8 +492,8 @@ def test_rollout_time_discount_uses_window_lengths():
 @pytest.mark.parametrize("scenario", [1, 3])
 def test_rollout_prices_each_decision_until_its_next(scenario, use_hypergraph):
     # every row's reward is a plain-Python recount of the world's log over
-    # [t, t + dt), where t + dt is its agent's next decision or, when done,
-    # the horizon; rows come in the order the windows close: (t + dt, agent)
+    # [t, t + dt), where t + dt is its agent's next decision or, for its
+    # last, the horizon; rows come in the order the windows close: (t + dt, agent)
     horizon = 600
     cfg = small_cfg(use_hypergraph=use_hypergraph, d_model=8, heads=4)
     state = trainer.make_train_state(cfg, scenario, seed=0)
@@ -512,7 +512,6 @@ def test_rollout_prices_each_decision_until_its_next(scenario, use_hypergraph):
         assert batch.reward[k] == want, k
         later = [s for j, s in enumerate(t) if agent[j] == i and s > start]
         assert stop == (min(later) if later else horizon), k
-        assert batch.done[k] == (not later), k
     closes = list(zip([a + b for a, b in zip(t, dt)], agent))
     assert closes == sorted(set(closes))
 
